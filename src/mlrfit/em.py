@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lad, noise, scoring
-from .errors import DegenerateRow, DimensionMismatch
+from .errors import CollapsedComponent, DegenerateRow, DimensionMismatch, SingularGram
 from .model import (
     Dataset,
     MixtureWeights,
@@ -104,18 +104,46 @@ def e_step(params: MlrParams, data: Dataset, nm: NoiseModel) -> Responsibilities
     return Responsibilities(posterior_weights(data.x @ params.beta, data.y, nm))
 
 
-def m_step_gaussian(w: Responsibilities, data: Dataset) -> MlrParams:
+def refit_components(
+    solve, w: Responsibilities, dim: int, previous: MlrParams | None
+) -> MlrParams:
+    """Column k is ``solve(w.w[:, k])``, unless component k has collapsed.
+
+    Collapse policy, shared by both M-steps: a component that ``solve``
+    rejects for having no responsibility mass (CollapsedComponent) or
+    whose ridge-stabilized Gram matrix cannot be factorized (SingularGram)
+    keeps its ``previous`` coefficients. Such a component adds nothing to
+    the expected complete-data log-likelihood, so keeping its coefficients
+    preserves EM's ascent. Without ``previous`` the error propagates.
+    """
+    beta = np.empty((dim, w.k_components))
+    for k in range(w.k_components):
+        try:
+            beta[:, k] = solve(w.w[:, k])
+        except (CollapsedComponent, SingularGram):
+            if previous is None:
+                raise
+            beta[:, k] = previous.beta[:, k]
+    return MlrParams(beta)
+
+
+def m_step_gaussian(
+    w: Responsibilities, data: Dataset, previous: MlrParams | None = None
+) -> MlrParams:
     """Per-component weighted least squares, solved in closed form.
 
     Column k solves (sum_i w_ik x_i x_i^T) b = sum_i w_ik y_i x_i with the
-    standard ridge guard against collapsed components.
+    standard ridge guard. A component with no mass has a zero Gram matrix,
+    whose ridge is zero too, so it fails to factorize and follows
+    ``refit_components``.
     """
     x, y = data.x, data.y
-    beta = np.empty((data.dim, w.k_components))
-    for k in range(w.k_components):
-        xw = x * w.w[:, k : k + 1]
-        beta[:, k] = lad.solve_spd(xw.T @ x, xw.T @ y)
-    return MlrParams(beta)
+
+    def solve(weights):
+        xw = x * weights[:, None]
+        return lad.solve_spd(xw.T @ x, xw.T @ y)
+
+    return refit_components(solve, w, data.dim, previous)
 
 
 def irls_delta(y: np.ndarray) -> float:
@@ -124,50 +152,45 @@ def irls_delta(y: np.ndarray) -> float:
 
 
 def m_step_laplacian(
-    w: Responsibilities, data: Dataset, path: str = LAD_PATH_IRLS
+    w: Responsibilities,
+    data: Dataset,
+    path: str = LAD_PATH_IRLS,
+    previous: MlrParams | None = None,
 ) -> MlrParams:
     """Per-component weighted least absolute deviations.
 
     ``path`` picks the solver: ``irls`` smooths the objective and
     reweights (exact weighted median when d = 1), ``lp`` solves the
-    linear-programming reformulation exactly each call.
+    linear-programming reformulation exactly each call. Collapsed
+    components follow ``refit_components``.
     """
     x, y = data.x, data.y
-    column_mass = w.w.sum(axis=0)
-    if column_mass.min() <= 0.0:
-        raise ValueError("every component needs some responsibility mass")
-    beta = np.empty((data.dim, w.k_components))
     if path == LAD_PATH_LP:
-        for k in range(w.k_components):
-            beta[:, k], _ = lad.dual_lp(x, y, w.w[:, k])
+
+        def route(weights):
+            return lad.dual_lp(x, y, weights)[0]
+
+    elif path == LAD_PATH_IRLS and data.dim == 1:
+
+        def route(weights):
+            return lad.solve_1d(x[:, 0], y, weights)
+
     elif path == LAD_PATH_IRLS:
-        if data.dim == 1:
-            for k in range(w.k_components):
-                beta[0, k] = lad.solve_1d(x[:, 0], y, w.w[:, k])
-        else:
-            delta = irls_delta(y)
-            for k in range(w.k_components):
-                beta[:, k], _ = lad.irls(x, y, w.w[:, k], delta)
+        delta = irls_delta(y)
+
+        def route(weights):
+            return lad.irls(x, y, weights, delta)[0]
+
     else:
         raise ValueError(f"unknown LAD path {path!r}")
-    return MlrParams(beta)
 
+    def solve(weights):
+        # with no mass every LAD coefficient is optimal; none is a fit
+        if weights.sum() <= 0.0:
+            raise CollapsedComponent("component has no responsibility mass")
+        return route(weights)
 
-def lad_lp_oracle(weights: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Exact small-scale weighted LAD optimum via the dense simplex.
-
-    Test-scale reference only: refuses N > 200 or d > 5, where the dense
-    tableau stops being sensible.
-
-    Returns (coefficients, objective) at an optimal vertex.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, d = x.shape
-    if n > 200 or d > 5:
-        raise ValueError("oracle accepts N <= 200 and d <= 5 only")
-    return lad.simplex(x, np.asarray(y, dtype=float), np.asarray(weights, dtype=float))
+    return refit_components(solve, w, data.dim, previous)
 
 
 def resolve_lad_path(path: str, nm: NoiseModel, n_samples: int, lp_cap: int) -> str:
@@ -204,9 +227,9 @@ def fit_em(
     for t in range(cfg.n_iterations):
         w = e_step(params, data, nm)
         if nm.kind is NoiseKind.GAUSSIAN:
-            params = m_step_gaussian(w, data)
+            params = m_step_gaussian(w, data, previous=params)
         else:
-            params = m_step_laplacian(w, data, path=path)
+            params = m_step_laplacian(w, data, path=path, previous=params)
         log_liks[t] = scoring.log_likelihood(params, data, nm, mixture)
     wall = time.perf_counter() - started
     return EmTrace(

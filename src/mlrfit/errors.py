@@ -17,6 +17,10 @@ class DegenerateRow(MlrError):
     """A responsibility row lost all probability mass."""
 
 
+class CollapsedComponent(MlrError, ValueError):
+    """A mixture component has no responsibility mass left to fit."""
+
+
 class SingularGram(MlrError):
     """A ridge-stabilized Gram matrix could not be factorized."""
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from mlrfit import synth
+from mlrfit.errors import IterationLimit, Unbounded
 from mlrfit.model import NoiseKind, NoiseModel
 from mlrfit.rng import stable_hash
 
@@ -113,3 +114,105 @@ def strip_clock_lines(text: str) -> str:
         if not line.startswith(("wall_seconds = ", "started_at = ", "finished_at = "))
     ]
     return "\n".join(kept)
+
+
+def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int = 50000):
+    """Dense primal simplex on the epigraph LP, for test-scale instances.
+
+    Variables are (b+, b-, h, s1, s2), all non-negative, with equality
+    rows  x_i.(b+ - b-) + h_i - s1_i = y_i  and
+    -x_i.(b+ - b-) + h_i - s2_i = -y_i. The all-zero coefficient point
+    with h_i = |y_i| is a basic feasible start, so no phase-1 is needed.
+    Bland's rule keeps the pivoting cycle-free.
+
+    Returns (coefficients, objective) at an optimal vertex.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n, d = x.shape
+    n_var = 2 * d + 3 * n
+    h0, s10, s20 = 2 * d, 2 * d + n, 2 * d + 2 * n
+
+    # Canonical tableau for the starting basis, built directly: for
+    # y_i >= 0 the pair is (h_i basic in row 2i, s2_i basic in row 2i+1),
+    # otherwise (s1_i in row 2i, h_i in row 2i+1).
+    tableau = np.zeros((2 * n, n_var + 1))
+    basis = np.empty(2 * n, dtype=np.int64)
+    cost = np.zeros(n_var)
+    cost[h0 : h0 + n] = weights
+    for i in range(n):
+        r_h, r_s = 2 * i, 2 * i + 1
+        xi, yi = x[i], y[i]
+        if yi >= 0.0:
+            tableau[r_h, :d] = xi
+            tableau[r_h, d : 2 * d] = -xi
+            tableau[r_h, h0 + i] = 1.0
+            tableau[r_h, s10 + i] = -1.0
+            tableau[r_h, -1] = yi
+            tableau[r_s, :d] = 2.0 * xi
+            tableau[r_s, d : 2 * d] = -2.0 * xi
+            tableau[r_s, s10 + i] = -1.0
+            tableau[r_s, s20 + i] = 1.0
+            tableau[r_s, -1] = 2.0 * yi
+            basis[r_h] = h0 + i
+            basis[r_s] = s20 + i
+        else:
+            tableau[r_h, :d] = -2.0 * xi
+            tableau[r_h, d : 2 * d] = 2.0 * xi
+            tableau[r_h, s10 + i] = 1.0
+            tableau[r_h, s20 + i] = -1.0
+            tableau[r_h, -1] = -2.0 * yi
+            tableau[r_s, :d] = -xi
+            tableau[r_s, d : 2 * d] = xi
+            tableau[r_s, h0 + i] = 1.0
+            tableau[r_s, s20 + i] = -1.0
+            tableau[r_s, -1] = -yi
+            basis[r_h] = s10 + i
+            basis[r_s] = h0 + i
+
+    reduced = cost - cost[basis] @ tableau[:, :-1]
+    tol = 1e-9
+    for _ in range(max_pivots):
+        candidates = np.nonzero(reduced < -tol)[0]
+        if candidates.size == 0:
+            break
+        enter = int(candidates[0])  # Bland: lowest eligible index
+        column = tableau[:, enter]
+        rows = np.nonzero(column > tol)[0]
+        if rows.size == 0:
+            raise Unbounded("LAD epigraph LP cannot be unbounded with w >= 0")
+        ratios = tableau[rows, -1] / column[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + tol * (1.0 + abs(best))]
+        leave = int(tied[np.argmin(basis[tied])])  # Bland: lowest basis index
+        pivot_row = tableau[leave] / column[leave]
+        tableau -= np.outer(column, pivot_row)
+        tableau[leave] = pivot_row
+        reduced -= reduced[enter] * pivot_row[:-1]
+        basis[leave] = enter
+    else:
+        raise IterationLimit(f"simplex exceeded {max_pivots} pivots")
+
+    solution = np.zeros(n_var)
+    solution[basis] = tableau[:, -1]
+    beta = solution[:d] - solution[d : 2 * d]
+    objective = float(np.dot(weights, solution[h0 : h0 + n]))
+    return beta, objective
+
+
+def lad_lp_oracle(weights: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Exact small-scale weighted LAD optimum via the dense simplex.
+
+    Test-scale reference only: refuses N > 200 or d > 5, where the dense
+    tableau stops being sensible.
+
+    Returns (coefficients, objective) at an optimal vertex.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n, d = x.shape
+    if n > 200 or d > 5:
+        raise ValueError("oracle accepts N <= 200 and d <= 5 only")
+    return simplex(x, np.asarray(y, dtype=float), np.asarray(weights, dtype=float))

@@ -13,6 +13,7 @@ import scipy.optimize
 
 from helpers import (
     brute_force_assignment,
+    lad_lp_oracle,
     min_pairwise_gap,
     minimize_lhat,
     separated_seed,
@@ -144,7 +145,7 @@ def test_criterion_3_m_step_oracles():
             w = Responsibilities(raw)
             fitted = em.m_step_laplacian(w, data, path="irls")
             for j in range(2):
-                _, optimum = em.lad_lp_oracle(w.w[:, j], data.x, data.y)
+                _, optimum = lad_lp_oracle(w.w[:, j], data.x, data.y)
                 achieved = float(
                     np.sum(w.w[:, j] * np.abs(data.y - data.x @ fitted.beta[:, j]))
                 )

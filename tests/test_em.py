@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import min_pairwise_gap, separated_seed
+from helpers import lad_lp_oracle, min_pairwise_gap, separated_seed
 from mlrfit import em, noise, scoring, synth
 from mlrfit.em import Responsibilities
+from mlrfit.errors import CollapsedComponent, SingularGram
 from mlrfit.model import (
     Dataset,
     MlrParams,
     NoiseKind,
     NoiseModel,
     SolverConfig,
+    initial_params,
 )
 
 GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
@@ -140,7 +142,7 @@ class TestMStepLaplacian:
         w = em.e_step(params, data, LAPLACE)
         fitted = em.m_step_laplacian(w, data, path=path)
         for k in range(2):
-            _, best = em.lad_lp_oracle(w.w[:, k], data.x, data.y)
+            _, best = lad_lp_oracle(w.w[:, k], data.x, data.y)
             achieved = float(np.sum(w.w[:, k] * np.abs(data.y - data.x @ fitted.beta[:, k])))
             assert achieved <= best * (1 + 1e-6) + 1e-12
 
@@ -152,21 +154,71 @@ class TestMStepLaplacian:
             )
 
 
+class TestCollapsedComponent:
+    """A component whose responsibilities underflow to exactly 0 keeps its coefficients.
+
+    Shifting the covariates far from the origin makes the seeded start put
+    all 500 samples on one component. Under Gaussian noise x + 30 is enough;
+    the Laplacian density decays only linearly, so it needs x + 1000.
+    """
+
+    @pytest.mark.parametrize(
+        "nm,path,shift,collapses",
+        [
+            (GAUSS, "irls", 30.0, True),
+            (LAPLACE, "lp", 30.0, False),
+            (LAPLACE, "irls", 30.0, False),
+            (LAPLACE, "lp", 1000.0, True),
+            (LAPLACE, "irls", 1000.0, True),
+        ],
+    )
+    def test_fit_survives_and_keeps_previous_coefficients(self, nm, path, shift, collapses):
+        data = synth.generate(3, 2, 500, GAUSS, seed=5)
+        shifted = Dataset(x=data.x + shift, y=data.y)
+        cfg = SolverConfig(n_iterations=50, seed=3)
+        start = initial_params(cfg, 2, 3)
+        collapsed = em.e_step(start, shifted, nm).w.sum(axis=0) == 0.0
+        assert collapsed.any() == collapses
+        one = em.fit_em(shifted, 3, nm, SolverConfig(n_iterations=1, seed=3), lad_path=path)
+        assert np.array_equal(one.params.beta[:, collapsed], start.beta[:, collapsed])
+        trace = em.fit_em(shifted, 3, nm, cfg, lad_path=path)
+        assert np.isfinite(trace.params.beta).all()
+        assert np.isfinite(trace.log_liks).all()
+        if path == "irls" and nm is LAPLACE:
+            allowance = em.irls_delta(shifted.y) * shifted.n_samples / nm.b
+        else:
+            allowance = 1e-9 * abs(trace.log_liks[-1])
+        assert np.diff(trace.log_liks).min() >= -allowance
+
+    def test_without_previous_coefficients_collapse_raises(self):
+        data = synth.generate(1, 1, 5, GAUSS, seed=11)
+        w = Responsibilities(np.column_stack([np.ones(5), np.zeros(5)]))
+        previous = MlrParams(np.array([[0.0, 7.0]]))
+        with pytest.raises(SingularGram):
+            em.m_step_gaussian(w, data)
+        assert em.m_step_gaussian(w, data, previous=previous).beta[0, 1] == 7.0
+        for path in ("lp", "irls"):
+            with pytest.raises(CollapsedComponent):
+                em.m_step_laplacian(w, data, path=path)
+            kept = em.m_step_laplacian(w, data, path=path, previous=previous)
+            assert kept.beta[0, 1] == 7.0
+
+
 class TestLadLpOracle:
     def test_single_point(self):
-        beta, objective = em.lad_lp_oracle(np.array([1.0]), np.array([1.0]), np.array([3.0]))
+        beta, objective = lad_lp_oracle(np.array([1.0]), np.array([1.0]), np.array([3.0]))
         assert beta[0] == pytest.approx(3.0, abs=1e-12)
         assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_tie(self):
-        beta, objective = em.lad_lp_oracle(
+        beta, objective = lad_lp_oracle(
             np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([0.0, 10.0])
         )
         assert objective == pytest.approx(10.0, abs=1e-10)
 
     def test_scale_guard(self):
         with pytest.raises(ValueError):
-            em.lad_lp_oracle(np.ones(300), np.ones((300, 1)), np.zeros(300))
+            lad_lp_oracle(np.ones(300), np.ones((300, 1)), np.zeros(300))
 
 
 class TestFitEm:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from mlrfit import lad
+from helpers import simplex
+from mlrfit import em, lad, synth
 from mlrfit.errors import SolverStall
+from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
+
+LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 
 
 def random_instance(rng, n=None, d=None):
@@ -56,7 +60,7 @@ def test_solve_1d_matches_ratio_median():
 
 
 def test_simplex_single_point_interpolates():
-    beta, objective = lad.simplex(np.array([[1.0]]), np.array([3.0]), np.array([1.0]))
+    beta, objective = simplex(np.array([[1.0]]), np.array([3.0]), np.array([1.0]))
     assert beta[0] == pytest.approx(3.0, abs=1e-12)
     assert objective == pytest.approx(0.0, abs=1e-12)
 
@@ -65,7 +69,7 @@ def test_simplex_two_point_tie_returns_vertex():
     x = np.array([[1.0], [1.0]])
     y = np.array([0.0, 10.0])
     w = np.array([1.0, 1.0])
-    beta, objective = lad.simplex(x, y, w)
+    beta, objective = simplex(x, y, w)
     assert objective == pytest.approx(10.0, abs=1e-10)
     assert beta[0] in (pytest.approx(0.0, abs=1e-10), pytest.approx(10.0, abs=1e-10))
 
@@ -78,7 +82,7 @@ def test_simplex_matches_scipy_reference():
     for _ in range(20):
         x, y, w = random_instance(rng)
         n, d = x.shape
-        beta, objective = lad.simplex(x, y, w)
+        beta, objective = simplex(x, y, w)
         ident = sp.identity(n, format="csr")
         xs = sp.csr_matrix(x)
         a_ub = sp.vstack([sp.hstack([-xs, -ident]), sp.hstack([xs, -ident])])
@@ -99,7 +103,7 @@ def test_dual_lp_matches_simplex():
     for _ in range(25):
         x, y, w = random_instance(rng)
         beta_lp, obj_lp = lad.dual_lp(x, y, w)
-        beta_sx, obj_sx = lad.simplex(x, y, w)
+        beta_sx, obj_sx = simplex(x, y, w)
         assert obj_lp == pytest.approx(obj_sx, rel=1e-9, abs=1e-9)
         assert lad_objective(x, y, w, beta_lp) == pytest.approx(obj_sx, rel=1e-9, abs=1e-9)
 
@@ -109,8 +113,54 @@ def test_dual_lp_handles_zero_weights():
     x, y, w = random_instance(rng, n=30, d=2)
     w[::3] = 0.0
     beta, objective = lad.dual_lp(x, y, w)
-    _, obj_sx = lad.simplex(x, y, w)
+    _, obj_sx = simplex(x, y, w)
     assert objective == pytest.approx(obj_sx, rel=1e-9, abs=1e-9)
+
+
+def assert_routes_identical(x, y, w):
+    beta, objective = lad.dual_lp(x, y, w)
+    beta_ref, objective_ref = lad._dual_lp_linprog(x, y, w)
+    assert np.array_equal(beta, beta_ref)
+    assert objective == objective_ref
+
+
+def test_dual_lp_matches_linprog_route_on_em_calls(monkeypatch):
+    # every LP one EM-LP fit hands to dual_lp: 20 iterations x 3 components
+    data = synth.generate(3, 2, 2000, LAPLACE, seed=21)
+    calls = []
+
+    def capture(x, y, w):
+        calls.append((x, y, w.copy()))
+        return lad._dual_lp_linprog(x, y, w)
+
+    monkeypatch.setattr(lad, "dual_lp", capture)
+    em.fit_em(data, 3, LAPLACE, SolverConfig(n_iterations=20, seed=22), lad_path="lp")
+    monkeypatch.undo()
+    assert len(calls) == 60
+    for x, y, w in calls:
+        assert_routes_identical(x, y, w)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_dual_lp_matches_linprog_route_on_edge_inputs(d):
+    rng = np.random.default_rng(6 + d)
+    for _ in range(10):
+        x, y, w = random_instance(rng, d=d)
+        assert_routes_identical(x, y, w)
+        x[rng.random(x.shape) < 0.3] = 0.0  # exact zeros leave the sparse matrix
+        assert_routes_identical(x, y, w)
+        w[rng.random(w.size) < 0.3] = 0.0
+        assert_routes_identical(x, y, w)
+
+
+def test_em_lp_trajectory_identical_through_linprog_route(monkeypatch):
+    data = synth.generate(3, 2, 1000, LAPLACE, seed=23)
+    cfg = SolverConfig(n_iterations=30, seed=24)
+    direct = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
+    monkeypatch.setattr(lad, "dual_lp", lad._dual_lp_linprog)
+    reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
+    assert np.array_equal(direct.params.beta, reference.params.beta)
+    assert np.array_equal(direct.log_liks, reference.log_liks)
 
 
 def test_irls_reaches_lp_optimum():
@@ -119,7 +169,7 @@ def test_irls_reaches_lp_optimum():
         x, y, w = random_instance(rng, d=int(rng.integers(2, 4)))
         delta = 1e-6 * (1.0 + float(np.std(y)))
         beta, iterations = lad.irls(x, y, w, delta)
-        _, obj_lp = lad.simplex(x, y, w)
+        _, obj_lp = simplex(x, y, w)
         achieved = lad_objective(x, y, w, beta)
         assert achieved <= obj_lp * (1 + 1e-6) + 1e-12
         assert iterations >= 1
