@@ -2,90 +2,29 @@
 
 The mixture log-likelihood is rewritten over auxiliary per-sample fits
 z_ik constrained to equal <x_i, b_k>. Each iteration updates memberships
-from the current coefficients, minimizes a separable upper bound of the
-augmented Lagrangian in Z (closed form per coordinate for both noise
+from the current fitted values X b, minimizes a separable upper bound of
+the augmented Lagrangian in Z (closed form per coordinate for both noise
 families), refits the coefficients by one pre-factorized least-squares
-solve, and ascends the duals.
+solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
+section 3.1). X b is computed once per iteration, right after the
+coefficient solve, and serves the primal residual, the dual step and the
+next iteration's memberships and Z-update. ``fit_admm`` hands the
+iteration to the loop in ``mlrfit.fit``, which both solvers share.
 """
 
-import math
-import time
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
-from . import lad, noise, scoring
-from .errors import DimensionMismatch, SingularGram
-from .em import Responsibilities, e_step
-from .model import (
-    Dataset,
-    MixtureWeights,
-    MlrParams,
-    NoiseKind,
-    NoiseModel,
-    SolverConfig,
-    initial_params,
-    validate_problem,
-)
+from . import fit, lad
+from .em import e_step
+from .errors import SingularGram
+from .fit import FitTrace
+from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
 # Membership computation is the same posterior as EM's E-step.
 responsibilities = e_step
-
-
-@dataclass(frozen=True)
-class AdmmState:
-    """One iteration's variables: coefficients, fits Z, duals, penalty."""
-
-    params: MlrParams
-    z: np.ndarray
-    lam: np.ndarray
-    rho: float
-    iteration: int = 0
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        lam = np.array(self.lam, dtype=float)
-        if z.ndim != 2 or z.shape[1] != self.params.k_components:
-            raise DimensionMismatch("z must be N x K")
-        if lam.shape != z.shape:
-            raise DimensionMismatch("duals must have the same shape as z")
-        if not (np.isfinite(z).all() and np.isfinite(lam).all()):
-            raise ValueError("state entries must be finite")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be a positive finite real")
-        z.flags.writeable = False
-        lam.flags.writeable = False
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "lam", lam)
-
-
-@dataclass(frozen=True)
-class AdmmTrace:
-    """Per-iteration likelihoods and consensus residuals, plus the fit."""
-
-    log_liks: np.ndarray
-    primal_residuals: np.ndarray
-    params: MlrParams
-    wall_seconds: float
-
-    def __post_init__(self):
-        lls = np.array(self.log_liks, dtype=float)
-        res = np.array(self.primal_residuals, dtype=float)
-        if lls.shape != res.shape:
-            raise DimensionMismatch("one residual per recorded likelihood")
-        if res.size and res.min() < 0.0:
-            raise ValueError("primal residuals are norms, hence non-negative")
-        lls.flags.writeable = False
-        res.flags.writeable = False
-        object.__setattr__(self, "log_liks", lls)
-        object.__setattr__(self, "primal_residuals", res)
-
-    @property
-    def n_iterations(self) -> int:
-        return self.log_liks.shape[0]
 
 
 def gram_cholesky(data: Dataset):
@@ -97,24 +36,29 @@ def gram_cholesky(data: Dataset):
 
 
 def z_update_gaussian(
-    state: AdmmState, w: Responsibilities, data: Dataset, nm: NoiseModel
+    fits: np.ndarray,
+    lam: np.ndarray,
+    rho: float,
+    w: np.ndarray,
+    y: np.ndarray,
+    nm: NoiseModel,
 ) -> np.ndarray:
     """Closed-form minimizer of each coordinate's surrogate, Gaussian noise.
 
-    z_ik = (y_i w_ik + s^2 rho <x_i, b_k> + s^2 lam_ik) / (w_ik + s^2 rho);
-    the denominator is always positive.
+    z_ik = (y_i w_ik + s^2 rho <x_i, b_k> + s^2 lam_ik) / (w_ik + s^2 rho),
+    with ``fits`` = X b and memberships ``w``; the denominator is always
+    positive.
     """
-    fits = data.x @ state.params.beta
     s2 = nm.sigma**2
-    return (data.y[:, None] * w.w + s2 * state.rho * fits + s2 * state.lam) / (
-        w.w + s2 * state.rho
-    )
+    return (y[:, None] * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
 
 
 def z_update_laplacian(
-    state: AdmmState,
-    w: Responsibilities,
-    data: Dataset,
+    fits: np.ndarray,
+    lam: np.ndarray,
+    rho: float,
+    w: np.ndarray,
+    y: np.ndarray,
     nm: NoiseModel,
     filter_candidates: bool = True,
 ) -> np.ndarray:
@@ -127,17 +71,16 @@ def z_update_laplacian(
     which is the exact minimizer; without it all three candidates are
     scored by their own branch formula. Ties resolve to y_i, then zbar.
     """
-    fits = data.x @ state.params.beta
-    b, rho, lam, ww = nm.b, state.rho, state.lam, w.w
-    y = np.broadcast_to(data.y[:, None], fits.shape)
-    zbar = fits + (lam * b + ww) / (b * rho)
-    ztil = fits - (ww - lam * b) / (b * rho)
+    b = nm.b
+    y = np.broadcast_to(y[:, None], fits.shape)
+    zbar = fits + (lam * b + w) / (b * rho)
+    ztil = fits - (w - lam * b) / (b * rho)
 
     def branch_below(z):  # |y - z| resolved for the z < y branch
-        return ww * (y - z) / b - lam * z + 0.5 * rho * (fits - z) ** 2
+        return w * (y - z) / b - lam * z + 0.5 * rho * (fits - z) ** 2
 
     def branch_above(z):
-        return ww * (z - y) / b - lam * z + 0.5 * rho * (fits - z) ** 2
+        return w * (z - y) / b - lam * z + 0.5 * rho * (fits - z) ** 2
 
     at_kink = -lam * y + 0.5 * rho * (fits - y) ** 2
     below = branch_below(zbar)
@@ -158,50 +101,6 @@ def beta_update(
     return MlrParams(scipy.linalg.cho_solve(chol, data.x.T @ (z - lam / rho)))
 
 
-def dual_update(state: AdmmState, data: Dataset) -> np.ndarray:
-    """Dual ascent lam + rho (X b - Z), elementwise."""
-    return state.lam + state.rho * (data.x @ state.params.beta - state.z)
-
-
-class SurrogatePair(NamedTuple):
-    surrogate: float
-    lagrangian: float
-
-
-def surrogate_value(
-    state: AdmmState,
-    w: Responsibilities,
-    data: Dataset,
-    nm: NoiseModel,
-    z: Optional[np.ndarray] = None,
-) -> SurrogatePair:
-    """Upper-bound surrogate and true augmented Lagrangian at Z.
-
-    The surrogate replaces the mixture log with its membership-weighted
-    expansion around the anchor ``state.z`` (constant included), so it
-    touches the true augmented Lagrangian at the anchor and, when ``w``
-    is the posterior at the anchor, dominates it everywhere else.
-    ``z`` defaults to the anchor itself.
-    """
-    validate_problem(state.params, data)
-    z_eval = state.z if z is None else np.asarray(z, dtype=float)
-    k = state.params.k_components
-    log_p = -math.log(k)  # uniform mixture
-    logf_eval = noise.log_density(nm, data.y[:, None] - z_eval)
-    logf_anchor = noise.log_density(nm, data.y[:, None] - state.z)
-    constant = float((w.w * logf_anchor).sum()) - float(
-        logsumexp(log_p + logf_anchor, axis=1).sum()
-    )
-    fits = data.x @ state.params.beta
-    gap_eval = fits - z_eval
-    coupling = float((state.lam * gap_eval).sum()) + 0.5 * state.rho * float(
-        (gap_eval * gap_eval).sum()
-    )
-    surrogate = -float((w.w * logf_eval).sum()) + constant + coupling
-    lagrangian = -float(logsumexp(log_p + logf_eval, axis=1).sum()) + coupling
-    return SurrogatePair(surrogate, lagrangian)
-
-
 def fit_admm(
     data: Dataset,
     k: int,
@@ -209,46 +108,32 @@ def fit_admm(
     cfg: SolverConfig,
     filter_candidates: bool = True,
     stop_tol: Optional[float] = None,
-) -> AdmmTrace:
+) -> FitTrace:
     """Run the fixed ADMM iteration budget and record the trace.
 
-    Starts from the shared initialization policy with Z = X b and zero
-    duals. ``stop_tol`` optionally stops early once the consensus
-    residual ||X b - Z||_F drops below it; by default the full budget
-    runs, matching the fixed-iteration protocol of the EM benchmark.
+    Starts from the shared initialization policy with zero duals.
+    ``stop_tol`` optionally stops early once the consensus
+    residual ||X b - Z||_F drops to it; by default the full budget runs,
+    matching the fixed-iteration protocol of the EM benchmark.
     """
-    params = initial_params(cfg, data.dim, int(k))
-    validate_problem(params, data)
-    mixture = MixtureWeights.uniform(params.k_components)
     chol = gram_cholesky(data)
-    x = data.x
-    z = x @ params.beta
-    lam = np.zeros_like(z)
-    log_liks = np.empty(cfg.n_iterations)
-    residuals = np.empty(cfg.n_iterations)
-    started = time.perf_counter()
-    stopped_at = cfg.n_iterations
-    for t in range(cfg.n_iterations):
-        state = AdmmState(params=params, z=z, lam=lam, rho=cfg.rho, iteration=t)
-        w = responsibilities(params, data, nm)
-        if nm.kind is NoiseKind.GAUSSIAN:
-            z = z_update_gaussian(state, w, data, nm)
-        else:
-            z = z_update_laplacian(
-                state, w, data, nm, filter_candidates=filter_candidates
-            )
-        params = beta_update(z, lam, data, cfg.rho, chol)
-        consensus_gap = x @ params.beta - z
-        lam = lam + cfg.rho * consensus_gap
-        log_liks[t] = scoring.log_likelihood(params, data, nm, mixture)
-        residuals[t] = float(np.linalg.norm(consensus_gap))
-        if stop_tol is not None and residuals[t] <= stop_tol:
-            stopped_at = t + 1
-            break
-    wall = time.perf_counter() - started
-    return AdmmTrace(
-        log_liks=log_liks[:stopped_at],
-        primal_residuals=residuals[:stopped_at],
-        params=params,
-        wall_seconds=wall,
-    )
+    x, y, rho = data.x, data.y, cfg.rho
+
+    def steps(params):
+        fits = x @ params.beta
+        lam = np.zeros_like(fits)
+        while True:
+            w = responsibilities(fits, y, nm)
+            if nm.kind is NoiseKind.GAUSSIAN:
+                z = z_update_gaussian(fits, lam, rho, w, y, nm)
+            else:
+                z = z_update_laplacian(
+                    fits, lam, rho, w, y, nm, filter_candidates=filter_candidates
+                )
+            params = beta_update(z, lam, data, rho, chol)
+            fits = x @ params.beta
+            consensus_gap = fits - z
+            lam = lam + rho * consensus_gap
+            yield params, float(np.linalg.norm(consensus_gap))
+
+    return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol)

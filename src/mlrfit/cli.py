@@ -5,6 +5,7 @@ Exit codes: 0 on success, 1 for usage errors (bad flags or flag values),
 """
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -80,8 +81,12 @@ def cmd_fit(args) -> int:
         raise UsageError("--k must be >= 1")
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
-    if args.rho <= 0.0:
-        raise UsageError("--rho must be positive")
+    if not (math.isfinite(args.rho) and args.rho > 0.0):
+        raise UsageError("--rho must be a positive finite real")
+    if args.lad_lp_cap < 0:
+        raise UsageError("--lad-lp-cap must be >= 0")
+    if args.stop_tol is not None and not (math.isfinite(args.stop_tol) and args.stop_tol >= 0.0):
+        raise UsageError("--stop-tol must be a finite non-negative real")
     data, meta = io.read_dataset(args.data)
     nm = _noise_model(args.noise, meta["sigma"])
     cfg = SolverConfig(n_iterations=args.iters, rho=args.rho, seed=args.seed)
@@ -96,13 +101,11 @@ def cmd_fit(args) -> int:
         "rho": cfg.rho,
         "ridge_scale": lad.RIDGE_SCALE,
     }
-    residuals = None
     if args.algo == "em":
         trace = em.fit_em(
             data, args.k, nm, cfg, lad_path=args.lad_path, lad_lp_cap=args.lad_lp_cap
         )
-        resolved_path = trace.lad_path
-        config["lad_path"] = resolved_path
+        config["lad_path"] = trace.lad_path
         config["lad_lp_cap"] = args.lad_lp_cap
         if nm.kind is NoiseKind.LAPLACIAN:
             config["irls_delta"] = em.irls_delta(data.y)
@@ -113,8 +116,6 @@ def cmd_fit(args) -> int:
         trace = admm.fit_admm(
             data, args.k, nm, cfg, filter_candidates=filtered, stop_tol=args.stop_tol
         )
-        resolved_path = em.LAD_PATH_NA
-        residuals = trace.primal_residuals
         config["z_candidates"] = args.z_candidates
         config["stop_tol"] = "none" if args.stop_tol is None else args.stop_tol
     recovery = None
@@ -131,7 +132,7 @@ def cmd_fit(args) -> int:
         ("iterations", str(args.iters)),
         ("seed", str(args.seed)),
         ("rho", io.fmt(cfg.rho)),
-        ("lad_path", resolved_path),
+        ("lad_path", trace.lad_path),
         ("data", args.data),
         ("manifest", manifest_name),
     ]
@@ -143,7 +144,7 @@ def cmd_fit(args) -> int:
         recovery=recovery,
         wall_seconds=trace.wall_seconds,
         log_liks=trace.log_liks,
-        residuals=residuals,
+        residuals=trace.primal_residuals,
     )
     with open(args.out, "w", newline="\n") as handle:
         handle.write(text)

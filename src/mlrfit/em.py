@@ -1,90 +1,31 @@
 """Benchmark expectation-maximization solver for mixed linear regression.
 
 Each iteration recomputes posterior component memberships from the
-current coefficients (E-step) and then refits every component by a
+current fitted values X b (E-step) and then refits every component by a
 weighted regression (M-step): weighted least squares under Gaussian
-noise, weighted least absolute deviations under Laplacian noise.
+noise, weighted least absolute deviations under Laplacian noise. The
+steps work on plain arrays: the memberships are an N x K matrix whose
+rows are probability vectors. ``fit_em`` hands the iteration to the loop
+in ``mlrfit.fit``, which both solvers share.
 """
-
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import lad, noise, scoring
-from .errors import CollapsedComponent, DegenerateRow, DimensionMismatch, SingularGram
-from .model import (
-    Dataset,
-    MixtureWeights,
-    MlrParams,
-    NoiseKind,
-    NoiseModel,
-    SolverConfig,
-    initial_params,
-    validate_problem,
-)
+from . import fit, lad, noise
+from .errors import CollapsedComponent, DegenerateRow, SingularGram
+from .fit import LAD_PATH_NA, FitTrace
+from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
 LAD_PATH_IRLS = "irls"
 LAD_PATH_LP = "lp"
 LAD_PATH_AUTO = "auto"
-LAD_PATH_NA = "n/a"
 DEFAULT_LP_CAP = 5000
 
 IRLS_DELTA_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
-class Responsibilities:
-    """Posterior component memberships, one row per sample.
-
-    ``w[i, k]`` is the probability that sample i came from component k;
-    every row is a probability vector.
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        if w.ndim != 2:
-            raise DimensionMismatch("responsibilities must be an N x K matrix")
-        if not np.isfinite(w).all():
-            raise ValueError("responsibilities must be finite")
-        if w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("responsibilities must lie in [0, 1]")
-        if np.abs(w.sum(axis=1) - 1.0).max() > 1e-10:
-            raise ValueError("responsibility rows must sum to 1 within 1e-10")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-
-    @property
-    def n_samples(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def k_components(self) -> int:
-        return self.w.shape[1]
-
-
-@dataclass(frozen=True)
-class EmTrace:
-    """Per-iteration log-likelihoods plus the fitted coefficients."""
-
-    log_liks: np.ndarray
-    params: MlrParams
-    n_iterations: int
-    wall_seconds: float
-    lad_path: str = LAD_PATH_NA
-
-    def __post_init__(self):
-        lls = np.array(self.log_liks, dtype=float)
-        lls.flags.writeable = False
-        object.__setattr__(self, "log_liks", lls)
-        if self.log_liks.shape != (self.n_iterations,):
-            raise DimensionMismatch("one log-likelihood per iteration run")
-
-
-def posterior_weights(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Row-normalized memberships from per-component fitted values.
+def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
+    """Posterior membership of every sample, from the N x K fitted values.
 
     Softmax of log f(y_i - fits[i, k]) over k, with the row maximum
     subtracted first so one huge residual cannot underflow a whole row.
@@ -98,16 +39,10 @@ def posterior_weights(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.nda
     return w
 
 
-def e_step(params: MlrParams, data: Dataset, nm: NoiseModel) -> Responsibilities:
-    """Posterior membership of every sample under the current coefficients."""
-    validate_problem(params, data)
-    return Responsibilities(posterior_weights(data.x @ params.beta, data.y, nm))
-
-
 def refit_components(
-    solve, w: Responsibilities, dim: int, previous: MlrParams | None
+    solve, w: np.ndarray, dim: int, previous: MlrParams | None
 ) -> MlrParams:
-    """Column k is ``solve(w.w[:, k])``, unless component k has collapsed.
+    """Column k is ``solve(w[:, k])``, unless component k has collapsed.
 
     Collapse policy, shared by both M-steps: a component that ``solve``
     rejects for having no responsibility mass (CollapsedComponent) or
@@ -116,10 +51,10 @@ def refit_components(
     the expected complete-data log-likelihood, so keeping its coefficients
     preserves EM's ascent. Without ``previous`` the error propagates.
     """
-    beta = np.empty((dim, w.k_components))
-    for k in range(w.k_components):
+    beta = np.empty((dim, w.shape[1]))
+    for k in range(w.shape[1]):
         try:
-            beta[:, k] = solve(w.w[:, k])
+            beta[:, k] = solve(w[:, k])
         except (CollapsedComponent, SingularGram):
             if previous is None:
                 raise
@@ -128,7 +63,7 @@ def refit_components(
 
 
 def m_step_gaussian(
-    w: Responsibilities, data: Dataset, previous: MlrParams | None = None
+    w: np.ndarray, data: Dataset, previous: MlrParams | None = None
 ) -> MlrParams:
     """Per-component weighted least squares, solved in closed form.
 
@@ -152,7 +87,7 @@ def irls_delta(y: np.ndarray) -> float:
 
 
 def m_step_laplacian(
-    w: Responsibilities,
+    w: np.ndarray,
     data: Dataset,
     path: str = LAD_PATH_IRLS,
     previous: MlrParams | None = None,
@@ -211,31 +146,23 @@ def fit_em(
     cfg: SolverConfig,
     lad_path: str = LAD_PATH_IRLS,
     lad_lp_cap: int = DEFAULT_LP_CAP,
-) -> EmTrace:
+) -> FitTrace:
     """Run the fixed EM iteration budget and record the likelihood path.
 
     The first E-step overwrites any notion of initial memberships, so
     only the coefficient initialization (shared with the ADMM solver
     through the config) matters.
     """
-    params = initial_params(cfg, data.dim, int(k))
-    validate_problem(params, data)
     path = resolve_lad_path(lad_path, nm, data.n_samples, lad_lp_cap)
-    mixture = MixtureWeights.uniform(params.k_components)
-    log_liks = np.empty(cfg.n_iterations)
-    started = time.perf_counter()
-    for t in range(cfg.n_iterations):
-        w = e_step(params, data, nm)
-        if nm.kind is NoiseKind.GAUSSIAN:
-            params = m_step_gaussian(w, data, previous=params)
-        else:
-            params = m_step_laplacian(w, data, path=path, previous=params)
-        log_liks[t] = scoring.log_likelihood(params, data, nm, mixture)
-    wall = time.perf_counter() - started
-    return EmTrace(
-        log_liks=log_liks,
-        params=params,
-        n_iterations=cfg.n_iterations,
-        wall_seconds=wall,
-        lad_path=path,
-    )
+    x, y = data.x, data.y
+
+    def steps(params):
+        while True:
+            w = e_step(x @ params.beta, y, nm)
+            if nm.kind is NoiseKind.GAUSSIAN:
+                params = m_step_gaussian(w, data, previous=params)
+            else:
+                params = m_step_laplacian(w, data, path=path, previous=params)
+            yield params, None
+
+    return fit.run(steps, data, k, nm, cfg, lad_path=path)

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
+from scipy.special import logsumexp
 
-from mlrfit import synth
+from mlrfit import noise, synth
 from mlrfit.errors import IterationLimit, Unbounded
 from mlrfit.model import NoiseKind, NoiseModel
 from mlrfit.rng import stable_hash
@@ -34,6 +36,34 @@ def lhat_terms(w, lam, rho, fit, y, nm):
         return data_term - lam + rho * (z - fit)
 
     return value, subderivative
+
+
+class SurrogatePair(NamedTuple):
+    surrogate: float
+    lagrangian: float
+
+
+def surrogate_value(fits, anchor, lam, rho, w, y, nm, z=None) -> SurrogatePair:
+    """Upper-bound surrogate and true augmented Lagrangian of ADMM at Z.
+
+    The surrogate replaces the mixture log with its membership-weighted
+    expansion around the ``anchor`` Z (constant included), so it touches
+    the true augmented Lagrangian at the anchor and, when ``w`` is the
+    posterior at the anchor, dominates it everywhere else. ``fits`` is
+    X b; ``z`` defaults to the anchor itself.
+    """
+    z_eval = anchor if z is None else np.asarray(z, dtype=float)
+    log_p = -math.log(fits.shape[1])  # uniform mixture
+    logf_eval = noise.log_density(nm, y[:, None] - z_eval)
+    logf_anchor = noise.log_density(nm, y[:, None] - anchor)
+    constant = float((w * logf_anchor).sum()) - float(
+        logsumexp(log_p + logf_anchor, axis=1).sum()
+    )
+    gap_eval = fits - z_eval
+    coupling = float((lam * gap_eval).sum()) + 0.5 * rho * float((gap_eval * gap_eval).sum())
+    surrogate = -float((w * logf_eval).sum()) + constant + coupling
+    lagrangian = -float(logsumexp(log_p + logf_eval, axis=1).sum()) + coupling
+    return SurrogatePair(surrogate, lagrangian)
 
 
 def minimize_lhat(w, lam, rho, fit, y, nm):

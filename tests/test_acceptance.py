@@ -18,10 +18,10 @@ from helpers import (
     minimize_lhat,
     separated_seed,
     strip_clock_lines,
+    surrogate_value,
 )
 from mlrfit import admm, em, lad, scoring, synth
 from mlrfit.cli import main as cli_main
-from mlrfit.em import Responsibilities
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -65,13 +65,14 @@ def random_config(rng, nm):
     d = int(rng.integers(1, 4))
     params = MlrParams(rng.standard_normal((d, k)))
     data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2.0)
-    state = admm.AdmmState(
-        params=params,
-        z=rng.standard_normal((n, k)) * 1.5,
-        lam=rng.normal(0.0, 2.0, (n, k)),
-        rho=float(rng.uniform(0.2, 5.0)),
+    # (fits X b, anchor Z, duals, penalty)
+    state = (
+        data.x @ params.beta,
+        rng.standard_normal((n, k)) * 1.5,
+        rng.normal(0.0, 2.0, (n, k)),
+        float(rng.uniform(0.2, 5.0)),
     )
-    anchor_posterior = Responsibilities(em.posterior_weights(state.z, data.y, nm))
+    anchor_posterior = em.e_step(state[1], data.y, nm)
     return state, anchor_posterior, data
 
 
@@ -82,10 +83,10 @@ def test_criterion_1_surrogate_bound():
         while min(checked.values()) < 500:
             nm = random_noise(rng)
             state, w, data = random_config(rng, nm)
-            at_anchor = admm.surrogate_value(state, w, data, nm)
+            at_anchor = surrogate_value(*state, w, data.y, nm)
             assert abs(at_anchor.surrogate - at_anchor.lagrangian) <= 1e-9
-            z_eval = rng.standard_normal(state.z.shape) * 2.0
-            elsewhere = admm.surrogate_value(state, w, data, nm, z=z_eval)
+            z_eval = rng.standard_normal(state[1].shape) * 2.0
+            elsewhere = surrogate_value(*state, w, data.y, nm, z=z_eval)
             assert elsewhere.surrogate >= elsewhere.lagrangian - 1e-9
             checked[nm.kind] += 1
 
@@ -97,17 +98,16 @@ def test_criterion_2_z_update_exactness():
             coords = 0
             while coords < 1000:
                 nm = NoiseModel(kind, float(rng.uniform(0.5, 2.0)))
-                state, w, data = random_config(rng, nm)
+                (fits, _, lam, rho), w, data = random_config(rng, nm)
                 if kind is NoiseKind.GAUSSIAN:
-                    z = admm.z_update_gaussian(state, w, data, nm)
+                    z = admm.z_update_gaussian(fits, lam, rho, w, data.y, nm)
                 else:
-                    z = admm.z_update_laplacian(state, w, data, nm)
-                fits = data.x @ state.params.beta
+                    z = admm.z_update_laplacian(fits, lam, rho, w, data.y, nm)
                 n, k = z.shape
                 for i in range(n):
                     for j in range(k):
                         expected = minimize_lhat(
-                            w.w[i, j], state.lam[i, j], state.rho,
+                            w[i, j], lam[i, j], rho,
                             fits[i, j], data.y[i], nm,
                         )
                         assert abs(z[i, j] - expected) <= 1e-8
@@ -124,8 +124,7 @@ def test_criterion_3_m_step_oracles():
             data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2)
             raw = rng.uniform(0.05, 1.0, (n, k))
             raw /= raw.sum(axis=1, keepdims=True)
-            w = Responsibilities(raw)
-            fitted = em.m_step_gaussian(w, data)
+            fitted = em.m_step_gaussian(raw, data)
             for j in range(k):
                 gram = np.zeros((d, d))
                 rhs = np.zeros(d)
@@ -142,12 +141,11 @@ def test_criterion_3_m_step_oracles():
             data = synth.generate(2, d, n, LAPLACE, seed=30000 + trial)
             raw = rng.uniform(0.02, 1.0, (n, 2))
             raw /= raw.sum(axis=1, keepdims=True)
-            w = Responsibilities(raw)
-            fitted = em.m_step_laplacian(w, data, path="irls")
+            fitted = em.m_step_laplacian(raw, data, path="irls")
             for j in range(2):
-                _, optimum = lad_lp_oracle(w.w[:, j], data.x, data.y)
+                _, optimum = lad_lp_oracle(raw[:, j], data.x, data.y)
                 achieved = float(
-                    np.sum(w.w[:, j] * np.abs(data.y - data.x @ fitted.beta[:, j]))
+                    np.sum(raw[:, j] * np.abs(data.y - data.x @ fitted.beta[:, j]))
                 )
                 assert achieved <= optimum * (1.0 + 1e-6) + 1e-12
 
@@ -158,7 +156,7 @@ def test_criterion_3_m_step_oracles():
             raw = rng.uniform(0.01, 1.0, (n, 2))
             raw /= raw.sum(axis=1, keepdims=True)
             data = Dataset(x=np.ones((n, 1)), y=y)
-            fitted = em.m_step_laplacian(Responsibilities(raw), data)
+            fitted = em.m_step_laplacian(raw, data)
             for j in range(2):
                 assert fitted.beta[0, j] == lad.weighted_median(y, raw[:, j])
 

@@ -1,9 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from helpers import minimize_lhat, separated_seed
+from helpers import minimize_lhat, separated_seed, surrogate_value
 from mlrfit import admm, em, scoring, synth
-from mlrfit.em import Responsibilities
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -17,19 +18,29 @@ GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 
 
+class Iterate(NamedTuple):
+    """ADMM variables at one point: fitted values X b, Z, duals, penalty."""
+
+    fits: np.ndarray
+    z: np.ndarray
+    lam: np.ndarray
+    rho: float
+
+
 def random_state(rng, n=6, d=2, k=2, rho=None, consistent_z=False):
     params = MlrParams(rng.standard_normal((d, k)))
     data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2)
     raw = rng.uniform(0.01, 1.0, (n, k))
     raw /= raw.sum(axis=1, keepdims=True)
-    z = data.x @ params.beta if consistent_z else rng.standard_normal((n, k))
-    state = admm.AdmmState(
-        params=params,
+    fits = data.x @ params.beta
+    z = fits if consistent_z else rng.standard_normal((n, k))
+    state = Iterate(
+        fits=fits,
         z=z,
         lam=rng.normal(0.0, 2.0, (n, k)),
         rho=rho or float(rng.uniform(0.2, 5.0)),
     )
-    return state, Responsibilities(raw), data
+    return state, raw, data
 
 
 class TestZUpdateGaussian:
@@ -37,12 +48,9 @@ class TestZUpdateGaussian:
         rng = np.random.default_rng(0)
         params = MlrParams(rng.standard_normal((2, 2)))
         data = Dataset(x=rng.standard_normal((4, 2)), y=rng.standard_normal(4))
-        state = admm.AdmmState(
-            params=params, z=np.zeros((4, 2)), lam=np.zeros((4, 2)), rho=1.7
-        )
-        w = Responsibilities(np.column_stack([np.zeros(4), np.ones(4)]))
-        z = admm.z_update_gaussian(state, w, data, GAUSS)
         fits = data.x @ params.beta
+        w = np.column_stack([np.zeros(4), np.ones(4)])
+        z = admm.z_update_gaussian(fits, np.zeros((4, 2)), 1.7, w, data.y, GAUSS)
         # the weightless column collapses to the pure quadratic center
         # (up to the one rounding of (s2 rho f) / (s2 rho))
         assert np.allclose(z[:, 0], fits[:, 0], rtol=1e-15, atol=0)
@@ -55,11 +63,7 @@ class TestZUpdateGaussian:
         x = np.array([[1.0], [2.0]])
         beta = np.array([[1.5]])
         y = (x @ beta)[:, 0]
-        data = Dataset(x=x, y=y)
-        state = admm.AdmmState(
-            params=MlrParams(beta), z=np.zeros((2, 1)), lam=np.zeros((2, 1)), rho=0.9
-        )
-        z = admm.z_update_gaussian(state, Responsibilities(np.ones((2, 1))), data, GAUSS)
+        z = admm.z_update_gaussian(x @ beta, np.zeros((2, 1)), 0.9, np.ones((2, 1)), y, GAUSS)
         assert np.allclose(z[:, 0], y, atol=1e-14)
 
     def test_matches_numerical_oracle(self):
@@ -68,11 +72,10 @@ class TestZUpdateGaussian:
             sigma = float(rng.uniform(0.5, 2.0))
             nm = NoiseModel(NoiseKind.GAUSSIAN, sigma)
             state, w, data = random_state(rng)
-            z = admm.z_update_gaussian(state, w, data, nm)
-            fits = data.x @ state.params.beta
+            z = admm.z_update_gaussian(state.fits, state.lam, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
-                w.w[i, k], state.lam[i, k], state.rho, fits[i, k], data.y[i], nm
+                w[i, k], state.lam[i, k], state.rho, state.fits[i, k], data.y[i], nm
             )
             assert z[i, k] == pytest.approx(expected, abs=1e-8)
 
@@ -82,24 +85,16 @@ class TestZUpdateLaplacian:
         x = np.array([[1.0], [1.0]])
         y = np.array([5.0, -5.0])  # fits sit below y[0] and above y[1]
         beta = np.array([[1.0, 0.0]])
-        data = Dataset(x=x, y=y)
-        state = admm.AdmmState(
-            params=MlrParams(beta), z=np.zeros((2, 2)), lam=np.zeros((2, 2)), rho=2.0
-        )
-        w = Responsibilities(np.column_stack([np.zeros(2), np.ones(2)]))
-        z = admm.z_update_laplacian(state, w, data, LAPLACE)
-        fits = data.x @ beta
+        fits = x @ beta
+        w = np.column_stack([np.zeros(2), np.ones(2)])
+        z = admm.z_update_laplacian(fits, np.zeros((2, 2)), 2.0, w, y, LAPLACE)
         assert np.array_equal(z[:, 0], fits[:, 0])
 
     def test_kink_fixed_point(self):
         x = np.array([[2.0]])
         beta = np.array([[0.75]])
         y = (x @ beta)[:, 0]
-        data = Dataset(x=x, y=y)
-        state = admm.AdmmState(
-            params=MlrParams(beta), z=np.zeros((1, 1)), lam=np.zeros((1, 1)), rho=1.3
-        )
-        z = admm.z_update_laplacian(state, Responsibilities(np.ones((1, 1))), data, LAPLACE)
+        z = admm.z_update_laplacian(x @ beta, np.zeros((1, 1)), 1.3, np.ones((1, 1)), y, LAPLACE)
         assert z[0, 0] == y[0]
 
     def test_matches_numerical_oracle(self):
@@ -108,11 +103,10 @@ class TestZUpdateLaplacian:
             sigma = float(rng.uniform(0.5, 2.0))
             nm = NoiseModel(NoiseKind.LAPLACIAN, sigma)
             state, w, data = random_state(rng)
-            z = admm.z_update_laplacian(state, w, data, nm)
-            fits = data.x @ state.params.beta
+            z = admm.z_update_laplacian(state.fits, state.lam, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
-                w.w[i, k], state.lam[i, k], state.rho, fits[i, k], data.y[i], nm
+                w[i, k], state.lam[i, k], state.rho, state.fits[i, k], data.y[i], nm
             )
             assert z[i, k] == pytest.approx(expected, abs=1e-8)
 
@@ -121,10 +115,9 @@ class TestZUpdateLaplacian:
         differs = 0
         for _ in range(300):
             state, w, data = random_state(rng, n=4, k=2)
-            exact = admm.z_update_laplacian(state, w, data, LAPLACE)
-            literal = admm.z_update_laplacian(
-                state, w, data, LAPLACE, filter_candidates=False
-            )
+            args = (state.fits, state.lam, state.rho, w, data.y, LAPLACE)
+            exact = admm.z_update_laplacian(*args)
+            literal = admm.z_update_laplacian(*args, filter_candidates=False)
             differs += int(not np.allclose(exact, literal))
         assert differs > 0  # the two variants are genuinely different policies
 
@@ -175,28 +168,31 @@ class TestBetaAndDualUpdates:
         residual = data.x.T @ data.x @ fitted.beta - data.x.T @ (z - lam / rho)
         assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(z))
 
-    def test_dual_update_zero_residual_is_identity(self):
-        rng = np.random.default_rng(8)
-        params = MlrParams(rng.standard_normal((2, 2)))
-        data = Dataset(x=rng.standard_normal((10, 2)), y=rng.standard_normal(10))
-        z = data.x @ params.beta
-        lam = rng.standard_normal((10, 2))
-        state = admm.AdmmState(params=params, z=z, lam=lam, rho=3.0)
-        assert np.array_equal(admm.dual_update(state, data), lam)
-
-    def test_dual_update_scalar_case(self):
-        params = MlrParams(np.array([[2.0]]))
-        data = Dataset(x=np.array([[1.0]]), y=np.array([0.0]))
-        state = admm.AdmmState(
-            params=params, z=np.array([[0.0]]), lam=np.array([[0.0]]), rho=1.0
-        )
-        assert admm.dual_update(state, data)[0, 0] == 2.0
-
-    def test_dual_update_matches_recomputation(self):
-        rng = np.random.default_rng(9)
-        state, w, data = random_state(rng, n=12, d=2, k=3)
-        expected = state.lam + state.rho * (data.x @ state.params.beta - state.z)
-        assert np.array_equal(admm.dual_update(state, data), expected)
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_hand_composed_iterations_match_fit(self, nm):
+        """E-step, Z-update, coefficient solve and dual step, composed by hand."""
+        data = synth.generate(3, 2, 300, nm, seed=31)
+        cfg = SolverConfig(n_iterations=3, seed=31)
+        trace = admm.fit_admm(data, 3, nm, cfg)
+        params = initial_params(cfg, 2, 3)
+        chol = admm.gram_cholesky(data)
+        lam = np.zeros((data.n_samples, 3))
+        log_liks, residuals = [], []
+        for _ in range(3):
+            fits = data.x @ params.beta
+            w = em.e_step(fits, data.y, nm)
+            if nm is GAUSS:
+                z = admm.z_update_gaussian(fits, lam, cfg.rho, w, data.y, nm)
+            else:
+                z = admm.z_update_laplacian(fits, lam, cfg.rho, w, data.y, nm)
+            params = admm.beta_update(z, lam, data, cfg.rho, chol)
+            gap = data.x @ params.beta - z
+            lam = lam + cfg.rho * gap
+            log_liks.append(scoring.log_likelihood(params, data, nm))
+            residuals.append(float(np.linalg.norm(gap)))
+        assert np.array_equal(trace.params.beta, params.beta)
+        assert np.array_equal(trace.log_liks, log_liks)
+        assert np.array_equal(trace.primal_residuals, residuals)
 
 
 class TestSurrogate:
@@ -204,8 +200,8 @@ class TestSurrogate:
         rng = np.random.default_rng(10)
         for nm in (GAUSS, LAPLACE):
             state, _, data = random_state(rng, n=10, k=3, d=2)
-            w = Responsibilities(em.posterior_weights(state.z, data.y, nm))
-            pair = admm.surrogate_value(state, w, data, nm)
+            w = em.e_step(state.z, data.y, nm)
+            pair = surrogate_value(*state, w, data.y, nm)
             assert pair.surrogate == pytest.approx(pair.lagrangian, abs=1e-9)
 
     def test_upper_bounds_for_posterior_weights(self):
@@ -213,18 +209,18 @@ class TestSurrogate:
         for _ in range(50):
             nm = GAUSS if rng.random() < 0.5 else LAPLACE
             state, _, data = random_state(rng, n=8, k=2)
-            w = Responsibilities(em.posterior_weights(state.z, data.y, nm))
+            w = em.e_step(state.z, data.y, nm)
             z_eval = rng.standard_normal(state.z.shape) * 2
-            pair = admm.surrogate_value(state, w, data, nm, z=z_eval)
+            pair = surrogate_value(*state, w, data.y, nm, z=z_eval)
             assert pair.surrogate >= pair.lagrangian - 1e-9
 
     def test_single_component_gap_vanishes_everywhere(self):
         rng = np.random.default_rng(12)
         state, w, data = random_state(rng, n=7, k=1)
-        w = Responsibilities(np.ones((7, 1)))
+        w = np.ones((7, 1))
         for _ in range(10):
             z_eval = rng.standard_normal(state.z.shape)
-            pair = admm.surrogate_value(state, w, data, GAUSS, z=z_eval)
+            pair = surrogate_value(*state, w, data.y, GAUSS, z=z_eval)
             assert pair.surrogate == pytest.approx(pair.lagrangian, abs=1e-9)
 
 
@@ -286,3 +282,9 @@ class TestFitAdmm:
         trace = admm.fit_admm(data, 2, GAUSS, cfg, stop_tol=1e-6)
         assert trace.n_iterations < 2000
         assert trace.primal_residuals[-1] <= 1e-6
+
+    @pytest.mark.parametrize("stop_tol", [float("nan"), float("inf"), -1.0])
+    def test_stop_tol_must_be_finite_non_negative(self, stop_tol):
+        data = synth.generate(2, 1, 50, GAUSS, seed=24)
+        with pytest.raises(ValueError):
+            admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=5, seed=24), stop_tol=stop_tol)

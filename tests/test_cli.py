@@ -115,6 +115,21 @@ class TestFit:
         # output names differ only through the file stem
         assert left.replace("fa.txt", "X") == right.replace("fb.txt", "X")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--stop-tol", "nan"), ("--stop-tol", "-1"), ("--lad-lp-cap", "-5"), ("--rho", "nan")],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, dataset, capsys, flag, value):
+        out = tmp_path / "bad_flag.txt"
+        code = run([
+            "fit", "--algo", "admm", "--noise", "laplacian", "--k", "2",
+            "--iters", "5", flag, value, "--data", dataset, "--out", out,
+        ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "bad_flag.txt.manifest.txt").exists()
+
     def test_missing_data_file_exits_two(self, tmp_path):
         assert run([
             "fit", "--algo", "em", "--noise", "gaussian", "--k", "2",
