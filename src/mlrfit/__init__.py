@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
     Dataset,
-    MixtureWeights,
     MlrParams,
     NoiseKind,
     NoiseModel,

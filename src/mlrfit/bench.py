@@ -60,6 +60,8 @@ class ExperimentGrid:
             raise ValueError("rho must be a positive finite real")
         if self.lad_path not in (em.LAD_PATH_AUTO, em.LAD_PATH_LP, em.LAD_PATH_IRLS):
             raise ValueError(f"unknown LAD path {self.lad_path!r}")
+        if self.lad_lp_cap < 0:
+            raise ValueError("lad_lp_cap must be >= 0")
 
     def cells(self) -> List[Tuple[NoiseKind, int, int, int]]:
         """All (noise, k, d, rep) tuples in their canonical run order."""

@@ -29,12 +29,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _noise_model(kind: str, sigma: float) -> NoiseModel:
-    if sigma <= 0.0:
-        raise UsageError(f"sigma must be positive, got {sigma}")
-    return NoiseModel(NoiseKind(kind), sigma)
-
-
 def _write_manifest(path, command, config, inputs, outputs, started):
     text = io.manifest_text(
         version=__version__,
@@ -53,7 +47,9 @@ def cmd_generate(args) -> int:
     started = _timestamp()
     if args.k < 1 or args.d < 1 or args.n < 1:
         raise UsageError("--k, --d and --n must all be >= 1")
-    nm = _noise_model(args.noise, args.sigma)
+    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
+        raise UsageError(f"--sigma must be a positive finite real, got {args.sigma}")
+    nm = NoiseModel(NoiseKind(args.noise), args.sigma)
     data = synth.generate(args.k, args.d, args.n, nm, args.seed)
     io.write_dataset(args.out, data, nm.kind, nm.sigma, args.seed)
     config = {
@@ -88,7 +84,7 @@ def cmd_fit(args) -> int:
     if args.stop_tol is not None and not (math.isfinite(args.stop_tol) and args.stop_tol >= 0.0):
         raise UsageError("--stop-tol must be a finite non-negative real")
     data, meta = io.read_dataset(args.data)
-    nm = _noise_model(args.noise, meta["sigma"])
+    nm = NoiseModel(NoiseKind(args.noise), meta["sigma"])
     cfg = SolverConfig(n_iterations=args.iters, rho=args.rho, seed=args.seed)
     manifest_name = os.path.basename(args.out) + ".manifest.txt"
     config = {
@@ -169,21 +165,7 @@ def cmd_benchmark(args) -> int:
     io.write_cells_csv(os.path.join(args.out_dir, "cells.csv"), results)
     written = io.write_derived_outputs(args.out_dir, results)
     written["cells"] = "cells.csv"
-    config = {
-        "k_values": ",".join(str(k) for k in grid.k_values),
-        "d_values": ",".join(str(d) for d in grid.d_values),
-        "n_samples": grid.n_samples,
-        "repetitions": grid.repetitions,
-        "n_iterations": grid.n_iterations,
-        "sigma": grid.sigma,
-        "noise_kinds": ",".join(k.value for k in grid.noise_kinds),
-        "rho": grid.rho,
-        "base_seed": grid.base_seed,
-        "lad_path": grid.lad_path,
-        "lad_lp_cap": grid.lad_lp_cap,
-        "ridge_scale": lad.RIDGE_SCALE,
-        "workers": workers,
-    }
+    config = {**io.grid_config_values(grid), "ridge_scale": lad.RIDGE_SCALE, "workers": workers}
     _write_manifest(
         os.path.join(args.out_dir, "manifest.txt"),
         "benchmark",

@@ -29,10 +29,6 @@ class SolverStall(MlrError):
     """An inner iterative solver stopped short of its tolerance."""
 
 
-class Unbounded(MlrError):
-    """A linear program is unbounded below."""
-
-
 class IterationLimit(MlrError):
     """An iterative routine exhausted its pivot or iteration budget."""
 

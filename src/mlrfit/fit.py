@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scoring
 from .errors import DimensionMismatch
-from .model import Dataset, MixtureWeights, MlrParams, NoiseModel, SolverConfig, initial_params
+from .model import Dataset, MlrParams, NoiseModel, SolverConfig, initial_params
 
 LAD_PATH_NA = "n/a"
 
@@ -73,13 +73,12 @@ def run(
     if stop_tol is not None and not (math.isfinite(stop_tol) and stop_tol >= 0.0):
         raise ValueError(f"stop_tol must be a finite non-negative real, got {stop_tol!r}")
     params = initial_params(cfg, data.dim, int(k))
-    mixture = MixtureWeights.uniform(params.k_components)
     log_liks = np.empty(cfg.n_iterations)
     residuals = np.empty(cfg.n_iterations)
     started = time.perf_counter()
     iterates = itertools.islice(steps(params), cfg.n_iterations)
     for t, (params, residual) in enumerate(iterates):
-        log_liks[t] = scoring.log_likelihood(params, data, nm, mixture)
+        log_liks[t] = scoring.log_likelihood(params, data, nm)
         if residual is not None:
             residuals[t] = residual
             if stop_tol is not None and residual <= stop_tol:

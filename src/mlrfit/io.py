@@ -6,8 +6,10 @@ indices are 1-based in every file and converted at this boundary.
 """
 
 import csv
+import dataclasses
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+import typing
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,83 +187,73 @@ def manifest_text(
 
 
 # ---------------------------------------------------------------------------
-# benchmark config files
+# benchmark config files and per-cell tables
+#
+# Each format is the fields of one bench dataclass in declaration order: a
+# config key or a cells.csv column per field, rendered and parsed by the
+# codec of the field's type.
 
+# (render, parse) for one field type
+Codec = Tuple[Callable[[Any], str], Callable[[str], Any]]
 
-_GRID_KEYS = {
-    "k_values",
-    "d_values",
-    "n_samples",
-    "repetitions",
-    "n_iterations",
-    "sigma",
-    "noise_kinds",
-    "rho",
-    "base_seed",
-    "lad_path",
-    "lad_lp_cap",
+_SCALAR_CODECS: Dict[type, Codec] = {
+    int: (str, int),
+    float: (fmt, float),
+    str: (str, str),
+    NoiseKind: (lambda kind: kind.value, NoiseKind),
 }
 
 
+def _codec(field_type) -> Codec:
+    """The codec of a field type; tuples are comma-joined."""
+    if typing.get_origin(field_type) is tuple:
+        render, parse = _codec(typing.get_args(field_type)[0])
+        return (
+            lambda values: ",".join(render(v) for v in values),
+            lambda text: tuple(parse(v.strip()) for v in text.split(",")),
+        )
+    return _SCALAR_CODECS[field_type]
+
+
+def _schema(cls) -> Dict[str, Codec]:
+    """Field name -> codec, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _codec(hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+_GRID_SCHEMA = _schema(bench.ExperimentGrid)
+_CELL_SCHEMA = _schema(bench.CellResult)
+CELL_COLUMNS = list(_CELL_SCHEMA)
+
+
+def grid_config_values(grid: bench.ExperimentGrid) -> Dict[str, str]:
+    """Every grid field rendered as its config value, in field order."""
+    return {name: render(getattr(grid, name)) for name, (render, _) in _GRID_SCHEMA.items()}
+
+
 def parse_grid_config(text: str, source: str = "<config>") -> bench.ExperimentGrid:
-    """Parse the key-value benchmark config; unknown keys are errors."""
+    """Parse the key-value benchmark config; unknown keys are errors.
+
+    A key is required when its ExperimentGrid field has no default.
+    """
     values: Dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, value = _parse_kv_line(line, source, line_no)
-        if key not in _GRID_KEYS:
+        if key not in _GRID_SCHEMA:
             raise ValueError(f"{source}:{line_no}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"{source}:{line_no}: duplicate config key {key!r}")
         values[key] = value
-    for required in ("k_values", "d_values", "n_samples", "repetitions", "n_iterations"):
-        if required not in values:
-            raise ValueError(f"{source}: missing required config key {required!r}")
-    kwargs = {
-        "k_values": tuple(int(v) for v in values["k_values"].split(",")),
-        "d_values": tuple(int(v) for v in values["d_values"].split(",")),
-        "n_samples": int(values["n_samples"]),
-        "repetitions": int(values["repetitions"]),
-        "n_iterations": int(values["n_iterations"]),
-    }
-    if "sigma" in values:
-        kwargs["sigma"] = float(values["sigma"])
-    if "noise_kinds" in values:
-        kwargs["noise_kinds"] = tuple(
-            NoiseKind(v.strip()) for v in values["noise_kinds"].split(",")
-        )
-    if "rho" in values:
-        kwargs["rho"] = float(values["rho"])
-    if "base_seed" in values:
-        kwargs["base_seed"] = int(values["base_seed"])
-    if "lad_path" in values:
-        kwargs["lad_path"] = values["lad_path"]
-    if "lad_lp_cap" in values:
-        kwargs["lad_lp_cap"] = int(values["lad_lp_cap"])
-    return bench.ExperimentGrid(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# benchmark outputs
-
-
-CELL_COLUMNS = [
-    "noise",
-    "k",
-    "d",
-    "rep",
-    "seed",
-    "status",
-    "lad_path",
-    "em_error",
-    "admm_error",
-    "em_seconds",
-    "admm_seconds",
-    "em_final_ll",
-    "admm_final_ll",
-]
+    for f in dataclasses.fields(bench.ExperimentGrid):
+        missing = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if missing and f.name not in values:
+            raise ValueError(f"{source}: missing required config key {f.name!r}")
+    return bench.ExperimentGrid(**{
+        name: parse(values[name]) for name, (_, parse) in _GRID_SCHEMA.items() if name in values
+    })
 
 
 def write_cells_csv(path, results: List[bench.CellResult]):
@@ -269,23 +261,7 @@ def write_cells_csv(path, results: List[bench.CellResult]):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CELL_COLUMNS)
         for r in results:
-            writer.writerow(
-                [
-                    r.noise.value,
-                    r.k,
-                    r.d,
-                    r.rep,
-                    r.seed,
-                    r.status,
-                    r.lad_path,
-                    fmt(r.em_error),
-                    fmt(r.admm_error),
-                    fmt(r.em_seconds),
-                    fmt(r.admm_seconds),
-                    fmt(r.em_final_ll),
-                    fmt(r.admm_final_ll),
-                ]
-            )
+            writer.writerow(render(getattr(r, name)) for name, (render, _) in _CELL_SCHEMA.items())
 
 
 def read_cells_csv(path) -> List[bench.CellResult]:
@@ -295,24 +271,14 @@ def read_cells_csv(path) -> List[bench.CellResult]:
         header = next(reader, None)
         if header != CELL_COLUMNS:
             raise ValueError(f"{path}: unexpected cells.csv header {header!r}")
-        for row in reader:
-            record = dict(zip(CELL_COLUMNS, row))
-            results.append(
-                bench.CellResult(
-                    noise=NoiseKind(record["noise"]),
-                    k=int(record["k"]),
-                    d=int(record["d"]),
-                    rep=int(record["rep"]),
-                    seed=int(record["seed"]),
-                    status=record["status"],
-                    lad_path=record["lad_path"],
-                    em_error=float(record["em_error"]),
-                    admm_error=float(record["admm_error"]),
-                    em_seconds=float(record["em_seconds"]),
-                    admm_seconds=float(record["admm_seconds"]),
-                    em_final_ll=float(record["em_final_ll"]),
-                    admm_final_ll=float(record["admm_final_ll"]),
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(CELL_COLUMNS):
+                raise ValueError(
+                    f"{path}: row {i} has {len(row)} fields, wanted {len(CELL_COLUMNS)}"
                 )
+            fields = zip(_CELL_SCHEMA.items(), row)
+            results.append(
+                bench.CellResult(**{name: parse(value) for (name, (_, parse)), value in fields})
             )
     return results
 

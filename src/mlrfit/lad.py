@@ -11,8 +11,8 @@ Routes with different exactness/speed trade-offs:
 
 ``dual_lp`` hands its LP straight to scipy's bundled HiGHS bindings
 (``scipy.optimize._highspy._core``, scipy >= 1.15) instead of going
-through ``scipy.optimize.linprog``. The solver, its options and the model
-are the same, so the results are bit-identical; what goes is linprog's
+through ``scipy.optimize.linprog``. The solver, its options and the LP
+are the same, and the results bit-identical; what goes is linprog's
 Python wrapper, which validated the options and built bound marginals in a
 loop over all N columns on every call and cost about twice the solve
 itself. The route is picked once, at import: on an older scipy, where
@@ -23,7 +23,6 @@ that private module does not exist, ``dual_lp`` is the ``linprog`` call
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.sparse import csc_array
 
 from .errors import IterationLimit, SingularGram, SolverStall
 
@@ -104,20 +103,21 @@ def irls(
     Returns (coefficients, iterations_used).
     """
 
-    def objective(beta):
+    def smoothed_residuals(beta):
         r = y - x @ beta
-        return float(np.sum(weights * np.sqrt(r * r + delta * delta)))
+        return np.sqrt(r * r + delta * delta)
 
     def reweighted_solve(q):
         xq = x * q[:, None]
         return solve_spd(xq.T @ x, xq.T @ y)
 
     beta = reweighted_solve(weights)
-    prev = objective(beta)
+    s = smoothed_residuals(beta)
+    prev = float(np.sum(weights * s))
     for iteration in range(1, max_iterations + 1):
-        r = y - x @ beta
-        beta = reweighted_solve(weights / np.sqrt(r * r + delta * delta))
-        current = objective(beta)
+        beta = reweighted_solve(weights / s)
+        s = smoothed_residuals(beta)
+        current = float(np.sum(weights * s))
         if prev - current < tolerance * max(prev, np.finfo(float).tiny):
             return beta, iteration
         prev = current
@@ -135,12 +135,14 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     multipliers are -b. Only d equality rows, so the simplex basis stays
     tiny no matter how large N gets.
 
-    The LP goes to a fresh HiGHS instance per call, built exactly as
-    ``linprog(method="highs-ds", options={"presolve": False})`` builds it:
-    X^T column-wise with exact zeros dropped, presolve off, dual simplex,
-    no output. Without linprog's wrapper a call at N = 2000, d = 2 costs
-    about 40 % as much. On scipy < 1.15 this name is bound to
-    ``_dual_lp_linprog`` instead (see the module docstring).
+    The LP goes to a fresh HiGHS instance per call, with the options of
+    ``linprog(method="highs-ds", options={"presolve": False})``: presolve
+    off, dual simplex, no output. X^T goes in column-wise straight from the
+    rows of x, exact zeros included where linprog drops them; the
+    route-parity tests show the results are bit-identical either way.
+    Without linprog's wrapper a call at N = 2000, d = 2 costs about 40 % as
+    much. On scipy < 1.15 this name is bound to ``_dual_lp_linprog``
+    instead (see the module docstring).
 
     Returns (coefficients, objective at those coefficients).
     Raises IterationLimit or SolverStall when HiGHS stops short of optimal.
@@ -149,16 +151,16 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n, d = x.shape
-    a = csc_array(x.T)
     lp = _highs.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = d
     lp.a_matrix_.num_col_ = n
     lp.a_matrix_.num_row_ = d
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    # Column i of X^T is row i of X: d entries each, read straight from x.
+    lp.a_matrix_.start_ = np.arange(0, n * d + 1, d)
+    lp.a_matrix_.index_ = np.tile(np.arange(d), n)
+    lp.a_matrix_.value_ = x.ravel()
     lp.col_cost_ = -y
     lp.col_lower_ = -weights
     lp.col_upper_ = weights

@@ -141,32 +141,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class MixtureWeights:
-    """Component probabilities p_k; fixed at uniform by every solver here."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = _locked_array(self.p, ndim=1, name="p")
-        _require_finite(p, "p")
-        if p.size < 1:
-            raise DimensionMismatch("p must be non-empty")
-        if p.min() < 0.0:
-            raise ValueError("mixture weights must be non-negative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "p", p)
-
-    @classmethod
-    def uniform(cls, k: int) -> "MixtureWeights":
-        return cls(np.full(int(k), 1.0 / int(k)))
-
-    @property
-    def k_components(self) -> int:
-        return self.p.shape[0]
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, penalty and seeding shared by both solvers.
 

@@ -1,7 +1,8 @@
 """Model scoring: mixture log-likelihood, recovery error, paired t-test."""
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -10,29 +11,18 @@ from scipy.special import logsumexp
 
 from . import noise
 from .errors import DimensionMismatch, InsufficientData, ZeroVariance
-from .model import Dataset, MixtureWeights, MlrParams, NoiseModel, validate_problem
+from .model import Dataset, MlrParams, NoiseModel, validate_problem
 
 
-def log_likelihood(
-    params: MlrParams,
-    data: Dataset,
-    nm: NoiseModel,
-    weights: Optional[MixtureWeights] = None,
-) -> float:
-    """Mixture log-likelihood sum_i log(sum_k p_k f(y_i - <x_i, b_k>)).
+def log_likelihood(params: MlrParams, data: Dataset, nm: NoiseModel) -> float:
+    """Uniform-mixture log-likelihood sum_i log(sum_k f(y_i - <x_i, b_k>) / K).
 
     Computed through log-sum-exp so far-off components cannot underflow
     a sample's whole mixture.
     """
     validate_problem(params, data)
-    if weights is None:
-        weights = MixtureWeights.uniform(params.k_components)
-    if weights.k_components != params.k_components:
-        raise DimensionMismatch("mixture weights disagree with K")
     logf = noise.log_density(nm, data.y[:, None] - data.x @ params.beta)
-    with np.errstate(divide="ignore"):  # p_k = 0 contributes -inf, which LSE absorbs
-        logp = np.log(weights.p)
-    return float(logsumexp(logp[None, :] + logf, axis=1).sum())
+    return float(logsumexp(math.log(1.0 / params.k_components) + logf, axis=1).sum())
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from mlrfit import noise, synth
-from mlrfit.errors import IterationLimit, Unbounded
+from mlrfit.errors import IterationLimit, MlrError
 from mlrfit.model import NoiseKind, NoiseModel
 from mlrfit.rng import stable_hash
 
@@ -144,6 +144,10 @@ def strip_clock_lines(text: str) -> str:
         if not line.startswith(("wall_seconds = ", "started_at = ", "finished_at = "))
     ]
     return "\n".join(kept)
+
+
+class Unbounded(MlrError):
+    """A linear program is unbounded below."""
 
 
 def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int = 50000):

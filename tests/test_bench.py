@@ -28,6 +28,11 @@ def test_grid_validation():
             k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
             n_iterations=1, lad_path="plain",
         )
+    with pytest.raises(ValueError):
+        bench.ExperimentGrid(
+            k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
+            n_iterations=1, lad_lp_cap=-5,
+        )
 
 
 def test_cell_count_and_distinct_seeds():

@@ -58,6 +58,15 @@ class TestGenerate:
     def test_bad_flag_usage_exits_one(self, tmp_path):
         assert run(["generate", "--k", "2"]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_is_a_usage_error(self, tmp_path, capsys, value):
+        args = [a for a in GEN_ARGS]
+        args[args.index("--sigma") + 1] = value
+        out = tmp_path / "x.txt"
+        assert run(args + ["--out", out]) == 1
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     @pytest.fixture()
@@ -234,6 +243,23 @@ class TestBenchmarkAndReport:
         config = tmp_path / "bad.cfg"
         config.write_text(BENCH_CONFIG + "mystery_knob = 9\n")
         assert run(["benchmark", "--config", config, "--out-dir", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (BENCH_CONFIG + "rho = 2\nrho = 3\n", "duplicate config key 'rho'"),
+            (BENCH_CONFIG.replace("n_samples = 150\n", ""),
+             "missing required config key 'n_samples'"),
+        ],
+        ids=["duplicate", "missing"],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
+        with pytest.raises(ValueError, match=message):
+            io.parse_grid_config(text)
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        assert run(["benchmark", "--config", config, "--out-dir", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_plot_emits_deterministic_svg(self, tmp_path, bench_dir):
         first, second = tmp_path / "a.svg", tmp_path / "b.svg"

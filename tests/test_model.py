@@ -4,7 +4,6 @@ import pytest
 from mlrfit.errors import DimensionMismatch, NonFiniteInput
 from mlrfit.model import (
     Dataset,
-    MixtureWeights,
     MlrParams,
     NoiseKind,
     NoiseModel,
@@ -75,19 +74,6 @@ def test_dataset_label_validation():
     truth = MlrParams(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Dataset(x=x, y=y, labels=np.array([0, 1, 2, 0]), true_params=truth)
-
-
-def test_mixture_weights_uniform_is_exact():
-    for k in range(1, 15):
-        w = MixtureWeights.uniform(k)
-        assert np.max(np.abs(w.p - 1.0 / k)) == 0.0
-
-
-def test_mixture_weights_reject_violations():
-    with pytest.raises(ValueError):
-        MixtureWeights(np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        MixtureWeights(np.array([-0.1, 1.1]))
 
 
 def test_solver_config_validation():

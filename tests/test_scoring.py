@@ -6,7 +6,7 @@ import pytest
 from helpers import brute_force_assignment
 from mlrfit import noise, scoring
 from mlrfit.errors import DimensionMismatch, InsufficientData, ZeroVariance
-from mlrfit.model import Dataset, MixtureWeights, MlrParams, NoiseKind, NoiseModel
+from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
 
 GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -50,15 +50,6 @@ class TestLogLikelihood:
                 for i in range(4)
             )
             assert value == pytest.approx(direct, rel=1e-12)
-
-    def test_custom_weights(self):
-        rng = np.random.default_rng(2)
-        data = Dataset(x=rng.standard_normal((10, 1)), y=rng.standard_normal(10))
-        params = MlrParams(np.array([[1.0, -1.0]]))
-        w = MixtureWeights(np.array([0.9, 0.1]))
-        skewed = scoring.log_likelihood(params, data, GAUSS, w)
-        uniform = scoring.log_likelihood(params, data, GAUSS)
-        assert skewed != uniform
 
 
 class TestRecoveryError:
