@@ -3,8 +3,10 @@
 The mixture log-likelihood is rewritten over auxiliary per-sample fits
 z_ik constrained to equal <x_i, b_k>. Each iteration updates memberships
 from the current fitted values X b, minimizes a separable upper bound of
-the augmented Lagrangian in Z (closed form per coordinate for both noise
-families), refits the coefficients by one pre-factorized least-squares
+the augmented Lagrangian in Z in closed form per coordinate (a weighted
+average of y_i and the shifted fit under Gaussian noise, a soft
+threshold about y_i under Laplacian noise, Boyd et al. 2011, section
+4.4.3), refits the coefficients by one pre-factorized least-squares
 solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
 section 3.1). X b is computed once per iteration, right after the
 coefficient solve, and serves the primal residual, the dual step and the
@@ -60,38 +62,21 @@ def z_update_laplacian(
     w: np.ndarray,
     y: np.ndarray,
     nm: NoiseModel,
-    filter_candidates: bool = True,
 ) -> np.ndarray:
-    """Per-coordinate surrogate minimizer for Laplacian noise.
+    """Closed-form minimizer of each coordinate's surrogate, Laplacian noise.
 
-    The surrogate is piecewise quadratic with a kink at y_i, so the
-    minimizer is y_i or one of the two one-sided stationary points
-    zbar (valid below y_i) and ztil (valid above). With
-    ``filter_candidates`` the off-side stationary points are discarded,
-    which is the exact minimizer; without it all three candidates are
-    scored by their own branch formula. Ties resolve to y_i, then zbar.
+    The surrogate w |y_i - z| / b - lam z + rho/2 (f - z)^2 is convex with
+    one kink at y_i, so its minimizer is a soft threshold about y_i: the
+    below-branch stationary point zbar = f + (lam b + w) / (b rho) if it
+    lies below y_i, the above-branch one ztil = f - (w - lam b) / (b rho)
+    if it lies above y_i, and y_i otherwise. Since w >= 0, zbar >= ztil,
+    so at most one of the two conditions holds.
     """
     b = nm.b
-    y = np.broadcast_to(y[:, None], fits.shape)
+    y = y[:, None]
     zbar = fits + (lam * b + w) / (b * rho)
     ztil = fits - (w - lam * b) / (b * rho)
-
-    def branch_below(z):  # |y - z| resolved for the z < y branch
-        return w * (y - z) / b - lam * z + 0.5 * rho * (fits - z) ** 2
-
-    def branch_above(z):
-        return w * (z - y) / b - lam * z + 0.5 * rho * (fits - z) ** 2
-
-    at_kink = -lam * y + 0.5 * rho * (fits - y) ** 2
-    below = branch_below(zbar)
-    above = branch_above(ztil)
-    if filter_candidates:
-        below = np.where(zbar < y, below, np.inf)
-        above = np.where(ztil > y, above, np.inf)
-    values = np.stack([at_kink, below, above], axis=-1)
-    choice = np.argmin(values, axis=-1)  # first minimum wins ties
-    stacked = np.stack([y, zbar, ztil], axis=-1)
-    return np.take_along_axis(stacked, choice[..., None], axis=-1)[..., 0]
+    return np.where(zbar < y, zbar, np.where(ztil > y, ztil, y))
 
 
 def beta_update(
@@ -106,7 +91,6 @@ def fit_admm(
     k: int,
     nm: NoiseModel,
     cfg: SolverConfig,
-    filter_candidates: bool = True,
     stop_tol: Optional[float] = None,
 ) -> FitTrace:
     """Run the fixed ADMM iteration budget and record the trace.
@@ -127,9 +111,7 @@ def fit_admm(
             if nm.kind is NoiseKind.GAUSSIAN:
                 z = z_update_gaussian(fits, lam, rho, w, y, nm)
             else:
-                z = z_update_laplacian(
-                    fits, lam, rho, w, y, nm, filter_candidates=filter_candidates
-                )
+                z = z_update_laplacian(fits, lam, rho, w, y, nm)
             params = beta_update(z, lam, data, rho, chol)
             fits = x @ params.beta
             consensus_gap = fits - z

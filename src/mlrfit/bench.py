@@ -50,6 +50,10 @@ class ExperimentGrid:
             raise ValueError("k_values, d_values and noise_kinds must be non-empty")
         if min(self.k_values) < 1 or min(self.d_values) < 1:
             raise ValueError("k and d values must be >= 1")
+        for field in ("k_values", "d_values"):
+            values = getattr(self, field)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{field} must not repeat a value, got {values}")
         for field in ("n_samples", "repetitions", "n_iterations"):
             object.__setattr__(self, field, int(getattr(self, field)))
             if getattr(self, field) < 1:

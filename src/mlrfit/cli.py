@@ -43,10 +43,16 @@ def _write_manifest(path, command, config, inputs, outputs, started):
         handle.write(text)
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 def cmd_generate(args) -> int:
     started = _timestamp()
     if args.k < 1 or args.d < 1 or args.n < 1:
         raise UsageError("--k, --d and --n must all be >= 1")
+    _check_seed(args.seed)
     if not (math.isfinite(args.sigma) and args.sigma > 0.0):
         raise UsageError(f"--sigma must be a positive finite real, got {args.sigma}")
     nm = NoiseModel(NoiseKind(args.noise), args.sigma)
@@ -77,6 +83,7 @@ def cmd_fit(args) -> int:
         raise UsageError("--k must be >= 1")
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
+    _check_seed(args.seed)
     if not (math.isfinite(args.rho) and args.rho > 0.0):
         raise UsageError("--rho must be a positive finite real")
     if args.lad_lp_cap < 0:
@@ -108,11 +115,7 @@ def cmd_fit(args) -> int:
             config["irls_max_iterations"] = lad.IRLS_MAX_ITERATIONS
             config["irls_tolerance"] = lad.IRLS_TOLERANCE
     else:
-        filtered = args.z_candidates == "filtered"
-        trace = admm.fit_admm(
-            data, args.k, nm, cfg, filter_candidates=filtered, stop_tol=args.stop_tol
-        )
-        config["z_candidates"] = args.z_candidates
+        trace = admm.fit_admm(data, args.k, nm, cfg, stop_tol=args.stop_tol)
         config["stop_tol"] = "none" if args.stop_tol is None else args.stop_tol
     recovery = None
     truth = data.true_params
@@ -132,8 +135,6 @@ def cmd_fit(args) -> int:
         ("data", args.data),
         ("manifest", manifest_name),
     ]
-    if args.algo == "admm":
-        settings.insert(10, ("z_candidates", args.z_candidates))
     text = io.fit_result_text(
         settings=settings,
         params=trace.params,
@@ -230,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="EM Laplacian M-step route (default irls)",
     )
     p.add_argument("--lad-lp-cap", type=int, default=em.DEFAULT_LP_CAP)
-    p.add_argument(
-        "--z-candidates",
-        choices=["filtered", "all"],
-        default="filtered",
-        help="ADMM Laplacian candidate handling (all = unconditional three-point)",
-    )
     p.add_argument("--stop-tol", type=float, default=None,
                    help="ADMM early stop on the consensus residual; off by default")
     p.add_argument("--data", required=True)

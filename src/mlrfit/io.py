@@ -346,10 +346,14 @@ def read_hist_csv(path):
         header = next(reader, None)
         if header != ["bin_left", "bin_right", "count"]:
             raise ValueError(f"{path}: unexpected histogram header {header!r}")
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
             lefts.append(float(row[0]))
             rights.append(float(row[1]))
             counts.append(int(row[2]))
+    if not counts:
+        raise ValueError(f"{path}: histogram has no bins")
     return np.array(lefts + rights[-1:]), np.array(counts, dtype=np.int64)
 
 

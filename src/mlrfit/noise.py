@@ -1,4 +1,4 @@
-"""Densities, log-densities and samplers for the two noise families."""
+"""Log-densities and samplers for the two noise families."""
 
 import math
 
@@ -23,12 +23,6 @@ def log_density(nm: NoiseModel, eps):
     else:
         out = -np.abs(eps) / nm.b - math.log(2.0 * nm.b)
     return out if out.ndim else float(out)
-
-
-def density(nm: NoiseModel, eps):
-    """f(eps), strictly positive for finite eps."""
-    out = np.exp(log_density(nm, eps))
-    return out if np.ndim(out) else float(out)
 
 
 def sample(nm: NoiseModel, gen: np.random.Generator, size=None):

@@ -13,6 +13,11 @@ from mlrfit.model import NoiseKind, NoiseModel
 from mlrfit.rng import stable_hash
 
 
+def density(nm, eps):
+    """f(eps) = exp(log f(eps)); the package works in log space only."""
+    return np.exp(noise.log_density(nm, eps))
+
+
 def lhat_terms(w, lam, rho, fit, y, nm):
     """Per-coordinate surrogate term, written straight from its definition."""
     if nm.kind is NoiseKind.GAUSSIAN:

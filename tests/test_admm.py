@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -110,16 +111,20 @@ class TestZUpdateLaplacian:
             )
             assert z[i, k] == pytest.approx(expected, abs=1e-8)
 
-    def test_unfiltered_variant_can_leave_the_exact_minimizer(self):
-        rng = np.random.default_rng(3)
-        differs = 0
-        for _ in range(300):
-            state, w, data = random_state(rng, n=4, k=2)
-            args = (state.fits, state.lam, state.rho, w, data.y, LAPLACE)
-            exact = admm.z_update_laplacian(*args)
-            literal = admm.z_update_laplacian(*args, filter_candidates=False)
-            differs += int(not np.allclose(exact, literal))
-        assert differs > 0  # the two variants are genuinely different policies
+    def test_closed_form_regimes_exactly(self):
+        nm = NoiseModel(NoiseKind.LAPLACIAN, math.sqrt(2.0))
+        assert nm.b == 1.0  # zbar = f + (lam + w) / rho, ztil = f - (w - lam) / rho
+        rho = 2.0
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+        # column 0 has unit mass; column 1 has none
+        fits = np.column_stack([[-3.0, 3.0, 0.25, 0.5, 1.5], [-3.0, 3.0, 0.25, 0.5, 1.5]])
+        lam = np.column_stack([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 1.0, -0.5]])
+        w = np.column_stack([np.ones(5), np.zeros(5)])
+        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        # below the kink (zbar = -2), above it (ztil = 2.5), between the
+        # thresholds (zbar = 0.75, ztil = -0.25), zbar on y, ztil on y
+        assert z[:, 0].tolist() == [-2.0, 2.5, 0.0, 1.0, 1.0]
+        assert np.array_equal(z[:, 1], fits[:, 1] + lam[:, 1] / rho)
 
 
 class TestBetaAndDualUpdates:

@@ -33,6 +33,10 @@ def test_grid_validation():
             k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
             n_iterations=1, lad_lp_cap=-5,
         )
+    for repeated in ({"k_values": (2, 2), "d_values": (1,)},
+                     {"k_values": (2,), "d_values": (1, 3, 1)}):
+        with pytest.raises(ValueError, match="must not repeat"):
+            bench.ExperimentGrid(n_samples=10, repetitions=1, n_iterations=1, **repeated)
 
 
 def test_cell_count_and_distinct_seeds():

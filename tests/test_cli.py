@@ -67,6 +67,15 @@ class TestGenerate:
         assert "--sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_a_usage_error(self, tmp_path, capsys, value):
+        args = [a for a in GEN_ARGS]
+        args[args.index("--seed") + 1] = value
+        out = tmp_path / "x.txt"
+        assert run(args + ["--out", out]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     @pytest.fixture()
@@ -126,7 +135,10 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--stop-tol", "nan"), ("--stop-tol", "-1"), ("--lad-lp-cap", "-5"), ("--rho", "nan")],
+        [
+            ("--stop-tol", "nan"), ("--stop-tol", "-1"), ("--lad-lp-cap", "-5"),
+            ("--rho", "nan"), ("--seed", "-1"), ("--seed", str(2**64)),
+        ],
     )
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, dataset, capsys, flag, value):
         out = tmp_path / "bad_flag.txt"
@@ -250,8 +262,10 @@ class TestBenchmarkAndReport:
             (BENCH_CONFIG + "rho = 2\nrho = 3\n", "duplicate config key 'rho'"),
             (BENCH_CONFIG.replace("n_samples = 150\n", ""),
              "missing required config key 'n_samples'"),
+            (BENCH_CONFIG.replace("k_values = 2\n", "k_values = 2,2\n"),
+             "k_values must not repeat a value"),
         ],
-        ids=["duplicate", "missing"],
+        ids=["duplicate", "missing", "repeated-value"],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
         with pytest.raises(ValueError, match=message):
@@ -269,6 +283,22 @@ class TestBenchmarkAndReport:
         body = read(first)
         assert body.startswith("<svg") and "<rect" in body
         assert body == read(second)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("bin_left,bin_right,count\n", "histogram has no bins"),
+            ("bin_left,bin_right,count\n0,1\n", "expected 3 fields, got 2"),
+        ],
+        ids=["header-only", "short-row"],
+    )
+    def test_plot_malformed_histogram_exits_two(self, tmp_path, capsys, text, message):
+        hist = tmp_path / "bad_hist.csv"
+        hist.write_text(text)
+        out = tmp_path / "bad.svg"
+        assert run(["plot", "--hist", hist, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_version_flag_exits_zero():

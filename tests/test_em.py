@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import lad_lp_oracle, min_pairwise_gap, separated_seed
-from mlrfit import em, noise, scoring, synth
+from helpers import density, lad_lp_oracle, min_pairwise_gap, separated_seed
+from mlrfit import em, scoring, synth
 from mlrfit.errors import CollapsedComponent, SingularGram
 from mlrfit.model import (
     Dataset,
@@ -48,7 +48,7 @@ class TestEStep:
         data = Dataset(x=x, y=y)
         for nm in (GAUSS, LAPLACE):
             w = posterior_at(params, data, nm)
-            dens = noise.density(nm, y[:, None] - x @ params.beta)
+            dens = density(nm, y[:, None] - x @ params.beta)
             expected = dens / dens.sum(axis=1, keepdims=True)
             assert np.allclose(w, expected, atol=1e-12)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_assignment
+from helpers import brute_force_assignment, density
 from mlrfit import noise, scoring
 from mlrfit.errors import DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
@@ -44,8 +44,8 @@ class TestLogLikelihood:
             value = scoring.log_likelihood(params, data, nm)
             direct = sum(
                 math.log(
-                    0.5 * noise.density(nm, y[i] - x[i, 0] * 0.8)
-                    + 0.5 * noise.density(nm, y[i] - x[i, 0] * -1.2)
+                    0.5 * density(nm, y[i] - x[i, 0] * 0.8)
+                    + 0.5 * density(nm, y[i] - x[i, 0] * -1.2)
                 )
                 for i in range(4)
             )
