@@ -10,8 +10,10 @@ threshold about y_i under Laplacian noise, Boyd et al. 2011, section
 solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
 section 3.1). X b is computed once per iteration, right after the
 coefficient solve, and serves the primal residual, the dual step and the
-next iteration's memberships and Z-update. ``fit_admm`` hands the
-iteration to the loop in ``mlrfit.fit``, which both solvers share.
+next iteration's memberships and Z-update. Like EM's, the per-iteration
+arrays (fitted values, memberships, Z and the duals) are component-major,
+K x N, so y broadcasts along each component's row. ``fit_admm`` hands
+the iteration to the loop in ``mlrfit.fit``, which both solvers share.
 """
 
 from typing import Optional
@@ -47,12 +49,12 @@ def z_update_gaussian(
 ) -> np.ndarray:
     """Closed-form minimizer of each coordinate's surrogate, Gaussian noise.
 
-    z_ik = (y_i w_ik + s^2 rho <x_i, b_k> + s^2 lam_ik) / (w_ik + s^2 rho),
-    with ``fits`` = X b and memberships ``w``; the denominator is always
-    positive.
+    z_ki = (y_i w_ki + s^2 rho <x_i, b_k> + s^2 lam_ki) / (w_ki + s^2 rho),
+    with K x N ``fits`` = (X b)^T and memberships ``w``; the denominator is
+    always positive.
     """
     s2 = nm.sigma**2
-    return (y[:, None] * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
+    return (y * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
 
 
 def z_update_laplacian(
@@ -70,10 +72,9 @@ def z_update_laplacian(
     below-branch stationary point zbar = f + (lam b + w) / (b rho) if it
     lies below y_i, the above-branch one ztil = f - (w - lam b) / (b rho)
     if it lies above y_i, and y_i otherwise. Since w >= 0, zbar >= ztil,
-    so at most one of the two conditions holds.
+    so at most one of the two conditions holds. All arrays are K x N.
     """
     b = nm.b
-    y = y[:, None]
     zbar = fits + (lam * b + w) / (b * rho)
     ztil = fits - (w - lam * b) / (b * rho)
     return np.where(zbar < y, zbar, np.where(ztil > y, ztil, y))
@@ -82,8 +83,14 @@ def z_update_laplacian(
 def beta_update(
     z: np.ndarray, lam: np.ndarray, data: Dataset, rho: float, chol
 ) -> MlrParams:
-    """Least-squares coefficient refit b = (X^T X)^-1 X^T (Z - lam / rho)."""
-    return MlrParams(scipy.linalg.cho_solve(chol, data.x.T @ (z - lam / rho)))
+    """Least-squares coefficient refit b = (X^T X)^-1 X^T (Z - lam / rho)^T.
+
+    ``z`` and ``lam`` are K x N. The right-hand side is transposed into a
+    contiguous N x K copy, so X^T multiplies the same memory layout it
+    would for N x K arrays, rounding included.
+    """
+    rhs = data.x.T @ np.ascontiguousarray((z - lam / rho).T)
+    return MlrParams(scipy.linalg.cho_solve(chol, rhs))
 
 
 def fit_admm(
@@ -101,10 +108,10 @@ def fit_admm(
     matching the fixed-iteration protocol of the EM benchmark.
     """
     chol = gram_cholesky(data)
-    x, y, rho = data.x, data.y, cfg.rho
+    xt, y, rho = data.x.T, data.y, cfg.rho
 
     def steps(params):
-        fits = x @ params.beta
+        fits = params.beta.T @ xt
         lam = np.zeros_like(fits)
         while True:
             w = responsibilities(fits, y, nm)
@@ -113,7 +120,7 @@ def fit_admm(
             else:
                 z = z_update_laplacian(fits, lam, rho, w, y, nm)
             params = beta_update(z, lam, data, rho, chol)
-            fits = x @ params.beta
+            fits = params.beta.T @ xt
             consensus_gap = fits - z
             lam = lam + rho * consensus_gap
             yield params, float(np.linalg.norm(consensus_gap))

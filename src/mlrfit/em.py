@@ -4,9 +4,12 @@ Each iteration recomputes posterior component memberships from the
 current fitted values X b (E-step) and then refits every component by a
 weighted regression (M-step): weighted least squares under Gaussian
 noise, weighted least absolute deviations under Laplacian noise. The
-steps work on plain arrays: the memberships are an N x K matrix whose
-rows are probability vectors. ``fit_em`` hands the iteration to the loop
-in ``mlrfit.fit``, which both solvers share.
+steps work on plain component-major arrays: the fitted values and the
+memberships are K x N, one contiguous row per component, and each column
+of the memberships is a probability vector. Every reduction over
+components is then an elementwise pass over K rows of length N. ``fit_em``
+hands the iteration to the loop in ``mlrfit.fit``, which both solvers
+share.
 """
 
 import numpy as np
@@ -25,24 +28,25 @@ IRLS_DELTA_SCALE = 1e-6
 
 
 def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Posterior membership of every sample, from the N x K fitted values.
+    """Posterior membership of every sample, from the K x N fitted values.
 
-    Softmax of log f(y_i - fits[i, k]) over k, with the row maximum
-    subtracted first so one huge residual cannot underflow a whole row.
+    Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
+    subtracted first so one huge residual cannot underflow all of its
+    memberships. Returns K x N memberships.
     """
-    logd = noise.log_density(nm, y[:, None] - fits)
-    peak = logd.max(axis=1, keepdims=True)
+    logd = noise.log_density(nm, y - fits)
+    peak = logd.max(axis=0)
     if not np.isfinite(peak).all():
         raise DegenerateRow("a sample has no probability mass in any component")
     w = np.exp(logd - peak)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=0)
     return w
 
 
 def refit_components(
     solve, w: np.ndarray, dim: int, previous: MlrParams | None
 ) -> MlrParams:
-    """Column k is ``solve(w[:, k])``, unless component k has collapsed.
+    """Column k is ``solve(w[k])``, unless component k has collapsed.
 
     Collapse policy, shared by both M-steps: a component that ``solve``
     rejects for having no responsibility mass (CollapsedComponent) or
@@ -51,10 +55,10 @@ def refit_components(
     the expected complete-data log-likelihood, so keeping its coefficients
     preserves EM's ascent. Without ``previous`` the error propagates.
     """
-    beta = np.empty((dim, w.shape[1]))
-    for k in range(w.shape[1]):
+    beta = np.empty((dim, w.shape[0]))
+    for k in range(w.shape[0]):
         try:
-            beta[:, k] = solve(w[:, k])
+            beta[:, k] = solve(w[k])
         except (CollapsedComponent, SingularGram):
             if previous is None:
                 raise
@@ -67,7 +71,8 @@ def m_step_gaussian(
 ) -> MlrParams:
     """Per-component weighted least squares, solved in closed form.
 
-    Column k solves (sum_i w_ik x_i x_i^T) b = sum_i w_ik y_i x_i with the
+    ``w`` holds K x N memberships. Column k solves
+    (sum_i w_ki x_i x_i^T) b = sum_i w_ki y_i x_i with the
     standard ridge guard. A component with no mass has a zero Gram matrix,
     whose ridge is zero too, so it fails to factorize and follows
     ``refit_components``.
@@ -92,7 +97,7 @@ def m_step_laplacian(
     path: str = LAD_PATH_IRLS,
     previous: MlrParams | None = None,
 ) -> MlrParams:
-    """Per-component weighted least absolute deviations.
+    """Per-component weighted least absolute deviations, from K x N memberships.
 
     ``path`` picks the solver: ``irls`` smooths the objective and
     reweights (exact weighted median when d = 1), ``lp`` solves the
@@ -154,11 +159,11 @@ def fit_em(
     through the config) matters.
     """
     path = resolve_lad_path(lad_path, nm, data.n_samples, lad_lp_cap)
-    x, y = data.x, data.y
+    xt, y = data.x.T, data.y
 
     def steps(params):
         while True:
-            w = e_step(x @ params.beta, y, nm)
+            w = e_step(params.beta.T @ xt, y, nm)
             if nm.kind is NoiseKind.GAUSSIAN:
                 params = m_step_gaussian(w, data, previous=params)
             else:

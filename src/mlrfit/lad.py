@@ -135,12 +135,15 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     multipliers are -b. Only d equality rows, so the simplex basis stays
     tiny no matter how large N gets.
 
-    The LP goes to a fresh HiGHS instance per call, with the options of
+    The LP goes to a fresh HiGHS instance per call, so every solve starts
+    cold, with the options of
     ``linprog(method="highs-ds", options={"presolve": False})``: presolve
-    off, dual simplex, no output. X^T goes in column-wise straight from the
-    rows of x, exact zeros included where linprog drops them; the
+    off, dual simplex, no output. It is passed as plain arrays, which
+    HiGHS copies in bulk; filling a ``HighsLp`` field by field converts
+    every element in Python instead. X^T goes in column-wise straight from
+    the rows of x, exact zeros included where linprog drops them; the
     route-parity tests show the results are bit-identical either way.
-    Without linprog's wrapper a call at N = 2000, d = 2 costs about 40 % as
+    Without linprog's wrapper a call at N = 2000, d = 2 costs about 30 % as
     much. On scipy < 1.15 this name is bound to ``_dual_lp_linprog``
     instead (see the module docstring).
 
@@ -151,33 +154,29 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n, d = x.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = d
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = d
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    # Column i of X^T is row i of X: d entries each, read straight from x.
-    lp.a_matrix_.start_ = np.arange(0, n * d + 1, d)
-    lp.a_matrix_.index_ = np.tile(np.arange(d), n)
-    lp.a_matrix_.value_ = x.ravel()
-    lp.col_cost_ = -y
-    lp.col_lower_ = -weights
-    lp.col_upper_ = weights
-    lp.row_lower_ = np.zeros(d)
-    lp.row_upper_ = np.zeros(d)
-    # Presolve costs ~10x the actual solve on this problem shape.
-    options = _highs.HighsOptions()
-    options.presolve = "off"
-    options.solver = "simplex"
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
+    zeros = np.zeros(d)
     solver = _highs._Highs()
     if (
-        solver.passOptions(options) == _highs.HighsStatus.kError
-        or solver.passModel(lp) == _highs.HighsStatus.kError
+        solver.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError
+        or solver.passModel(
+            n,
+            d,
+            n * d,
+            _highs.MatrixFormat.kColwise,
+            _highs.ObjSense.kMinimize,
+            0.0,
+            -y,
+            -weights,
+            weights,
+            zeros,
+            zeros,
+            # Column i of X^T is row i of X: d entries each, read straight from x.
+            np.arange(0, n * d, d, dtype=np.int32),
+            np.tile(np.arange(d, dtype=np.int32), n),
+            x.ravel(),
+            np.zeros(n, dtype=np.int32),  # every column continuous
+        )
+        == _highs.HighsStatus.kError
     ):
         raise SolverStall("HiGHS rejected the LAD dual LP")
     solver.run()
@@ -220,3 +219,15 @@ def _dual_lp_linprog(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
 
 if _highs is None:
     dual_lp = _dual_lp_linprog  # noqa: F811
+else:
+    # Built once; each dual_lp call copies it into its own fresh solver.
+    _HIGHS_OPTIONS = _highs.HighsOptions()
+    # Presolve costs ~10x the actual solve on this problem shape.
+    _HIGHS_OPTIONS.presolve = "off"
+    _HIGHS_OPTIONS.solver = "simplex"
+    _HIGHS_OPTIONS.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+    _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    _HIGHS_OPTIONS.output_flag = False
+    _HIGHS_OPTIONS.log_to_console = False

@@ -7,7 +7,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 import scipy.stats
-from scipy.special import logsumexp
 
 from . import noise
 from .errors import DimensionMismatch, InsufficientData, ZeroVariance
@@ -18,11 +17,19 @@ def log_likelihood(params: MlrParams, data: Dataset, nm: NoiseModel) -> float:
     """Uniform-mixture log-likelihood sum_i log(sum_k f(y_i - <x_i, b_k>) / K).
 
     Computed through log-sum-exp so far-off components cannot underflow
-    a sample's whole mixture.
+    a sample's whole mixture: each sample's largest log-density is taken
+    out before exponentiating. The K x N log-densities make that a pass
+    over K contiguous rows. As in ``scipy.special.logsumexp``, a sample
+    with no mass in any component (every log-density -inf) scores -inf,
+    without a warning.
     """
     validate_problem(params, data)
-    logf = noise.log_density(nm, data.y[:, None] - data.x @ params.beta)
-    return float(logsumexp(math.log(1.0 / params.k_components) + logf, axis=1).sum())
+    logd = noise.log_density(nm, data.y - params.beta.T @ data.x.T)
+    peak = logd.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        per_sample = np.log(np.exp(logd - peak).sum(axis=0)) + peak
+    return float(per_sample.sum()) + data.n_samples * math.log(1.0 / params.k_components)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,25 @@ def density(nm, eps):
     return np.exp(noise.log_density(nm, eps))
 
 
+def sample_major_e_step(fits, y, nm):
+    """Posterior memberships in the sample-major (N x K) layout.
+
+    One softmax per row, with the row maximum subtracted first: the
+    computation ``em.e_step`` makes on K x N arrays, laid out the other
+    way, as a reference for it.
+    """
+    logd = noise.log_density(nm, y[:, None] - fits)
+    w = np.exp(logd - logd.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def logsumexp_log_likelihood(params, data, nm):
+    """Mixture log-likelihood through ``scipy.special.logsumexp`` over N x K."""
+    logf = noise.log_density(nm, data.y[:, None] - data.x @ params.beta)
+    return float(logsumexp(math.log(1.0 / params.k_components) + logf, axis=1).sum())
+
+
 def lhat_terms(w, lam, rho, fit, y, nm):
     """Per-coordinate surrogate term, written straight from its definition."""
     if nm.kind is NoiseKind.GAUSSIAN:
@@ -55,19 +74,19 @@ def surrogate_value(fits, anchor, lam, rho, w, y, nm, z=None) -> SurrogatePair:
     expansion around the ``anchor`` Z (constant included), so it touches
     the true augmented Lagrangian at the anchor and, when ``w`` is the
     posterior at the anchor, dominates it everywhere else. ``fits`` is
-    X b; ``z`` defaults to the anchor itself.
+    X b; ``z`` defaults to the anchor itself. Every array is K x N.
     """
     z_eval = anchor if z is None else np.asarray(z, dtype=float)
-    log_p = -math.log(fits.shape[1])  # uniform mixture
-    logf_eval = noise.log_density(nm, y[:, None] - z_eval)
-    logf_anchor = noise.log_density(nm, y[:, None] - anchor)
+    log_p = -math.log(fits.shape[0])  # uniform mixture
+    logf_eval = noise.log_density(nm, y - z_eval)
+    logf_anchor = noise.log_density(nm, y - anchor)
     constant = float((w * logf_anchor).sum()) - float(
-        logsumexp(log_p + logf_anchor, axis=1).sum()
+        logsumexp(log_p + logf_anchor, axis=0).sum()
     )
     gap_eval = fits - z_eval
     coupling = float((lam * gap_eval).sum()) + 0.5 * rho * float((gap_eval * gap_eval).sum())
     surrogate = -float((w * logf_eval).sum()) + constant + coupling
-    lagrangian = -float(logsumexp(log_p + logf_eval, axis=1).sum()) + coupling
+    lagrangian = -float(logsumexp(log_p + logf_eval, axis=0).sum()) + coupling
     return SurrogatePair(surrogate, lagrangian)
 
 

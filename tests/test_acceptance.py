@@ -65,11 +65,11 @@ def random_config(rng, nm):
     d = int(rng.integers(1, 4))
     params = MlrParams(rng.standard_normal((d, k)))
     data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2.0)
-    # (fits X b, anchor Z, duals, penalty)
+    # (fits X b, anchor Z, duals, penalty), each array K x N
     state = (
-        data.x @ params.beta,
-        rng.standard_normal((n, k)) * 1.5,
-        rng.normal(0.0, 2.0, (n, k)),
+        (data.x @ params.beta).T,
+        rng.standard_normal((n, k)).T * 1.5,
+        rng.normal(0.0, 2.0, (n, k)).T,
         float(rng.uniform(0.2, 5.0)),
     )
     anchor_posterior = em.e_step(state[1], data.y, nm)
@@ -85,7 +85,7 @@ def test_criterion_1_surrogate_bound():
             state, w, data = random_config(rng, nm)
             at_anchor = surrogate_value(*state, w, data.y, nm)
             assert abs(at_anchor.surrogate - at_anchor.lagrangian) <= 1e-9
-            z_eval = rng.standard_normal(state[1].shape) * 2.0
+            z_eval = rng.standard_normal(state[1].T.shape).T * 2.0
             elsewhere = surrogate_value(*state, w, data.y, nm, z=z_eval)
             assert elsewhere.surrogate >= elsewhere.lagrangian - 1e-9
             checked[nm.kind] += 1
@@ -103,14 +103,14 @@ def test_criterion_2_z_update_exactness():
                     z = admm.z_update_gaussian(fits, lam, rho, w, data.y, nm)
                 else:
                     z = admm.z_update_laplacian(fits, lam, rho, w, data.y, nm)
-                n, k = z.shape
+                k, n = z.shape
                 for i in range(n):
                     for j in range(k):
                         expected = minimize_lhat(
-                            w[i, j], lam[i, j], rho,
-                            fits[i, j], data.y[i], nm,
+                            w[j, i], lam[j, i], rho,
+                            fits[j, i], data.y[i], nm,
                         )
-                        assert abs(z[i, j] - expected) <= 1e-8
+                        assert abs(z[j, i] - expected) <= 1e-8
                 coords += n * k
 
 
@@ -124,7 +124,7 @@ def test_criterion_3_m_step_oracles():
             data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2)
             raw = rng.uniform(0.05, 1.0, (n, k))
             raw /= raw.sum(axis=1, keepdims=True)
-            fitted = em.m_step_gaussian(raw, data)
+            fitted = em.m_step_gaussian(raw.T, data)
             for j in range(k):
                 gram = np.zeros((d, d))
                 rhs = np.zeros(d)
@@ -141,7 +141,7 @@ def test_criterion_3_m_step_oracles():
             data = synth.generate(2, d, n, LAPLACE, seed=30000 + trial)
             raw = rng.uniform(0.02, 1.0, (n, 2))
             raw /= raw.sum(axis=1, keepdims=True)
-            fitted = em.m_step_laplacian(raw, data, path="irls")
+            fitted = em.m_step_laplacian(raw.T, data, path="irls")
             for j in range(2):
                 _, optimum = lad_lp_oracle(raw[:, j], data.x, data.y)
                 achieved = float(
@@ -156,7 +156,7 @@ def test_criterion_3_m_step_oracles():
             raw = rng.uniform(0.01, 1.0, (n, 2))
             raw /= raw.sum(axis=1, keepdims=True)
             data = Dataset(x=np.ones((n, 1)), y=y)
-            fitted = em.m_step_laplacian(raw, data)
+            fitted = em.m_step_laplacian(raw.T, data)
             for j in range(2):
                 assert fitted.beta[0, j] == lad.weighted_median(y, raw[:, j])
 

@@ -20,7 +20,7 @@ LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 
 
 class Iterate(NamedTuple):
-    """ADMM variables at one point: fitted values X b, Z, duals, penalty."""
+    """ADMM variables at one point: fitted values X b, Z, duals, penalty (K x N)."""
 
     fits: np.ndarray
     z: np.ndarray
@@ -33,15 +33,15 @@ def random_state(rng, n=6, d=2, k=2, rho=None, consistent_z=False):
     data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n) * 2)
     raw = rng.uniform(0.01, 1.0, (n, k))
     raw /= raw.sum(axis=1, keepdims=True)
-    fits = data.x @ params.beta
-    z = fits if consistent_z else rng.standard_normal((n, k))
+    fits = (data.x @ params.beta).T
+    z = fits if consistent_z else rng.standard_normal((n, k)).T
     state = Iterate(
         fits=fits,
         z=z,
-        lam=rng.normal(0.0, 2.0, (n, k)),
+        lam=rng.normal(0.0, 2.0, (n, k)).T,
         rho=rho or float(rng.uniform(0.2, 5.0)),
     )
-    return state, raw, data
+    return state, raw.T, data
 
 
 class TestZUpdateGaussian:
@@ -49,23 +49,23 @@ class TestZUpdateGaussian:
         rng = np.random.default_rng(0)
         params = MlrParams(rng.standard_normal((2, 2)))
         data = Dataset(x=rng.standard_normal((4, 2)), y=rng.standard_normal(4))
-        fits = data.x @ params.beta
-        w = np.column_stack([np.zeros(4), np.ones(4)])
-        z = admm.z_update_gaussian(fits, np.zeros((4, 2)), 1.7, w, data.y, GAUSS)
-        # the weightless column collapses to the pure quadratic center
+        fits = params.beta.T @ data.x.T
+        w = np.vstack([np.zeros(4), np.ones(4)])
+        z = admm.z_update_gaussian(fits, np.zeros((2, 4)), 1.7, w, data.y, GAUSS)
+        # the weightless row collapses to the pure quadratic center
         # (up to the one rounding of (s2 rho f) / (s2 rho))
-        assert np.allclose(z[:, 0], fits[:, 0], rtol=1e-15, atol=0)
-        expected = (data.y + GAUSS.sigma**2 * 1.7 * fits[:, 1]) / (
+        assert np.allclose(z[0], fits[0], rtol=1e-15, atol=0)
+        expected = (data.y + GAUSS.sigma**2 * 1.7 * fits[1]) / (
             1.0 + GAUSS.sigma**2 * 1.7
         )
-        assert np.allclose(z[:, 1], expected, atol=1e-14)
+        assert np.allclose(z[1], expected, atol=1e-14)
 
     def test_consensus_fixed_point(self):
         x = np.array([[1.0], [2.0]])
         beta = np.array([[1.5]])
         y = (x @ beta)[:, 0]
-        z = admm.z_update_gaussian(x @ beta, np.zeros((2, 1)), 0.9, np.ones((2, 1)), y, GAUSS)
-        assert np.allclose(z[:, 0], y, atol=1e-14)
+        z = admm.z_update_gaussian(beta.T @ x.T, np.zeros((1, 2)), 0.9, np.ones((1, 2)), y, GAUSS)
+        assert np.allclose(z[0], y, atol=1e-14)
 
     def test_matches_numerical_oracle(self):
         rng = np.random.default_rng(1)
@@ -76,9 +76,9 @@ class TestZUpdateGaussian:
             z = admm.z_update_gaussian(state.fits, state.lam, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
-                w[i, k], state.lam[i, k], state.rho, state.fits[i, k], data.y[i], nm
+                w[k, i], state.lam[k, i], state.rho, state.fits[k, i], data.y[i], nm
             )
-            assert z[i, k] == pytest.approx(expected, abs=1e-8)
+            assert z[k, i] == pytest.approx(expected, abs=1e-8)
 
 
 class TestZUpdateLaplacian:
@@ -86,16 +86,16 @@ class TestZUpdateLaplacian:
         x = np.array([[1.0], [1.0]])
         y = np.array([5.0, -5.0])  # fits sit below y[0] and above y[1]
         beta = np.array([[1.0, 0.0]])
-        fits = x @ beta
-        w = np.column_stack([np.zeros(2), np.ones(2)])
+        fits = beta.T @ x.T
+        w = np.vstack([np.zeros(2), np.ones(2)])
         z = admm.z_update_laplacian(fits, np.zeros((2, 2)), 2.0, w, y, LAPLACE)
-        assert np.array_equal(z[:, 0], fits[:, 0])
+        assert np.array_equal(z[0], fits[0])
 
     def test_kink_fixed_point(self):
         x = np.array([[2.0]])
         beta = np.array([[0.75]])
         y = (x @ beta)[:, 0]
-        z = admm.z_update_laplacian(x @ beta, np.zeros((1, 1)), 1.3, np.ones((1, 1)), y, LAPLACE)
+        z = admm.z_update_laplacian(beta.T @ x.T, np.zeros((1, 1)), 1.3, np.ones((1, 1)), y, LAPLACE)
         assert z[0, 0] == y[0]
 
     def test_matches_numerical_oracle(self):
@@ -107,24 +107,24 @@ class TestZUpdateLaplacian:
             z = admm.z_update_laplacian(state.fits, state.lam, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
-                w[i, k], state.lam[i, k], state.rho, state.fits[i, k], data.y[i], nm
+                w[k, i], state.lam[k, i], state.rho, state.fits[k, i], data.y[i], nm
             )
-            assert z[i, k] == pytest.approx(expected, abs=1e-8)
+            assert z[k, i] == pytest.approx(expected, abs=1e-8)
 
     def test_closed_form_regimes_exactly(self):
         nm = NoiseModel(NoiseKind.LAPLACIAN, math.sqrt(2.0))
         assert nm.b == 1.0  # zbar = f + (lam + w) / rho, ztil = f - (w - lam) / rho
         rho = 2.0
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
-        # column 0 has unit mass; column 1 has none
-        fits = np.column_stack([[-3.0, 3.0, 0.25, 0.5, 1.5], [-3.0, 3.0, 0.25, 0.5, 1.5]])
-        lam = np.column_stack([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 1.0, -0.5]])
-        w = np.column_stack([np.ones(5), np.zeros(5)])
+        # component 0 has unit mass; component 1 has none
+        fits = np.vstack([[-3.0, 3.0, 0.25, 0.5, 1.5], [-3.0, 3.0, 0.25, 0.5, 1.5]])
+        lam = np.vstack([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 1.0, -0.5]])
+        w = np.vstack([np.ones(5), np.zeros(5)])
         z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
         # below the kink (zbar = -2), above it (ztil = 2.5), between the
         # thresholds (zbar = 0.75, ztil = -0.25), zbar on y, ztil on y
-        assert z[:, 0].tolist() == [-2.0, 2.5, 0.0, 1.0, 1.0]
-        assert np.array_equal(z[:, 1], fits[:, 1] + lam[:, 1] / rho)
+        assert z[0].tolist() == [-2.0, 2.5, 0.0, 1.0, 1.0]
+        assert np.array_equal(z[1], fits[1] + lam[1] / rho)
 
 
 class TestBetaAndDualUpdates:
@@ -132,7 +132,7 @@ class TestBetaAndDualUpdates:
         rng = np.random.default_rng(4)
         data = Dataset(x=rng.standard_normal((40, 3)), y=rng.standard_normal(40))
         beta0 = rng.standard_normal((3, 2))
-        z = data.x @ beta0
+        z = (data.x @ beta0).T
         chol = admm.gram_cholesky(data)
         fitted = admm.beta_update(z, np.zeros_like(z), data, rho=1.0, chol=chol)
         assert np.allclose(fitted.beta, beta0, atol=1e-10)
@@ -140,37 +140,37 @@ class TestBetaAndDualUpdates:
     def test_scalar_normal_equation(self):
         rng = np.random.default_rng(5)
         data = Dataset(x=rng.standard_normal((30, 1)), y=rng.standard_normal(30))
-        z = rng.standard_normal((30, 1))
-        lam = rng.standard_normal((30, 1))
+        z = rng.standard_normal((30, 1)).T
+        lam = rng.standard_normal((30, 1)).T
         rho = 2.5
         chol = admm.gram_cholesky(data)
         fitted = admm.beta_update(z, lam, data, rho=rho, chol=chol)
         x = data.x[:, 0]
-        expected = np.sum(x * (z[:, 0] - lam[:, 0] / rho)) / np.sum(x * x)
+        expected = np.sum(x * (z[0] - lam[0] / rho)) / np.sum(x * x)
         assert fitted.beta[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_matches_independent_solve(self):
         rng = np.random.default_rng(6)
         data = Dataset(x=rng.standard_normal((50, 3)), y=rng.standard_normal(50))
-        z = rng.standard_normal((50, 2))
-        lam = rng.standard_normal((50, 2))
+        z = rng.standard_normal((50, 2)).T
+        lam = rng.standard_normal((50, 2)).T
         rho = 1.7
         from mlrfit import lad
 
         chol = admm.gram_cholesky(data)
         fitted = admm.beta_update(z, lam, data, rho=rho, chol=chol)
         gram = lad.ridge_gram(data.x.T @ data.x)
-        expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho))
+        expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho).T)
         assert np.allclose(fitted.beta, expected, atol=1e-10)
 
     def test_beta_update_stationarity(self):
         rng = np.random.default_rng(7)
         data = Dataset(x=rng.standard_normal((80, 3)), y=rng.standard_normal(80))
-        z = rng.standard_normal((80, 2))
-        lam = rng.standard_normal((80, 2))
+        z = rng.standard_normal((80, 2)).T
+        lam = rng.standard_normal((80, 2)).T
         rho = 0.7
         fitted = admm.beta_update(z, lam, data, rho=rho, chol=admm.gram_cholesky(data))
-        residual = data.x.T @ data.x @ fitted.beta - data.x.T @ (z - lam / rho)
+        residual = data.x.T @ data.x @ fitted.beta - data.x.T @ (z - lam / rho).T
         assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(z))
 
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
@@ -181,17 +181,17 @@ class TestBetaAndDualUpdates:
         trace = admm.fit_admm(data, 3, nm, cfg)
         params = initial_params(cfg, 2, 3)
         chol = admm.gram_cholesky(data)
-        lam = np.zeros((data.n_samples, 3))
+        lam = np.zeros((3, data.n_samples))
         log_liks, residuals = [], []
         for _ in range(3):
-            fits = data.x @ params.beta
+            fits = params.beta.T @ data.x.T
             w = em.e_step(fits, data.y, nm)
             if nm is GAUSS:
                 z = admm.z_update_gaussian(fits, lam, cfg.rho, w, data.y, nm)
             else:
                 z = admm.z_update_laplacian(fits, lam, cfg.rho, w, data.y, nm)
             params = admm.beta_update(z, lam, data, cfg.rho, chol)
-            gap = data.x @ params.beta - z
+            gap = params.beta.T @ data.x.T - z
             lam = lam + cfg.rho * gap
             log_liks.append(scoring.log_likelihood(params, data, nm))
             residuals.append(float(np.linalg.norm(gap)))
@@ -215,16 +215,16 @@ class TestSurrogate:
             nm = GAUSS if rng.random() < 0.5 else LAPLACE
             state, _, data = random_state(rng, n=8, k=2)
             w = em.e_step(state.z, data.y, nm)
-            z_eval = rng.standard_normal(state.z.shape) * 2
+            z_eval = rng.standard_normal(state.z.T.shape).T * 2
             pair = surrogate_value(*state, w, data.y, nm, z=z_eval)
             assert pair.surrogate >= pair.lagrangian - 1e-9
 
     def test_single_component_gap_vanishes_everywhere(self):
         rng = np.random.default_rng(12)
         state, w, data = random_state(rng, n=7, k=1)
-        w = np.ones((7, 1))
+        w = np.ones((1, 7))
         for _ in range(10):
-            z_eval = rng.standard_normal(state.z.shape)
+            z_eval = rng.standard_normal(state.z.T.shape).T
             pair = surrogate_value(*state, w, data.y, GAUSS, z=z_eval)
             assert pair.surrogate == pytest.approx(pair.lagrangian, abs=1e-9)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import density, lad_lp_oracle, min_pairwise_gap, separated_seed
+from helpers import (
+    density,
+    lad_lp_oracle,
+    min_pairwise_gap,
+    sample_major_e_step,
+    separated_seed,
+)
 from mlrfit import em, scoring, synth
 from mlrfit.errors import CollapsedComponent, SingularGram
 from mlrfit.model import (
@@ -18,13 +24,13 @@ LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 
 
 def hard_label_responsibilities(labels, k):
-    w = np.zeros((labels.size, k))
-    w[np.arange(labels.size), labels] = 1.0
+    w = np.zeros((k, labels.size))
+    w[labels, np.arange(labels.size)] = 1.0
     return w
 
 
 def posterior_at(params, data, nm):
-    return em.e_step(data.x @ params.beta, data.y, nm)
+    return em.e_step(params.beta.T @ data.x.T, data.y, nm)
 
 
 class TestEStep:
@@ -39,7 +45,7 @@ class TestEStep:
         rng = np.random.default_rng(1)
         data = Dataset(x=rng.standard_normal((10, 1)), y=rng.standard_normal(10))
         w = posterior_at(MlrParams(np.array([[0.3]])), data, LAPLACE)
-        assert np.array_equal(w, np.ones((10, 1)))
+        assert np.array_equal(w, np.ones((1, 10)))
 
     def test_matches_direct_ratio_formula(self):
         x = np.array([[1.0], [2.0], [-1.0]])
@@ -50,15 +56,41 @@ class TestEStep:
             w = posterior_at(params, data, nm)
             dens = density(nm, y[:, None] - x @ params.beta)
             expected = dens / dens.sum(axis=1, keepdims=True)
-            assert np.allclose(w, expected, atol=1e-12)
+            assert np.allclose(w.T, expected, atol=1e-12)
 
     def test_log_space_survives_huge_residuals(self):
         x = np.ones((3, 1))
         y = np.array([0.0, 500.0, 1000.0])
         params = MlrParams(np.array([[0.0, 1000.0]]))
         w = posterior_at(params, Dataset(x=x, y=y), GAUSS)
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
         assert np.isfinite(w).all()
+
+
+    @staticmethod
+    def layouts(k, nm, seed):
+        """K x N memberships from em.e_step and N x K ones from the reference."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((500, 3)) * rng.uniform(0.1, 30.0)
+        y = rng.standard_normal(500) * 3.0
+        fits = x @ rng.standard_normal((3, k))
+        return em.e_step(np.ascontiguousarray(fits.T), y, nm), sample_major_e_step(fits, y, nm)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_component_major_layout_is_bit_identical(self, k, nm):
+        for seed in range(5):
+            w, reference = self.layouts(k, nm, seed)
+            assert w.shape == (k, 500)
+            assert np.array_equal(w, reference.T)
+
+    @pytest.mark.parametrize("k", [8, 14])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_component_major_layout_from_eight_components(self, k, nm):
+        """From K = 8 numpy's row sum is unrolled 8 ways, so the last bit may move."""
+        for seed in range(5):
+            w, reference = self.layouts(k, nm, seed)
+            assert np.abs(w - reference.T).max() <= 1e-15
 
 
 class TestMStepGaussian:
@@ -67,7 +99,7 @@ class TestMStepGaussian:
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
         data = Dataset(x=x, y=y)
-        w = np.ones((40, 1))
+        w = np.ones((1, 40))
         fitted = em.m_step_gaussian(w, data).beta[:, 0]
         reference = np.linalg.lstsq(x, y, rcond=None)[0]
         assert np.allclose(fitted, reference, atol=1e-8)
@@ -85,7 +117,7 @@ class TestMStepGaussian:
         raw = rng.uniform(0.1, 0.9, (5, 2))
         raw /= raw.sum(axis=1, keepdims=True)
         data = Dataset(x=x, y=y)
-        fitted = em.m_step_gaussian(raw, data)
+        fitted = em.m_step_gaussian(raw.T, data)
         for k in range(2):
             gram = sum(raw[i, k] * np.outer(x[i], x[i]) for i in range(5))
             rhs = sum(raw[i, k] * y[i] * x[i] for i in range(5))
@@ -100,7 +132,7 @@ class TestMStepGaussian:
         fitted = em.m_step_gaussian(w, data)
         scale = 1e-8 * (1.0 + np.linalg.norm(data.y))
         for k in range(3):
-            grad = data.x.T @ (w[:, k] * (data.y - data.x @ fitted.beta[:, k]))
+            grad = data.x.T @ (w[k] * (data.y - data.x @ fitted.beta[:, k]))
             assert np.linalg.norm(grad) <= scale
 
 
@@ -111,7 +143,7 @@ class TestMStepLaplacian:
         raw = rng.uniform(0.05, 1.0, (31, 2))
         raw /= raw.sum(axis=1, keepdims=True)
         data = Dataset(x=np.ones((31, 1)), y=y)
-        fitted = em.m_step_laplacian(raw, data)
+        fitted = em.m_step_laplacian(raw.T, data)
         from mlrfit import lad
 
         for k in range(2):
@@ -131,15 +163,15 @@ class TestMStepLaplacian:
         w = posterior_at(params, data, LAPLACE)
         fitted = em.m_step_laplacian(w, data, path=path)
         for k in range(2):
-            _, best = lad_lp_oracle(w[:, k], data.x, data.y)
-            achieved = float(np.sum(w[:, k] * np.abs(data.y - data.x @ fitted.beta[:, k])))
+            _, best = lad_lp_oracle(w[k], data.x, data.y)
+            achieved = float(np.sum(w[k] * np.abs(data.y - data.x @ fitted.beta[:, k])))
             assert achieved <= best * (1 + 1e-6) + 1e-12
 
     def test_zero_mass_component_rejected(self):
         data = synth.generate(1, 1, 5, LAPLACE, seed=11)
         with pytest.raises(ValueError):
             em.m_step_laplacian(
-                np.column_stack([np.ones(5), np.zeros(5)]), data
+                np.vstack([np.ones(5), np.zeros(5)]), data
             )
 
 
@@ -166,7 +198,7 @@ class TestCollapsedComponent:
         shifted = Dataset(x=data.x + shift, y=data.y)
         cfg = SolverConfig(n_iterations=50, seed=3)
         start = initial_params(cfg, 2, 3)
-        collapsed = posterior_at(start, shifted, nm).sum(axis=0) == 0.0
+        collapsed = posterior_at(start, shifted, nm).sum(axis=1) == 0.0
         assert collapsed.any() == collapses
         one = em.fit_em(shifted, 3, nm, SolverConfig(n_iterations=1, seed=3), lad_path=path)
         assert np.array_equal(one.params.beta[:, collapsed], start.beta[:, collapsed])
@@ -181,7 +213,7 @@ class TestCollapsedComponent:
 
     def test_without_previous_coefficients_collapse_raises(self):
         data = synth.generate(1, 1, 5, GAUSS, seed=11)
-        w = np.column_stack([np.ones(5), np.zeros(5)])
+        w = np.vstack([np.ones(5), np.zeros(5)])
         previous = MlrParams(np.array([[0.0, 7.0]]))
         with pytest.raises(SingularGram):
             em.m_step_gaussian(w, data)
@@ -271,7 +303,7 @@ class TestFitEm:
         params = initial_params(cfg, 2, 3)
         log_liks = []
         for _ in range(3):
-            w = em.e_step(data.x @ params.beta, data.y, nm)
+            w = em.e_step(params.beta.T @ data.x.T, data.y, nm)
             if nm is GAUSS:
                 params = em.m_step_gaussian(w, data, previous=params)
             else:

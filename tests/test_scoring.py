@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_assignment, density
+from helpers import brute_force_assignment, density, logsumexp_log_likelihood
 from mlrfit import noise, scoring
 from mlrfit.errors import DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
@@ -50,6 +51,37 @@ class TestLogLikelihood:
                 for i in range(4)
             )
             assert value == pytest.approx(direct, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 20000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_matches_logsumexp_reference(self, n, k, nm):
+        rng = np.random.default_rng(n + k)
+        x = rng.standard_normal((n, 2)) * 4.0
+        data = Dataset(x=x, y=rng.standard_normal(n) * 3.0)
+        params = MlrParams(rng.standard_normal((2, k)))
+        value = scoring.log_likelihood(params, data, nm)
+        assert value == pytest.approx(logsumexp_log_likelihood(params, data, nm), rel=1e-12)
+
+    def test_sample_without_mass_in_any_component_scores_minus_infinity(self):
+        """Like logsumexp: -inf, and the reduction adds no warning of its own.
+
+        A residual of 1e200 squares past the largest float, so its Gaussian
+        log-density is -inf for every component; numpy's overflow warning
+        for that square is silenced, any other warning is an error.
+        """
+        x = np.ones((3, 1))
+        data = Dataset(x=x, y=np.array([0.0, 1.0, -1e200]))
+        params = MlrParams(np.array([[0.0, 1.0, 2.0]]))
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            assert scoring.log_likelihood(params, data, GAUSS) == -math.inf
+            assert logsumexp_log_likelihood(params, data, GAUSS) == -math.inf
+            kept = Dataset(x=x[:2], y=data.y[:2])
+            value = scoring.log_likelihood(params, kept, GAUSS)
+        assert math.isfinite(value)
+        assert value == pytest.approx(logsumexp_log_likelihood(params, kept, GAUSS), rel=1e-12)
 
 
 class TestRecoveryError:
