@@ -23,7 +23,6 @@ import scipy.linalg
 
 from . import fit, lad
 from .em import e_step
-from .errors import SingularGram
 from .fit import FitTrace
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
@@ -33,10 +32,7 @@ responsibilities = e_step
 
 def gram_cholesky(data: Dataset):
     """Cholesky factor of the ridge-stabilized X^T X, reusable across iterations."""
-    try:
-        return scipy.linalg.cho_factor(lad.ridge_gram(data.x.T @ data.x))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGram(f"X^T X not positive definite: {exc}") from exc
+    return lad._ridge_cholesky(data.x.T @ data.x)
 
 
 def z_update_gaussian(

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import admm, em, scoring, synth
-from .model import NoiseKind, NoiseModel, SolverConfig
+from .model import NoiseKind, NoiseModel, SolverConfig, check_int, check_lad_route, check_positive
 from .rng import stable_hash
 
 WORKERS_ENV = "MLRFIT_WORKERS"
@@ -40,32 +40,22 @@ class ExperimentGrid:
     lad_lp_cap: int = em.DEFAULT_LP_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "d_values", tuple(int(d) for d in self.d_values))
+        for field, name in (("k_values", "k"), ("d_values", "d")):
+            values = tuple(check_int(name, v) for v in getattr(self, field))
+            if len(set(values)) != len(values):
+                raise ValueError(f"{field} must not repeat a value, got {values}")
+            object.__setattr__(self, field, values)
         kinds = tuple(NoiseKind(k) for k in self.noise_kinds)
         object.__setattr__(
             self, "noise_kinds", tuple(k for k in NOISE_ORDER if k in kinds)
         )
         if not self.k_values or not self.d_values or not self.noise_kinds:
             raise ValueError("k_values, d_values and noise_kinds must be non-empty")
-        if min(self.k_values) < 1 or min(self.d_values) < 1:
-            raise ValueError("k and d values must be >= 1")
-        for field in ("k_values", "d_values"):
-            values = getattr(self, field)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{field} must not repeat a value, got {values}")
         for field in ("n_samples", "repetitions", "n_iterations"):
-            object.__setattr__(self, field, int(getattr(self, field)))
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be a positive finite real")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be a positive finite real")
-        if self.lad_path not in (em.LAD_PATH_AUTO, em.LAD_PATH_LP, em.LAD_PATH_IRLS):
-            raise ValueError(f"unknown LAD path {self.lad_path!r}")
-        if self.lad_lp_cap < 0:
-            raise ValueError("lad_lp_cap must be >= 0")
+            object.__setattr__(self, field, check_int(field, getattr(self, field)))
+        check_positive("sigma", self.sigma)
+        check_positive("rho", self.rho)
+        check_lad_route(self.lad_path, self.lad_lp_cap)
 
     def cells(self) -> List[Tuple[NoiseKind, int, int, int]]:
         """All (noise, k, d, rep) tuples in their canonical run order."""
@@ -142,10 +132,7 @@ def default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
-    workers = int(raw)
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1")
-    return min(workers, os.cpu_count() or 1)
+    return min(check_int(WORKERS_ENV, raw), os.cpu_count() or 1)
 
 
 def run_grid(grid: ExperimentGrid, workers: Optional[int] = None) -> List[CellResult]:

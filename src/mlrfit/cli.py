@@ -1,22 +1,19 @@
 """Command-line surface: generate, fit, benchmark, report, plot.
 
-Exit codes: 0 on success, 1 for usage errors (bad flags or flag values),
-2 for runtime failures (unreadable files, solver errors).
+Exit codes: 0 on success, 1 for usage errors (bad flags, or flag values
+that break a library input rule: "argument --flag: <rule>"), 2 for runtime
+failures (unreadable files, bad benchmark configs, solver errors).
 """
 
 import argparse
-import math
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__, admm, bench, em, io, lad, scoring, synth
 from .errors import MlrError
-from .model import NoiseKind, NoiseModel, SolverConfig
-
-
-class UsageError(Exception):
-    """Bad flag values; reported with exit code 1."""
+from .model import LAD_PATHS, NoiseKind, NoiseModel, SolverConfig, check_int
+from .model import check_non_negative, check_positive, check_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,18 +40,25 @@ def _write_manifest(path, command, config, inputs, outputs, started):
         handle.write(text)
 
 
-def _check_seed(seed: int):
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"--seed must be in [0, 2**64), got {seed}")
+def _flag(parse, check, *name):
+    """An argparse ``type=`` that parses the text, then runs ``check(*name, value)``.
+
+    A broken rule reads "argument --flag: <rule>"; ``_Parser.error`` exits 1.
+    """
+
+    def convert(text):
+        value = parse(text)
+        try:
+            return check(*name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def cmd_generate(args) -> int:
     started = _timestamp()
-    if args.k < 1 or args.d < 1 or args.n < 1:
-        raise UsageError("--k, --d and --n must all be >= 1")
-    _check_seed(args.seed)
-    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
-        raise UsageError(f"--sigma must be a positive finite real, got {args.sigma}")
     nm = NoiseModel(NoiseKind(args.noise), args.sigma)
     data = synth.generate(args.k, args.d, args.n, nm, args.seed)
     io.write_dataset(args.out, data, nm.kind, nm.sigma, args.seed)
@@ -79,17 +83,6 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     started = _timestamp()
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    if args.iters < 1:
-        raise UsageError("--iters must be >= 1")
-    _check_seed(args.seed)
-    if not (math.isfinite(args.rho) and args.rho > 0.0):
-        raise UsageError("--rho must be a positive finite real")
-    if args.lad_lp_cap < 0:
-        raise UsageError("--lad-lp-cap must be >= 0")
-    if args.stop_tol is not None and not (math.isfinite(args.stop_tol) and args.stop_tol >= 0.0):
-        raise UsageError("--stop-tol must be a finite non-negative real")
     data, meta = io.read_dataset(args.data)
     nm = NoiseModel(NoiseKind(args.noise), meta["sigma"])
     cfg = SolverConfig(n_iterations=args.iters, rho=args.rho, seed=args.seed)
@@ -163,7 +156,8 @@ def cmd_benchmark(args) -> int:
     workers = bench.default_workers()
     os.makedirs(args.out_dir, exist_ok=True)
     results = bench.run_grid(grid, workers=workers)
-    io.write_cells_csv(os.path.join(args.out_dir, "cells.csv"), results)
+    with open(os.path.join(args.out_dir, "cells.csv"), "w", newline="\n") as handle:
+        handle.write(io.rows_text(results, bench.CellResult))
     written = io.write_derived_outputs(args.out_dir, results)
     written["cells"] = "cells.csv"
     config = {**io.grid_config_values(grid), "ridge_scale": lad.RIDGE_SCALE, "workers": workers}
@@ -180,7 +174,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_report(args) -> int:
     started = _timestamp()
-    results = io.read_cells_csv(args.cells)
+    results = io.read_rows(args.cells, bench.CellResult)
     os.makedirs(args.out_dir, exist_ok=True)
     written = io.write_derived_outputs(args.out_dir, results)
     _write_manifest(
@@ -208,30 +202,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="write a synthetic dataset file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_flag(int, check_int, "k"), required=True)
+    p.add_argument("--d", type=_flag(int, check_int, "d"), required=True)
+    p.add_argument("--n", type=_flag(int, check_int, "n"), required=True)
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=_flag(float, check_positive, "sigma"), default=1.0)
+    p.add_argument("--seed", type=_flag(int, check_seed), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("fit", help="fit one dataset with one solver")
     p.add_argument("--algo", choices=["em", "admm"], required=True)
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=5.0)
+    p.add_argument("--k", type=_flag(int, check_int, "k"), required=True)
+    p.add_argument("--iters", type=_flag(int, check_int, "n_iterations"), required=True)
+    p.add_argument("--seed", type=_flag(int, check_seed), default=0)
+    p.add_argument("--rho", type=_flag(float, check_positive, "rho"), default=5.0)
     p.add_argument(
         "--lad-path",
-        choices=[em.LAD_PATH_AUTO, em.LAD_PATH_LP, em.LAD_PATH_IRLS],
+        choices=LAD_PATHS,
         default=em.LAD_PATH_IRLS,
         help="EM Laplacian M-step route (default irls)",
     )
-    p.add_argument("--lad-lp-cap", type=int, default=em.DEFAULT_LP_CAP)
-    p.add_argument("--stop-tol", type=float, default=None,
+    p.add_argument("--lad-lp-cap", type=_flag(int, check_int, "lad_lp_cap"),
+                   default=em.DEFAULT_LP_CAP)
+    p.add_argument("--stop-tol", type=_flag(float, check_non_negative, "stop_tol"), default=None,
                    help="ADMM early stop on the consensus residual; off by default")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -263,9 +258,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"mlrfit: error: {exc}", file=sys.stderr)
-        return 1
     except (MlrError, ValueError, OSError) as exc:
         print(f"mlrfit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

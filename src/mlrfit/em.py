@@ -17,11 +17,9 @@ import numpy as np
 from . import fit, lad, noise
 from .errors import CollapsedComponent, DegenerateRow, SingularGram
 from .fit import LAD_PATH_NA, FitTrace
-from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
+from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
+from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
 
-LAD_PATH_IRLS = "irls"
-LAD_PATH_LP = "lp"
-LAD_PATH_AUTO = "auto"
 DEFAULT_LP_CAP = 5000
 
 IRLS_DELTA_SCALE = 1e-6
@@ -37,7 +35,8 @@ def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
     logd = noise.log_density(nm, y - fits)
     peak = logd.max(axis=0)
     if not np.isfinite(peak).all():
-        raise DegenerateRow("a sample has no probability mass in any component")
+        i = int(np.flatnonzero(~np.isfinite(peak))[0])
+        raise DegenerateRow(f"sample {i} has no probability mass in any component")
     w = np.exp(logd - peak)
     w /= w.sum(axis=0)
     return w
@@ -122,7 +121,7 @@ def m_step_laplacian(
             return lad.irls(x, y, weights, delta)[0]
 
     else:
-        raise ValueError(f"unknown LAD path {path!r}")
+        raise ValueError(f"m_step_laplacian runs route 'lp' or 'irls', got {path!r}")
 
     def solve(weights):
         # with no mass every LAD coefficient is optimal; none is a fit
@@ -135,12 +134,11 @@ def m_step_laplacian(
 
 def resolve_lad_path(path: str, nm: NoiseModel, n_samples: int, lp_cap: int) -> str:
     """Concrete LAD route for a fit: 'lp', 'irls', or 'n/a' for Gaussian."""
+    lp_cap = check_lad_route(path, lp_cap)
     if nm.kind is NoiseKind.GAUSSIAN:
         return LAD_PATH_NA
     if path == LAD_PATH_AUTO:
         return LAD_PATH_LP if n_samples <= lp_cap else LAD_PATH_IRLS
-    if path not in (LAD_PATH_IRLS, LAD_PATH_LP):
-        raise ValueError(f"unknown LAD path {path!r}")
     return path
 
 

@@ -9,7 +9,7 @@ class DimensionMismatch(MlrError):
     """Shapes of related objects disagree."""
 
 
-class NonFiniteInput(MlrError):
+class NonFiniteInput(MlrError, ValueError):
     """An input contains NaN or infinite entries."""
 
 

@@ -7,7 +7,6 @@ the optional early stop on the primal residual, and times the loop.
 """
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
@@ -17,6 +16,7 @@ import numpy as np
 from . import scoring
 from .errors import DimensionMismatch
 from .model import Dataset, MlrParams, NoiseModel, SolverConfig, initial_params
+from .model import check_int, check_non_negative
 
 LAD_PATH_NA = "n/a"
 
@@ -70,9 +70,9 @@ def run(
     ``stop_tol`` stops the loop once an iterate's primal residual is at
     most that value; it must be a finite non-negative real.
     """
-    if stop_tol is not None and not (math.isfinite(stop_tol) and stop_tol >= 0.0):
-        raise ValueError(f"stop_tol must be a finite non-negative real, got {stop_tol!r}")
-    params = initial_params(cfg, data.dim, int(k))
+    if stop_tol is not None:
+        check_non_negative("stop_tol", stop_tol)
+    params = initial_params(cfg, data.dim, check_int("k", k))
     log_liks = np.empty(cfg.n_iterations)
     residuals = np.empty(cfg.n_iterations)
     started = time.perf_counter()

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import os
 import typing
+from io import StringIO
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,11 +188,12 @@ def manifest_text(
 
 
 # ---------------------------------------------------------------------------
-# benchmark config files and per-cell tables
+# benchmark config files and CSV tables
 #
-# Each format is the fields of one bench dataclass in declaration order: a
-# config key or a cells.csv column per field, rendered and parsed by the
-# codec of the field's type.
+# Each format is the fields of one dataclass in declaration order: a config
+# key (ExperimentGrid) or a CSV column (CellResult for cells.csv, SolverStats
+# for summary.csv, HistBin for timing_hist_*.csv) per field, rendered and
+# parsed by the codec of the field's type.
 
 # (render, parse) for one field type
 Codec = Tuple[Callable[[Any], str], Callable[[str], Any]]
@@ -222,8 +224,6 @@ def _schema(cls) -> Dict[str, Codec]:
 
 
 _GRID_SCHEMA = _schema(bench.ExperimentGrid)
-_CELL_SCHEMA = _schema(bench.CellResult)
-CELL_COLUMNS = list(_CELL_SCHEMA)
 
 
 def grid_config_values(grid: bench.ExperimentGrid) -> Dict[str, str]:
@@ -256,41 +256,34 @@ def parse_grid_config(text: str, source: str = "<config>") -> bench.ExperimentGr
     })
 
 
-def write_cells_csv(path, results: List[bench.CellResult]):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CELL_COLUMNS)
-        for r in results:
-            writer.writerow(render(getattr(r, name)) for name, (render, _) in _CELL_SCHEMA.items())
+def rows_text(rows: Sequence[Any], row_type: type) -> str:
+    """CSV text of dataclass rows: the field names, then one line per row."""
+    schema = _schema(row_type)
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(schema)
+    for row in rows:
+        writer.writerow(render(getattr(row, name)) for name, (render, _) in schema.items())
+    return out.getvalue()
 
 
-def read_cells_csv(path) -> List[bench.CellResult]:
-    results = []
+def read_rows(path, row_type: type) -> List[Any]:
+    """Parse a file written from ``rows_text`` back into ``row_type`` rows."""
+    schema = _schema(row_type)
+    rows = []
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != CELL_COLUMNS:
-            raise ValueError(f"{path}: unexpected cells.csv header {header!r}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(CELL_COLUMNS):
+        if header != list(schema):
+            raise ValueError(f"{path}: unexpected header {header!r}, wanted {list(schema)!r}")
+        for row in reader:
+            if len(row) != len(schema):
                 raise ValueError(
-                    f"{path}: row {i} has {len(row)} fields, wanted {len(CELL_COLUMNS)}"
+                    f"{path}:{reader.line_num}: expected {len(schema)} fields, got {len(row)}"
                 )
-            fields = zip(_CELL_SCHEMA.items(), row)
-            results.append(
-                bench.CellResult(**{name: parse(value) for (name, (_, parse)), value in fields})
-            )
-    return results
-
-
-def write_summary_csv(path, summary: bench.GridSummary):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["noise", "k", "d", "solver", "mean_error", "std_error", "count"])
-        for s in summary.stats:
-            writer.writerow(
-                [s.noise.value, s.k, s.d, s.solver, fmt(s.mean_error), fmt(s.std_error), s.count]
-            )
+            fields = zip(schema.items(), row)
+            rows.append(row_type(**{name: parse(value) for (name, (_, parse)), value in fields}))
+    return rows
 
 
 def summary_table_text(summary: bench.GridSummary, kind: NoiseKind) -> str:
@@ -326,35 +319,30 @@ def summary_table_text(summary: bench.GridSummary, kind: NoiseKind) -> str:
     return "\n".join(lines) + "\n"
 
 
-def timing_histogram(diffs: np.ndarray, bins: int = 20):
+@dataclasses.dataclass(frozen=True)
+class HistBin:
+    """One row of a timing_hist_*.csv file."""
+
+    bin_left: float
+    bin_right: float
+    count: int
+
+
+def timing_histogram(diffs: np.ndarray, bins: int = 20) -> List[HistBin]:
     counts, edges = np.histogram(np.asarray(diffs, dtype=float), bins=bins)
-    return edges, counts
-
-
-def write_timing_hist_csv(path, edges: np.ndarray, counts: np.ndarray):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, count in enumerate(counts):
-            writer.writerow([fmt(edges[i]), fmt(edges[i + 1]), int(count)])
+    return [
+        HistBin(float(edges[i]), float(edges[i + 1]), int(count))
+        for i, count in enumerate(counts)
+    ]
 
 
 def read_hist_csv(path):
-    lefts, rights, counts = [], [], []
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["bin_left", "bin_right", "count"]:
-            raise ValueError(f"{path}: unexpected histogram header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            lefts.append(float(row[0]))
-            rights.append(float(row[1]))
-            counts.append(int(row[2]))
-    if not counts:
+    """Bin edges and counts of a timing histogram file."""
+    bins = read_rows(path, HistBin)
+    if not bins:
         raise ValueError(f"{path}: histogram has no bins")
-    return np.array(lefts + rights[-1:]), np.array(counts, dtype=np.int64)
+    edges = [b.bin_left for b in bins] + [bins[-1].bin_right]
+    return np.array(edges), np.array([b.count for b in bins], dtype=np.int64)
 
 
 def _ttest_lines(prefix: str, diffs: np.ndarray) -> List[str]:
@@ -407,17 +395,13 @@ def write_derived_outputs(out_dir, results: List[bench.CellResult]) -> Dict[str,
             handle.write(text)
         written[name] = file_name
 
-    path = os.path.join(out_dir, "summary.csv")
-    write_summary_csv(path, summary)
-    written["summary_csv"] = "summary.csv"
+    emit("summary_csv", "summary.csv", rows_text(summary.stats, bench.SolverStats))
     kinds = sorted({s.noise for s in summary.stats}, key=lambda k: k.value)
     for kind in kinds:
         emit(f"summary_{kind.value}", f"summary_{kind.value}.txt",
              summary_table_text(summary, kind))
-        edges, counts = timing_histogram(summary.time_diffs[kind])
-        hist_name = f"timing_hist_{kind.value}.csv"
-        write_timing_hist_csv(os.path.join(out_dir, hist_name), edges, counts)
-        written[f"timing_hist_{kind.value}"] = hist_name
+        emit(f"timing_hist_{kind.value}", f"timing_hist_{kind.value}.csv",
+             rows_text(timing_histogram(summary.time_diffs[kind]), HistBin))
         emit(f"ttest_error_{kind.value}", f"ttest_error_{kind.value}.txt",
              ttest_error_text(summary.error_diffs[kind]))
         emit(f"ttest_time_{kind.value}", f"ttest_time_{kind.value}.txt",

@@ -46,13 +46,18 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     return gram + (RIDGE_SCALE * np.trace(gram) / d) * np.eye(d)
 
 
-def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the ridge-stabilized system via Cholesky."""
+def _ridge_cholesky(gram: np.ndarray):
+    """Cholesky factor of ``ridge_gram(gram)``; SingularGram if it has none."""
+    # Private, so perfbench's tracer adds no span to every IRLS pass.
     try:
-        factor = scipy.linalg.cho_factor(ridge_gram(gram))
+        return scipy.linalg.cho_factor(ridge_gram(gram))
     except scipy.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+
+
+def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the ridge-stabilized system via Cholesky."""
+    return scipy.linalg.cho_solve(_ridge_cholesky(gram), rhs)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:

@@ -32,6 +32,57 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise NonFiniteInput(f"{name} contains NaN or infinite entries")
 
 
+# Input rules, each stated once: the types below, synth, the solvers, the
+# benchmark grid and the CLI flags all call these. A non-finite value raises
+# NonFiniteInput (itself a ValueError), an out-of-range one ValueError.
+
+# The EM Laplacian M-step routes a caller may ask for.
+LAD_PATHS = (LAD_PATH_AUTO, LAD_PATH_LP, LAD_PATH_IRLS) = ("auto", "lp", "irls")
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int of at least 1, or of at least 0 for ``lad_lp_cap``."""
+    value = int(value)
+    minimum = 0 if name == "lad_lp_cap" else 1
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    return value
+
+
+def _check_real(name: str, value, rule: str, in_range) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{name} must be a {rule}, got {value}")
+    if not in_range(value):
+        raise ValueError(f"{name} must be a {rule}, got {value}")
+    return value
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a positive finite float (sigma, rho)."""
+    return _check_real(name, value, "positive finite real", lambda v: v > 0.0)
+
+
+def check_non_negative(name: str, value) -> float:
+    """``value`` as a finite non-negative float (stop_tol)."""
+    return _check_real(name, value, "finite non-negative real", lambda v: v >= 0.0)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int that fits in an unsigned 64-bit integer."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def check_lad_route(path: str, lp_cap) -> int:
+    """Check an EM LAD route and its LP cap, whatever the noise; returns the cap."""
+    if path not in LAD_PATHS:
+        raise ValueError(f"unknown LAD path {path!r}")
+    return check_int("lad_lp_cap", lp_cap)
+
+
 class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
     LAPLACIAN = "laplacian"
@@ -77,12 +128,7 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", NoiseKind(self.kind))
-        sigma = float(self.sigma)
-        if not math.isfinite(sigma):
-            raise NonFiniteInput("sigma must be finite")
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", check_positive("sigma", self.sigma))
 
     @property
     def b(self) -> float:
@@ -157,18 +203,9 @@ class SolverConfig:
     init_params: Optional[MlrParams] = None
 
     def __post_init__(self):
-        n = int(self.n_iterations)
-        if n < 1:
-            raise ValueError("n_iterations must be >= 1")
-        object.__setattr__(self, "n_iterations", n)
-        rho = float(self.rho)
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ValueError(f"rho must be a positive finite real, got {self.rho!r}")
-        object.__setattr__(self, "rho", rho)
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_iterations", check_int("n_iterations", self.n_iterations))
+        object.__setattr__(self, "rho", check_positive("rho", self.rho))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.init_params is not None and not isinstance(self.init_params, MlrParams):
             raise TypeError("init_params must be an MlrParams")
 

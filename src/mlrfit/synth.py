@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import noise
-from .model import Dataset, MlrParams, NoiseModel
+from .model import Dataset, MlrParams, NoiseModel, check_int, check_seed
 from .rng import DOMAIN_DATA, stream
 
 
@@ -19,10 +19,8 @@ def generate(k: int, d: int, n: int, nm: NoiseModel, seed: int) -> Dataset:
     The result is therefore a pure function of (k, d, n, nm, seed), and
     the true coefficients depend on (k, d, seed) only.
     """
-    k, d, n = int(k), int(d), int(n)
-    if k < 1 or d < 1 or n < 1:
-        raise ValueError("k, d and n must all be >= 1")
-    gen = stream(seed, DOMAIN_DATA)
+    k, d, n = check_int("k", k), check_int("d", d), check_int("n", n)
+    gen = stream(check_seed(seed), DOMAIN_DATA)
     beta = gen.standard_normal((d, k))
     labels = gen.integers(0, k, size=n)
     x = gen.standard_normal((n, d))

@@ -33,6 +33,16 @@ def test_grid_validation():
             k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
             n_iterations=1, lad_lp_cap=-5,
         )
+    small = {"k_values": (2,), "d_values": (1,), "n_samples": 10, "repetitions": 1,
+             "n_iterations": 1}
+    for bad in ({"k_values": (0, 2)}, {"d_values": (0,)}, {"n_samples": 0},
+                {"n_iterations": 0}, {"sigma": 0.0}, {"rho": -1.0},
+                {"sigma": float("nan")}, {"rho": float("inf")},
+                # the LAD route is checked on a Gaussian-only grid too
+                {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_path": "plain"},
+                {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_lp_cap": -1}):
+        with pytest.raises(ValueError):
+            bench.ExperimentGrid(**{**small, **bad})
     for repeated in ({"k_values": (2, 2), "d_values": (1,)},
                      {"k_values": (2,), "d_values": (1, 3, 1)}):
         with pytest.raises(ValueError, match="must not repeat"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import strip_clock_lines
-from mlrfit import io
+from mlrfit import bench, io
 from mlrfit.cli import main
 from mlrfit.model import NoiseKind
 
@@ -66,6 +66,18 @@ class TestGenerate:
         assert run(args + ["--out", out]) == 1
         assert "--sigma" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--k", "0"), ("--d", "0"), ("--n", "-3"), ("--sigma", "-1")]
+    )
+    def test_out_of_range_size_or_sigma_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        args = [a for a in GEN_ARGS]
+        args[args.index(flag) + 1] = value
+        out = tmp_path / "x.txt"
+        assert run(args + ["--out", out]) == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.txt.manifest.txt").exists()
 
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_out_of_range_seed_is_a_usage_error(self, tmp_path, capsys, value):
@@ -138,6 +150,8 @@ class TestFit:
         [
             ("--stop-tol", "nan"), ("--stop-tol", "-1"), ("--lad-lp-cap", "-5"),
             ("--rho", "nan"), ("--seed", "-1"), ("--seed", str(2**64)),
+            ("--k", "0"), ("--iters", "0"), ("--rho", "0"), ("--rho", "inf"),
+            ("--stop-tol", "inf"), ("--lad-path", "plain"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, dataset, capsys, flag, value):
@@ -150,6 +164,16 @@ class TestFit:
         assert flag in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "bad_flag.txt.manifest.txt").exists()
+
+    def test_rule_message_names_the_flag(self, tmp_path, dataset, capsys):
+        out = tmp_path / "rho.txt"
+        assert run([
+            "fit", "--algo", "admm", "--noise", "laplacian", "--k", "2",
+            "--iters", "5", "--rho", "nan", "--data", dataset, "--out", out,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "argument --rho: rho must be a positive finite real, got nan" in err
+        assert not out.exists()
 
     def test_missing_data_file_exits_two(self, tmp_path):
         assert run([
@@ -199,19 +223,19 @@ class TestBenchmarkAndReport:
             "ttest_time_gaussian.txt", "ttest_time_laplacian.txt",
         ]:
             assert expected in names
-        cells = io.read_cells_csv(bench_dir / "cells.csv")
+        cells = io.read_rows(bench_dir / "cells.csv", bench.CellResult)
         assert len(cells) == 2 * 2 * 2  # kinds x d x reps
         assert all(c.ok for c in cells)
 
     def test_histogram_counts_conserve_cells(self, bench_dir):
-        cells = io.read_cells_csv(bench_dir / "cells.csv")
+        cells = io.read_rows(bench_dir / "cells.csv", bench.CellResult)
         for kind in ("gaussian", "laplacian"):
             _, counts = io.read_hist_csv(bench_dir / f"timing_hist_{kind}.csv")
             expected = sum(1 for c in cells if c.noise.value == kind and c.ok)
             assert counts.sum() == expected
 
     def test_summary_recomputable_from_cells(self, bench_dir):
-        cells = io.read_cells_csv(bench_dir / "cells.csv")
+        cells = io.read_rows(bench_dir / "cells.csv", bench.CellResult)
         by_key = {}
         for line in read(bench_dir / "summary.csv").splitlines()[1:]:
             noise, k, d, solver, mean, std, count = line.split(",")
@@ -264,8 +288,19 @@ class TestBenchmarkAndReport:
              "missing required config key 'n_samples'"),
             (BENCH_CONFIG.replace("k_values = 2\n", "k_values = 2,2\n"),
              "k_values must not repeat a value"),
+            (BENCH_CONFIG.replace("k_values = 2\n", "k_values = 0,2\n"),
+             "k must be an integer >= 1, got 0"),
+            (BENCH_CONFIG.replace("repetitions = 2\n", "repetitions = 0\n"),
+             "repetitions must be an integer >= 1, got 0"),
+            (BENCH_CONFIG.replace("sigma = 1\n", "sigma = nan\n"),
+             "sigma must be a positive finite real, got nan"),
+            (BENCH_CONFIG + "rho = 0\n", "rho must be a positive finite real, got 0.0"),
+            (BENCH_CONFIG.replace("lad_path = auto\n", "lad_path = plain\n"),
+             "unknown LAD path 'plain'"),
+            (BENCH_CONFIG + "lad_lp_cap = -1\n", "lad_lp_cap must be an integer >= 0, got -1"),
         ],
-        ids=["duplicate", "missing", "repeated-value"],
+        ids=["duplicate", "missing", "repeated-value", "k-value", "repetitions",
+             "sigma", "rho", "lad-path", "lad-lp-cap"],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, message):
         with pytest.raises(ValueError, match=message):

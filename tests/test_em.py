@@ -8,8 +8,8 @@ from helpers import (
     sample_major_e_step,
     separated_seed,
 )
-from mlrfit import em, scoring, synth
-from mlrfit.errors import CollapsedComponent, SingularGram
+from mlrfit import admm, em, scoring, synth
+from mlrfit.errors import CollapsedComponent, DegenerateRow, SingularGram
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -327,3 +327,38 @@ class TestFitEm:
         assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto").lad_path == "lp"
         assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto", lad_lp_cap=10).lad_path == "irls"
         assert em.fit_em(data, 2, GAUSS, cfg).lad_path == "n/a"
+
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    @pytest.mark.parametrize(
+        "route", [{"lad_path": "bogus"}, {"lad_path": "auto", "lad_lp_cap": -5}],
+        ids=["unknown-path", "negative-cap"],
+    )
+    def test_lad_route_checked_for_either_noise(self, nm, route):
+        data = synth.generate(2, 1, 50, nm, seed=16)
+        with pytest.raises(ValueError):
+            em.fit_em(data, 2, nm, SolverConfig(n_iterations=2, seed=16), **route)
+        with pytest.raises(ValueError):
+            em.resolve_lad_path(route["lad_path"], nm, 50, route.get("lad_lp_cap", 5000))
+
+    def test_lp_cap_zero_accepted(self):
+        data = synth.generate(2, 1, 50, LAPLACE, seed=16)
+        cfg = SolverConfig(n_iterations=2, seed=16)
+        assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto", lad_lp_cap=0).lad_path == "irls"
+
+
+@pytest.mark.parametrize("fit", [em.fit_em, admm.fit_admm], ids=["em", "admm"])
+def test_component_count_must_be_positive(fit):
+    data = synth.generate(2, 1, 50, GAUSS, seed=17)
+    with pytest.raises(ValueError):
+        fit(data, 0, GAUSS, SolverConfig(n_iterations=2, seed=17))
+
+
+@pytest.mark.parametrize("fit", [em.fit_em, admm.fit_admm], ids=["em", "admm"])
+def test_degenerate_row_names_the_sample(fit):
+    # squaring a residual of 1e160 overflows, so sample 0 has no mass anywhere
+    data = synth.generate(2, 2, 200, GAUSS, seed=1)
+    y = data.y.copy()
+    y[0] = 1e160
+    far = Dataset(x=data.x, y=y, labels=data.labels, true_params=data.true_params)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateRow, match="sample 0 "):
+        fit(far, 2, GAUSS, SolverConfig(n_iterations=5, seed=1))

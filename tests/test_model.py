@@ -83,6 +83,25 @@ def test_solver_config_validation():
         SolverConfig(n_iterations=5, rho=0.0)
     with pytest.raises(ValueError):
         SolverConfig(n_iterations=5, seed=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(n_iterations=5, seed=2**64)
+    for rho in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            SolverConfig(n_iterations=5, rho=rho)
+
+
+def test_non_finite_input_is_a_value_error():
+    assert issubclass(NonFiniteInput, ValueError)
+    with pytest.raises(ValueError, match="sigma must be a positive finite real, got nan"):
+        NoiseModel(NoiseKind.GAUSSIAN, np.nan)
+
+
+def test_values_on_the_rule_boundaries_accepted():
+    cfg = SolverConfig(n_iterations=np.int64(1), rho=1e-300, seed=2**64 - 1)
+    assert (cfg.n_iterations, cfg.seed) == (1, 2**64 - 1)
+    assert type(cfg.n_iterations) is int and type(cfg.rho) is float
+    assert SolverConfig(n_iterations=1, seed=0).seed == 0
+    assert NoiseModel(NoiseKind.LAPLACIAN, 5e-324).sigma == 5e-324
 
 
 def test_types_are_read_only():

@@ -60,3 +60,14 @@ def test_invalid_sizes_rejected():
         synth.generate(0, 2, 10, nm, seed=0)
     with pytest.raises(ValueError):
         synth.generate(2, 2, 0, nm, seed=0)
+    with pytest.raises(ValueError):
+        synth.generate(2, 0, 10, nm, seed=0)
+    # the seed rule SolverConfig and --seed apply
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            synth.generate(2, 2, 10, nm, seed=seed)
+
+
+def test_largest_seed_accepted():
+    nm = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
+    assert synth.generate(2, 1, 3, nm, seed=2**64 - 1).n_samples == 3
