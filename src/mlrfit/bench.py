@@ -37,7 +37,6 @@ class ExperimentGrid:
     rho: float = 5.0
     base_seed: int = 0
     lad_path: str = em.LAD_PATH_AUTO
-    lad_lp_cap: int = em.DEFAULT_LP_CAP
 
     def __post_init__(self):
         for field, name in (("k_values", "k"), ("d_values", "d")):
@@ -55,7 +54,7 @@ class ExperimentGrid:
             object.__setattr__(self, field, check_int(field, getattr(self, field)))
         check_positive("sigma", self.sigma)
         check_positive("rho", self.rho)
-        check_lad_route(self.lad_path, self.lad_lp_cap)
+        check_lad_route(self.lad_path)
 
     def cells(self) -> List[Tuple[NoiseKind, int, int, int]]:
         """All (noise, k, d, rep) tuples in their canonical run order."""
@@ -104,9 +103,7 @@ def run_cell(grid: ExperimentGrid, kind: NoiseKind, k: int, d: int, rep: int) ->
         nm = NoiseModel(kind, grid.sigma)
         data = synth.generate(k, d, grid.n_samples, nm, seed)
         cfg = SolverConfig(n_iterations=grid.n_iterations, rho=grid.rho, seed=seed)
-        em_trace = em.fit_em(
-            data, k, nm, cfg, lad_path=grid.lad_path, lad_lp_cap=grid.lad_lp_cap
-        )
+        em_trace = em.fit_em(data, k, nm, cfg, lad_path=grid.lad_path)
         admm_trace = admm.fit_admm(data, k, nm, cfg)
         truth = data.true_params
         return replace(

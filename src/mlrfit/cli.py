@@ -98,11 +98,9 @@ def cmd_fit(args) -> int:
         "ridge_scale": lad.RIDGE_SCALE,
     }
     if args.algo == "em":
-        trace = em.fit_em(
-            data, args.k, nm, cfg, lad_path=args.lad_path, lad_lp_cap=args.lad_lp_cap
-        )
+        trace = em.fit_em(data, args.k, nm, cfg, lad_path=args.lad_path)
         config["lad_path"] = trace.lad_path
-        config["lad_lp_cap"] = args.lad_lp_cap
+        config["lad_lp_cap"] = em.DEFAULT_LP_CAP
         if nm.kind is NoiseKind.LAPLACIAN:
             config["irls_delta"] = em.irls_delta(data.y)
             config["irls_max_iterations"] = lad.IRLS_MAX_ITERATIONS
@@ -160,7 +158,8 @@ def cmd_benchmark(args) -> int:
         handle.write(io.rows_text(results, bench.CellResult))
     written = io.write_derived_outputs(args.out_dir, results)
     written["cells"] = "cells.csv"
-    config = {**io.grid_config_values(grid), "ridge_scale": lad.RIDGE_SCALE, "workers": workers}
+    config = {**io.grid_config_values(grid), "lad_lp_cap": em.DEFAULT_LP_CAP,
+              "ridge_scale": lad.RIDGE_SCALE, "workers": workers}
     _write_manifest(
         os.path.join(args.out_dir, "manifest.txt"),
         "benchmark",
@@ -224,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=em.LAD_PATH_IRLS,
         help="EM Laplacian M-step route (default irls)",
     )
-    p.add_argument("--lad-lp-cap", type=_flag(int, check_int, "lad_lp_cap"),
-                   default=em.DEFAULT_LP_CAP)
     p.add_argument("--stop-tol", type=_flag(float, check_non_negative, "stop_tol"), default=None,
                    help="ADMM early stop on the consensus residual; off by default")
     p.add_argument("--data", required=True)

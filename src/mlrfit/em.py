@@ -20,6 +20,7 @@ from .fit import LAD_PATH_NA, FitTrace
 from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
 
+# lad_path 'auto' runs the exact LP up to this many samples and IRLS beyond.
 DEFAULT_LP_CAP = 5000
 
 IRLS_DELTA_SCALE = 1e-6
@@ -132,23 +133,18 @@ def m_step_laplacian(
     return refit_components(solve, w, data.dim, previous)
 
 
-def resolve_lad_path(path: str, nm: NoiseModel, n_samples: int, lp_cap: int) -> str:
+def resolve_lad_path(path: str, nm: NoiseModel, n_samples: int) -> str:
     """Concrete LAD route for a fit: 'lp', 'irls', or 'n/a' for Gaussian."""
-    lp_cap = check_lad_route(path, lp_cap)
+    check_lad_route(path)
     if nm.kind is NoiseKind.GAUSSIAN:
         return LAD_PATH_NA
     if path == LAD_PATH_AUTO:
-        return LAD_PATH_LP if n_samples <= lp_cap else LAD_PATH_IRLS
+        return LAD_PATH_LP if n_samples <= DEFAULT_LP_CAP else LAD_PATH_IRLS
     return path
 
 
 def fit_em(
-    data: Dataset,
-    k: int,
-    nm: NoiseModel,
-    cfg: SolverConfig,
-    lad_path: str = LAD_PATH_IRLS,
-    lad_lp_cap: int = DEFAULT_LP_CAP,
+    data: Dataset, k: int, nm: NoiseModel, cfg: SolverConfig, lad_path: str = LAD_PATH_IRLS
 ) -> FitTrace:
     """Run the fixed EM iteration budget and record the likelihood path.
 
@@ -156,7 +152,7 @@ def fit_em(
     only the coefficient initialization (shared with the ADMM solver
     through the config) matters.
     """
-    path = resolve_lad_path(lad_path, nm, data.n_samples, lad_lp_cap)
+    path = resolve_lad_path(lad_path, nm, data.n_samples)
     xt, y = data.x.T, data.y
 
     def steps(params):

@@ -91,19 +91,13 @@ def solve_1d(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
     return weighted_median(y[keep] / x[keep], weights[keep] * np.abs(x[keep]))
 
 
-def irls(
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    delta: float,
-    max_iterations: int = IRLS_MAX_ITERATIONS,
-    tolerance: float = IRLS_TOLERANCE,
-):
+def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     """Minimize sum_i w_i sqrt((y_i - <b, x_i>)^2 + delta^2) by IRLS.
 
     Starts from the weighted least-squares solution and stops once the
-    relative objective decrease falls below ``tolerance``. Raises
-    SolverStall if the budget runs out while still making larger steps.
+    relative objective decrease falls below IRLS_TOLERANCE. Raises
+    SolverStall if IRLS_MAX_ITERATIONS passes run out while still making
+    larger steps.
 
     Returns (coefficients, iterations_used).
     """
@@ -119,15 +113,15 @@ def irls(
     beta = reweighted_solve(weights)
     s = smoothed_residuals(beta)
     prev = float(np.sum(weights * s))
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, IRLS_MAX_ITERATIONS + 1):
         beta = reweighted_solve(weights / s)
         s = smoothed_residuals(beta)
         current = float(np.sum(weights * s))
-        if prev - current < tolerance * max(prev, np.finfo(float).tiny):
+        if prev - current < IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
             return beta, iteration
         prev = current
     raise SolverStall(
-        f"IRLS still decreasing after {max_iterations} iterations "
+        f"IRLS still decreasing after {IRLS_MAX_ITERATIONS} iterations "
         f"(last objective {prev:.6g})"
     )
 

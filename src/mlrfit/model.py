@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,18 +35,29 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 # Input rules, each stated once: the types below, synth, the solvers, the
 # benchmark grid and the CLI flags all call these. A non-finite value raises
-# NonFiniteInput (itself a ValueError), an out-of-range one ValueError.
+# NonFiniteInput (itself a ValueError), an out-of-range or fractional one
+# ValueError.
 
 # The EM Laplacian M-step routes a caller may ask for.
 LAD_PATHS = (LAD_PATH_AUTO, LAD_PATH_LP, LAD_PATH_IRLS) = ("auto", "lp", "irls")
 
 
+def _exact_int(name: str, value) -> int:
+    """``value`` as an int, never rounded: ints, numpy ints and integral floats."""
+    if not isinstance(value, numbers.Integral):  # int() of an int is exact at any size
+        real = float(value)
+        if not math.isfinite(real):
+            raise NonFiniteInput(f"{name} must be an integer, got {real}")
+        if not real.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def check_int(name: str, value) -> int:
-    """``value`` as an int of at least 1, or of at least 0 for ``lad_lp_cap``."""
-    value = int(value)
-    minimum = 0 if name == "lad_lp_cap" else 1
-    if value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    """``value`` as an int of at least 1."""
+    value = _exact_int(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
     return value
 
 
@@ -70,17 +82,16 @@ def check_non_negative(name: str, value) -> float:
 
 def check_seed(seed) -> int:
     """``seed`` as an int that fits in an unsigned 64-bit integer."""
-    seed = int(seed)
+    seed = _exact_int("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
 
-def check_lad_route(path: str, lp_cap) -> int:
-    """Check an EM LAD route and its LP cap, whatever the noise; returns the cap."""
+def check_lad_route(path: str) -> None:
+    """Check an EM LAD route, whatever the noise."""
     if path not in LAD_PATHS:
         raise ValueError(f"unknown LAD path {path!r}")
-    return check_int("lad_lp_cap", lp_cap)
 
 
 class NoiseKind(enum.Enum):

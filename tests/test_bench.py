@@ -28,19 +28,16 @@ def test_grid_validation():
             k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
             n_iterations=1, lad_path="plain",
         )
-    with pytest.raises(ValueError):
-        bench.ExperimentGrid(
-            k_values=(2,), d_values=(1,), n_samples=10, repetitions=1,
-            n_iterations=1, lad_lp_cap=-5,
-        )
     small = {"k_values": (2,), "d_values": (1,), "n_samples": 10, "repetitions": 1,
              "n_iterations": 1}
     for bad in ({"k_values": (0, 2)}, {"d_values": (0,)}, {"n_samples": 0},
                 {"n_iterations": 0}, {"sigma": 0.0}, {"rho": -1.0},
                 {"sigma": float("nan")}, {"rho": float("inf")},
+                # integers are taken exactly: no fraction is truncated
+                {"k_values": (2.5,)}, {"n_samples": 10.5}, {"repetitions": float("inf")},
+                {"n_iterations": float("nan")},
                 # the LAD route is checked on a Gaussian-only grid too
-                {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_path": "plain"},
-                {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_lp_cap": -1}):
+                {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_path": "plain"}):
         with pytest.raises(ValueError):
             bench.ExperimentGrid(**{**small, **bad})
     for repeated in ({"k_values": (2, 2), "d_values": (1,)},

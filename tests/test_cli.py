@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import strip_clock_lines
-from mlrfit import bench, io
+from mlrfit import bench, io, synth
 from mlrfit.cli import main
-from mlrfit.model import NoiseKind
+from mlrfit.model import NoiseKind, NoiseModel
 
 GEN_ARGS = [
     "generate", "--k", "2", "--d", "2", "--n", "100",
@@ -148,10 +148,12 @@ class TestFit:
     @pytest.mark.parametrize(
         "flag,value",
         [
-            ("--stop-tol", "nan"), ("--stop-tol", "-1"), ("--lad-lp-cap", "-5"),
+            ("--stop-tol", "nan"), ("--stop-tol", "-1"),
             ("--rho", "nan"), ("--seed", "-1"), ("--seed", str(2**64)),
             ("--k", "0"), ("--iters", "0"), ("--rho", "0"), ("--rho", "inf"),
             ("--stop-tol", "inf"), ("--lad-path", "plain"),
+            # the LP cap is the constant em.DEFAULT_LP_CAP, not a flag
+            ("--lad-lp-cap", "5000"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, dataset, capsys, flag, value):
@@ -183,12 +185,35 @@ class TestFit:
         ]) == 2
 
     def test_corrupt_data_file_exits_two(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("# mlrfit dataset\n# k = nonsense\n")
-        assert run([
-            "fit", "--algo", "em", "--noise", "gaussian", "--k", "2",
-            "--iters", "5", "--data", bad, "--out", tmp_path / "o.txt",
-        ]) == 2
+        data = synth.generate(2, 2, 4, NoiseModel(NoiseKind.GAUSSIAN, 1.0), seed=3)
+        io.write_dataset(tmp_path / "good.txt", data, NoiseKind.GAUSSIAN, 1.0, 3)
+        text = read(tmp_path / "good.txt")
+        head, body = text.split("x1,x2\n")
+        rows = body.splitlines()
+        label, y, *xs = rows[0].split(",")
+
+        def with_first_row(*fields):
+            return head + "x1,x2\n" + "\n".join([",".join(fields)] + rows[1:]) + "\n"
+
+        corrupt = {
+            "bad-header": "# mlrfit dataset\n# k = nonsense\n",
+            "short-row": with_first_row(label, y, *xs[:-1]),
+            "long-row": with_first_row(label, y, *xs, "1"),
+            "float-label": with_first_row("1.0", y, *xs),
+            "text-field": with_first_row(label, "abc", *xs),
+            "hash-row": with_first_row("#" + label, y, *xs),
+            "missing-row": text[: text.rindex(rows[-1])],
+            "label-zero": with_first_row("0", y, *xs),
+            "nan": with_first_row(label, "nan", *xs),
+            "blank-field": with_first_row(label, "", *xs),
+        }
+        for name, content in corrupt.items():
+            bad = tmp_path / f"{name}.txt"
+            bad.write_text(content)
+            assert run([
+                "fit", "--algo", "em", "--noise", "gaussian", "--k", "2",
+                "--iters", "5", "--data", bad, "--out", tmp_path / "o.txt",
+            ]) == 2, name
 
 
 BENCH_CONFIG = """\
@@ -297,7 +322,7 @@ class TestBenchmarkAndReport:
             (BENCH_CONFIG + "rho = 0\n", "rho must be a positive finite real, got 0.0"),
             (BENCH_CONFIG.replace("lad_path = auto\n", "lad_path = plain\n"),
              "unknown LAD path 'plain'"),
-            (BENCH_CONFIG + "lad_lp_cap = -1\n", "lad_lp_cap must be an integer >= 0, got -1"),
+            (BENCH_CONFIG + "lad_lp_cap = 5000\n", "unknown config key 'lad_lp_cap'"),
         ],
         ids=["duplicate", "missing", "repeated-value", "k-value", "repetitions",
              "sigma", "rho", "lad-path", "lad-lp-cap"],

@@ -322,28 +322,21 @@ class TestFitEm:
         assert np.array_equal(a.params.beta, b.params.beta)
 
     def test_auto_path_resolution(self):
-        data = synth.generate(2, 1, 50, LAPLACE, seed=16)
+        # auto is the LP up to DEFAULT_LP_CAP samples and IRLS one sample beyond
         cfg = SolverConfig(n_iterations=2, seed=16)
-        assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto").lad_path == "lp"
-        assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto", lad_lp_cap=10).lad_path == "irls"
+        for n, route in ((em.DEFAULT_LP_CAP, "lp"), (em.DEFAULT_LP_CAP + 1, "irls")):
+            data = synth.generate(2, 1, n, LAPLACE, seed=16)
+            assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto").lad_path == route
         assert em.fit_em(data, 2, GAUSS, cfg).lad_path == "n/a"
 
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
-    @pytest.mark.parametrize(
-        "route", [{"lad_path": "bogus"}, {"lad_path": "auto", "lad_lp_cap": -5}],
-        ids=["unknown-path", "negative-cap"],
-    )
-    def test_lad_route_checked_for_either_noise(self, nm, route):
+    @pytest.mark.parametrize("path", ["bogus"], ids=["unknown-path"])
+    def test_lad_route_checked_for_either_noise(self, nm, path):
         data = synth.generate(2, 1, 50, nm, seed=16)
         with pytest.raises(ValueError):
-            em.fit_em(data, 2, nm, SolverConfig(n_iterations=2, seed=16), **route)
+            em.fit_em(data, 2, nm, SolverConfig(n_iterations=2, seed=16), lad_path=path)
         with pytest.raises(ValueError):
-            em.resolve_lad_path(route["lad_path"], nm, 50, route.get("lad_lp_cap", 5000))
-
-    def test_lp_cap_zero_accepted(self):
-        data = synth.generate(2, 1, 50, LAPLACE, seed=16)
-        cfg = SolverConfig(n_iterations=2, seed=16)
-        assert em.fit_em(data, 2, LAPLACE, cfg, lad_path="auto", lad_lp_cap=0).lad_path == "irls"
+            em.resolve_lad_path(path, nm, 50)
 
 
 @pytest.mark.parametrize("fit", [em.fit_em, admm.fit_admm], ids=["em", "admm"])

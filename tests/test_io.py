@@ -1,8 +1,10 @@
 import dataclasses
 import math
 
+import numpy as np
+
 from mlrfit import bench, io
-from mlrfit.model import NoiseKind
+from mlrfit.model import Dataset, NoiseKind
 
 
 def test_cells_csv_write_read_write_is_byte_identical(tmp_path):
@@ -33,7 +35,7 @@ def test_grid_config_round_trips_every_field():
     grid = bench.ExperimentGrid(
         k_values=(2, 5), d_values=(3,), n_samples=77, repetitions=4, n_iterations=9,
         sigma=0.1, noise_kinds=(NoiseKind.LAPLACIAN,), rho=2.5, base_seed=11,
-        lad_path="lp", lad_lp_cap=123,
+        lad_path="lp",
     )
     defaults = bench.ExperimentGrid(
         k_values=(2,), d_values=(1,), n_samples=1, repetitions=1, n_iterations=1
@@ -42,3 +44,40 @@ def test_grid_config_round_trips_every_field():
         assert getattr(grid, f.name) != getattr(defaults, f.name)
     text = "".join(f"{key} = {value}\n" for key, value in io.grid_config_values(grid).items())
     assert io.parse_grid_config(text) == grid
+
+
+
+def _tricky_dataset():
+    x = np.array([[-0.0, 1e16], [5e-324, 0.1], [1.0 / 3.0, -2.5e-300]])
+    y = np.array([1e300, -0.0, 123456789.123456789])
+    return Dataset(x=x, y=y, labels=np.array([0, 2, 1]))
+
+
+def test_dataset_rows_render_every_float_with_fmt(tmp_path):
+    data = _tricky_dataset()
+    path = tmp_path / "data.txt"
+    io.write_dataset(path, data, NoiseKind.LAPLACIAN, 1.0, 5)
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("# ")]
+    assert rows == [
+        ",".join([str(label + 1), io.fmt(yi)] + [io.fmt(v) for v in xi])
+        for label, yi, xi in zip(data.labels, data.y, data.x)
+    ]
+    back, _ = io.read_dataset(path)
+    assert np.array_equal(back.labels, data.labels)
+    for got, want in ((back.x, data.x), (back.y, data.y)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_dataset_rows_tolerate_padded_fields_and_blank_lines(tmp_path):
+    data = _tricky_dataset()
+    io.write_dataset(tmp_path / "data.txt", data, NoiseKind.LAPLACIAN, 1.0, 5)
+    head, body = (tmp_path / "data.txt").read_text().split("x1,x2\n")
+    rows = body.splitlines()
+    padded = ",".join(f" {v} " for v in rows[0].split(","))
+    for name, rows_text in (("padded", "\n".join([padded] + rows[1:])),
+                            ("blank-lines", "\n\n".join(rows))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(head + "x1,x2\n\n" + rows_text + "\n")
+        back, _ = io.read_dataset(path)
+        assert np.array_equal(back.x, data.x) and np.array_equal(back.y, data.y), name
+        assert np.array_equal(back.labels, data.labels), name

@@ -175,11 +175,12 @@ def test_irls_reaches_lp_optimum():
         assert iterations >= 1
 
 
-def test_irls_stall_raises():
+def test_irls_stall_raises(monkeypatch):
     rng = np.random.default_rng(5)
     x, y, w = random_instance(rng, n=60, d=3)
+    monkeypatch.setattr(lad, "IRLS_MAX_ITERATIONS", 1)
     with pytest.raises(SolverStall):
-        lad.irls(x, y, w, delta=1e-6, max_iterations=1)
+        lad.irls(x, y, w, delta=1e-6)
 
 
 def test_ridge_keeps_singular_gram_solvable():

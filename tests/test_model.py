@@ -88,6 +88,16 @@ def test_solver_config_validation():
     for rho in (np.nan, np.inf):
         with pytest.raises(NonFiniteInput):
             SolverConfig(n_iterations=5, rho=rho)
+    # a fraction is an error, not a truncation
+    with pytest.raises(ValueError, match="n_iterations must be an integer, got 2.9"):
+        SolverConfig(n_iterations=2.9)
+    with pytest.raises(ValueError, match="seed must be an integer, got 3.7"):
+        SolverConfig(n_iterations=1, seed=3.7)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NonFiniteInput):
+            SolverConfig(n_iterations=value)
+        with pytest.raises(NonFiniteInput):
+            SolverConfig(n_iterations=1, seed=value)
 
 
 def test_non_finite_input_is_a_value_error():
@@ -101,6 +111,11 @@ def test_values_on_the_rule_boundaries_accepted():
     assert (cfg.n_iterations, cfg.seed) == (1, 2**64 - 1)
     assert type(cfg.n_iterations) is int and type(cfg.rho) is float
     assert SolverConfig(n_iterations=1, seed=0).seed == 0
+    # integral floats and numpy integers pass; ints keep their exact value
+    cfg = SolverConfig(n_iterations=3.0, seed=np.uint64(2**64 - 1))
+    assert (cfg.n_iterations, cfg.seed) == (3, 2**64 - 1)
+    assert type(cfg.n_iterations) is int and type(cfg.seed) is int
+    assert SolverConfig(n_iterations=1, seed=2**64 - 2).seed == 2**64 - 2
     assert NoiseModel(NoiseKind.LAPLACIAN, 5e-324).sigma == 5e-324
 
 

@@ -63,11 +63,16 @@ def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
         synth.generate(2, 0, 10, nm, seed=0)
     # the seed rule SolverConfig and --seed apply
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 1.9, np.nan, np.inf):
         with pytest.raises(ValueError):
             synth.generate(2, 2, 10, nm, seed=seed)
+    # fractional sizes are rejected, not truncated
+    for sizes in ((2.9, 1, 3), (2, 1.5, 3), (2, 1, 3.2), (2, 1, np.inf)):
+        with pytest.raises(ValueError):
+            synth.generate(*sizes, nm, seed=1)
 
 
 def test_largest_seed_accepted():
     nm = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
     assert synth.generate(2, 1, 3, nm, seed=2**64 - 1).n_samples == 3
+    assert synth.generate(2.0, 1.0, 3.0, nm, seed=7.0).n_samples == 3
