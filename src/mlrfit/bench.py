@@ -17,6 +17,7 @@ import numpy as np
 
 from . import admm, em, scoring, synth
 from .model import NoiseKind, NoiseModel, SolverConfig, check_int, check_lad_route, check_positive
+from .model import check_seed
 from .rng import stable_hash
 
 WORKERS_ENV = "MLRFIT_WORKERS"
@@ -50,10 +51,11 @@ class ExperimentGrid:
         )
         if not self.k_values or not self.d_values or not self.noise_kinds:
             raise ValueError("k_values, d_values and noise_kinds must be non-empty")
-        for field in ("n_samples", "repetitions", "n_iterations"):
-            object.__setattr__(self, field, check_int(field, getattr(self, field)))
-        check_positive("sigma", self.sigma)
-        check_positive("rho", self.rho)
+        for field, check in (("n_samples", check_int), ("repetitions", check_int),
+                             ("n_iterations", check_int), ("sigma", check_positive),
+                             ("rho", check_positive)):
+            object.__setattr__(self, field, check(field, getattr(self, field)))
+        object.__setattr__(self, "base_seed", check_seed(self.base_seed))
         check_lad_route(self.lad_path)
 
     def cells(self) -> List[Tuple[NoiseKind, int, int, int]]:
@@ -182,15 +184,14 @@ def aggregate(results: List[CellResult]) -> GridSummary:
     if not results:
         raise ValueError("nothing to aggregate")
     ok = [r for r in results if r.ok]
+    groups: Dict[Tuple[NoiseKind, int, int], List[CellResult]] = {}
+    by_kind: Dict[NoiseKind, List[CellResult]] = {}
+    for r in ok:  # each list keeps the input order, which fixes how its sums round
+        groups.setdefault((r.noise, r.k, r.d), []).append(r)
+        by_kind.setdefault(r.noise, []).append(r)
     stats = []
-    groups = sorted(
-        {(r.noise.value, r.k, r.d) for r in ok},
-        key=lambda g: ([k.value for k in NOISE_ORDER].index(g[0]), g[1], g[2]),
-    )
-    for noise_value, k, d in groups:
-        members = [
-            r for r in ok if (r.noise.value, r.k, r.d) == (noise_value, k, d)
-        ]
+    for noise, k, d in sorted(groups, key=lambda g: (NOISE_ORDER.index(g[0]), g[1], g[2])):
+        members = groups[noise, k, d]
         for solver, values in (
             ("admm", np.array([r.admm_error for r in members])),
             ("em", np.array([r.em_error for r in members])),
@@ -198,7 +199,7 @@ def aggregate(results: List[CellResult]) -> GridSummary:
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
             stats.append(
                 SolverStats(
-                    noise=NoiseKind(noise_value),
+                    noise=noise,
                     k=k,
                     d=d,
                     solver=solver,
@@ -207,18 +208,15 @@ def aggregate(results: List[CellResult]) -> GridSummary:
                     count=values.size,
                 )
             )
-    error_diffs = {}
-    time_diffs = {}
-    for kind in NOISE_ORDER:
-        members = [r for r in ok if r.noise is kind]
-        if members:
-            error_diffs[kind] = np.array([r.em_error - r.admm_error for r in members])
-            time_diffs[kind] = np.array(
-                [r.em_seconds - r.admm_seconds for r in members]
-            )
+    kinds = [kind for kind in NOISE_ORDER if kind in by_kind]
     return GridSummary(
         stats=tuple(stats),
-        error_diffs=error_diffs,
-        time_diffs=time_diffs,
+        error_diffs={
+            kind: np.array([r.em_error - r.admm_error for r in by_kind[kind]]) for kind in kinds
+        },
+        time_diffs={
+            kind: np.array([r.em_seconds - r.admm_seconds for r in by_kind[kind]])
+            for kind in kinds
+        },
         n_failed=len(results) - len(ok),
     )

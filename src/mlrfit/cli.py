@@ -27,7 +27,7 @@ def _timestamp() -> str:
 
 
 def _write_manifest(path, command, config, inputs, outputs, started):
-    text = io.manifest_text(
+    io.write_text(path, io.manifest_text(
         version=__version__,
         command=command,
         started_at=started,
@@ -35,9 +35,7 @@ def _write_manifest(path, command, config, inputs, outputs, started):
         config=config,
         inputs=inputs,
         outputs=outputs,
-    )
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+    ))
 
 
 def _flag(parse, check, *name):
@@ -134,8 +132,7 @@ def cmd_fit(args) -> int:
         log_liks=trace.log_liks,
         residuals=trace.primal_residuals,
     )
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write(text)
+    io.write_text(args.out, text)
     _write_manifest(
         os.path.join(os.path.dirname(args.out) or ".", manifest_name),
         "fit",
@@ -154,8 +151,7 @@ def cmd_benchmark(args) -> int:
     workers = bench.default_workers()
     os.makedirs(args.out_dir, exist_ok=True)
     results = bench.run_grid(grid, workers=workers)
-    with open(os.path.join(args.out_dir, "cells.csv"), "w", newline="\n") as handle:
-        handle.write(io.rows_text(results, bench.CellResult))
+    io.write_text(os.path.join(args.out_dir, "cells.csv"), io.rows_text(results, bench.CellResult))
     written = io.write_derived_outputs(args.out_dir, results)
     written["cells"] = "cells.csv"
     config = {**io.grid_config_values(grid), "lad_lp_cap": em.DEFAULT_LP_CAP,
@@ -190,8 +186,7 @@ def cmd_report(args) -> int:
 def cmd_plot(args) -> int:
     edges, counts = io.read_hist_csv(args.hist)
     title = args.title or os.path.basename(args.hist)
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write(io.histogram_svg(edges, counts, title))
+    io.write_text(args.out, io.histogram_svg(edges, counts, title))
     return 0
 
 

@@ -26,6 +26,12 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def write_text(path, text: str) -> None:
+    """Write a whole text file with \\n line endings on every platform."""
+    with open(path, "w", newline="\n") as handle:
+        handle.write(text)
+
+
 def _parse_kv_line(line: str, path: str, line_no: int) -> Tuple[str, str]:
     if " = " not in line:
         raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
@@ -343,39 +349,31 @@ def read_hist_csv(path):
     return np.array(edges), np.array([b.count for b in bins], dtype=np.int64)
 
 
-def _ttest_lines(prefix: str, diffs: np.ndarray) -> List[str]:
-    try:
-        result = scoring.paired_t_test(diffs)
-    except (InsufficientData, ZeroVariance) as exc:
-        return [f"{prefix}.error = {type(exc).__name__}"]
-    return [
-        f"{prefix}.t_statistic = {fmt(result.t_statistic)}",
-        f"{prefix}.critical_value = {fmt(result.critical_value)}",
-        f"{prefix}.significant = {str(result.significant).lower()}",
-    ]
+def ttest_text(
+    subject: str, mean_key: str, diffs: np.ndarray, hypotheses: Sequence[Tuple[str, float]]
+) -> str:
+    """One-sided paired t-tests on em - admm differences.
 
-
-def ttest_error_text(error_diffs: np.ndarray) -> str:
-    """Both one-sided recovery-error hypotheses on em - admm differences."""
-    diffs = np.asarray(error_diffs, dtype=float)
+    Each ``(prefix, sign)`` hypothesis tests mean(sign * diffs) > 0 and
+    writes one ``prefix.*`` block.
+    """
+    diffs = np.asarray(diffs, dtype=float)
     lines = [
-        "# paired t-test on recovery error, alpha = 0.05",
+        f"# paired t-test on {subject}, alpha = 0.05",
         f"n = {diffs.size}",
-        f"mean_em_minus_admm = {fmt(diffs.mean()) if diffs.size else 'nan'}",
+        f"{mean_key} = {fmt(diffs.mean()) if diffs.size else 'nan'}",
     ]
-    lines += _ttest_lines("admm_better", diffs)  # H1: em - admm > 0
-    lines += _ttest_lines("em_better", -diffs)  # H1: admm - em > 0
-    return "\n".join(lines) + "\n"
-
-
-def ttest_time_text(time_diffs: np.ndarray) -> str:
-    diffs = np.asarray(time_diffs, dtype=float)
-    lines = [
-        "# paired t-test on solver seconds, alpha = 0.05",
-        f"n = {diffs.size}",
-        f"mean_em_minus_admm_seconds = {fmt(diffs.mean()) if diffs.size else 'nan'}",
-    ]
-    lines += _ttest_lines("em_slower", diffs)  # H1: em - admm > 0
+    for prefix, sign in hypotheses:
+        try:
+            result = scoring.paired_t_test(sign * diffs)
+        except (InsufficientData, ZeroVariance) as exc:
+            lines.append(f"{prefix}.error = {type(exc).__name__}")
+            continue
+        lines += [
+            f"{prefix}.t_statistic = {fmt(result.t_statistic)}",
+            f"{prefix}.critical_value = {fmt(result.critical_value)}",
+            f"{prefix}.significant = {str(result.significant).lower()}",
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -389,21 +387,21 @@ def write_derived_outputs(out_dir, results: List[bench.CellResult]) -> Dict[str,
     written: Dict[str, str] = {}
 
     def emit(name, file_name, text):
-        with open(os.path.join(out_dir, file_name), "w", newline="\n") as handle:
-            handle.write(text)
+        write_text(os.path.join(out_dir, file_name), text)
         written[name] = file_name
 
     emit("summary_csv", "summary.csv", rows_text(summary.stats, bench.SolverStats))
-    kinds = sorted({s.noise for s in summary.stats}, key=lambda k: k.value)
-    for kind in kinds:
+    for kind in summary.error_diffs:
         emit(f"summary_{kind.value}", f"summary_{kind.value}.txt",
              summary_table_text(summary, kind))
         emit(f"timing_hist_{kind.value}", f"timing_hist_{kind.value}.csv",
              rows_text(timing_histogram(summary.time_diffs[kind]), HistBin))
         emit(f"ttest_error_{kind.value}", f"ttest_error_{kind.value}.txt",
-             ttest_error_text(summary.error_diffs[kind]))
+             ttest_text("recovery error", "mean_em_minus_admm",
+                        summary.error_diffs[kind], [("admm_better", 1.0), ("em_better", -1.0)]))
         emit(f"ttest_time_{kind.value}", f"ttest_time_{kind.value}.txt",
-             ttest_time_text(summary.time_diffs[kind]))
+             ttest_text("solver seconds", "mean_em_minus_admm_seconds",
+                        summary.time_diffs[kind], [("em_slower", 1.0)]))
     return written
 
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
-import scipy.stats
+import scipy.special
 
 from . import noise
 from .errors import DimensionMismatch, InsufficientData, ZeroVariance
@@ -90,5 +90,5 @@ def paired_t_test(diffs) -> TTestResult:
     if std == 0.0:
         raise ZeroVariance("paired t-test undefined for constant differences")
     t = float(diffs.mean() / (std / np.sqrt(n)))
-    critical = float(scipy.stats.t.ppf(0.95, n - 1)) if n <= 200 else 1.645
+    critical = float(scipy.special.stdtrit(n - 1, 0.95)) if n <= 200 else 1.645
     return TTestResult(t, t > critical, critical, n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlrfit import admm, bench, em, scoring, synth
+from mlrfit import admm, bench, em, io, scoring, synth
 from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
 
 TINY_GRID = bench.ExperimentGrid(
@@ -36,6 +36,9 @@ def test_grid_validation():
                 # integers are taken exactly: no fraction is truncated
                 {"k_values": (2.5,)}, {"n_samples": 10.5}, {"repetitions": float("inf")},
                 {"n_iterations": float("nan")},
+                # the base seed follows the seed rule
+                {"base_seed": -1}, {"base_seed": 2**64}, {"base_seed": 3.7},
+                {"base_seed": float("nan")},
                 # the LAD route is checked on a Gaussian-only grid too
                 {"noise_kinds": (NoiseKind.GAUSSIAN,), "lad_path": "plain"}):
         with pytest.raises(ValueError):
@@ -44,6 +47,22 @@ def test_grid_validation():
                      {"k_values": (2,), "d_values": (1, 3, 1)}):
         with pytest.raises(ValueError, match="must not repeat"):
             bench.ExperimentGrid(n_samples=10, repetitions=1, n_iterations=1, **repeated)
+
+
+def test_integral_float_base_seed_is_the_integer_seed():
+    small = {"k_values": (2,), "d_values": (1,), "n_samples": 10, "repetitions": 2,
+             "n_iterations": 1, "sigma": 1, "rho": 5}
+    as_int = bench.ExperimentGrid(**small, base_seed=3)
+    as_float = bench.ExperimentGrid(**small, base_seed=3.0)
+    assert type(as_float.base_seed) is int
+    assert type(as_float.sigma) is float and type(as_float.rho) is float
+    echo = io.grid_config_values(as_float)
+    assert echo == io.grid_config_values(as_int) and echo["base_seed"] == "3"
+    assert io.parse_grid_config("".join(f"{k} = {v}\n" for k, v in echo.items())) == as_int
+    for kind, k, d, rep in as_float.cells():
+        seed = bench.run_cell(as_float, kind, k, d, rep).seed
+        assert seed == bench.run_cell(as_int, kind, k, d, rep).seed
+        assert seed == bench.cell_seed(3, k, d, kind, rep)
 
 
 def test_cell_count_and_distinct_seeds():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import strip_clock_lines
-from mlrfit import bench, io, synth
+from mlrfit import bench, io, scoring, synth
 from mlrfit.cli import main
 from mlrfit.model import NoiseKind, NoiseModel
 
@@ -276,6 +276,30 @@ class TestBenchmarkAndReport:
             expected_std = values.std(ddof=1) if values.size > 1 else 0.0
             assert std == pytest.approx(expected_std, abs=1e-12)
 
+    def test_ttest_files_recomputable_from_cells(self, bench_dir):
+        cells = io.read_rows(bench_dir / "cells.csv", bench.CellResult)
+        for kind in ("gaussian", "laplacian"):
+            ok = [c for c in cells if c.noise.value == kind and c.ok]
+            errors = np.array([c.em_error - c.admm_error for c in ok])
+            seconds = np.array([c.em_seconds - c.admm_seconds for c in ok])
+            for name, subject, mean_key, diffs, hypotheses in [
+                ("ttest_error", "recovery error", "mean_em_minus_admm", errors,
+                 [("admm_better", errors), ("em_better", -errors)]),
+                ("ttest_time", "solver seconds", "mean_em_minus_admm_seconds", seconds,
+                 [("em_slower", seconds)]),
+            ]:
+                lines = read(bench_dir / f"{name}_{kind}.txt").splitlines()
+                assert lines[0] == f"# paired t-test on {subject}, alpha = 0.05"
+                values = dict(line.split(" = ") for line in lines[1:])
+                assert values["n"] == str(len(ok))
+                assert float(values[mean_key]) == diffs.mean()
+                for prefix, tested in hypotheses:
+                    result = scoring.paired_t_test(tested)
+                    assert float(values[f"{prefix}.t_statistic"]) == result.t_statistic
+                    assert float(values[f"{prefix}.critical_value"]) == result.critical_value
+                    assert values[f"{prefix}.significant"] == str(result.significant).lower()
+                assert len(values) == 2 + 3 * len(hypotheses)
+
     def test_benchmark_rerun_deterministic_outside_clock_columns(self, tmp_path, bench_dir):
         config = tmp_path / "grid2.cfg"
         config.write_text(BENCH_CONFIG)
@@ -296,9 +320,17 @@ class TestBenchmarkAndReport:
     def test_report_reproduces_derived_files(self, tmp_path, bench_dir):
         report_dir = tmp_path / "report"
         assert run(["report", "--cells", bench_dir / "cells.csv", "--out-dir", report_dir]) == 0
-        for name in ["summary.csv", "summary_gaussian.txt", "ttest_error_laplacian.txt",
-                     "timing_hist_gaussian.csv"]:
-            assert read(report_dir / name) == read(bench_dir / name)
+
+        def outputs(path):
+            lines = read(path / "manifest.txt").splitlines()
+            return sorted(line.split(" = ")[1] for line in lines if line.startswith("output."))
+
+        derived = outputs(report_dir)
+        # every file the benchmark lists but cells.csv, the timing files included
+        assert derived == [name for name in outputs(bench_dir) if name != "cells.csv"]
+        assert len(derived) == 9
+        for name in derived:
+            assert read(report_dir / name) == read(bench_dir / name), name
 
     def test_unknown_config_key_exits_two(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_assignment, density, logsumexp_log_likelihood
+import mlrfit
 from mlrfit import noise, scoring
 from mlrfit.errors import DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
@@ -171,6 +175,21 @@ class TestPairedTTest:
         rng = np.random.default_rng(8)
         big = scoring.paired_t_test(rng.standard_normal(500))
         assert big.critical_value == 1.645
+        # the Student quantile is exactly scipy.stats' up to n = 200, then 1.645
+        diffs = rng.standard_normal(201)
+        for n in range(2, 201):
+            expected = float(scipy.stats.t.ppf(0.95, n - 1))
+            assert scoring.paired_t_test(diffs[:n]).critical_value == expected, n
+        assert scoring.paired_t_test(diffs).critical_value == 1.645
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the package under test comes first on the child's path
+        src = os.path.dirname(os.path.dirname(mlrfit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, mlrfit.cli, mlrfit.io; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "False"
 
     def test_error_conditions(self):
         with pytest.raises(InsufficientData):
