@@ -55,7 +55,7 @@ class ExperimentGrid:
                              ("n_iterations", check_int), ("sigma", check_positive),
                              ("rho", check_positive)):
             object.__setattr__(self, field, check(field, getattr(self, field)))
-        object.__setattr__(self, "base_seed", check_seed(self.base_seed))
+        object.__setattr__(self, "base_seed", check_seed("base_seed", self.base_seed))
         check_lad_route(self.lad_path)
 
     def cells(self) -> List[Tuple[NoiseKind, int, int, int]]:

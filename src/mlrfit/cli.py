@@ -38,8 +38,8 @@ def _write_manifest(path, command, config, inputs, outputs, started):
     ))
 
 
-def _flag(parse, check, *name):
-    """An argparse ``type=`` that parses the text, then runs ``check(*name, value)``.
+def _flag(parse, check, name):
+    """An argparse ``type=`` that parses the text, then runs ``check(name, value)``.
 
     A broken rule reads "argument --flag: <rule>"; ``_Parser.error`` exits 1.
     """
@@ -47,7 +47,7 @@ def _flag(parse, check, *name):
     def convert(text):
         value = parse(text)
         try:
-            return check(*name, value)
+            return check(name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_flag(int, check_int, "n"), required=True)
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
     p.add_argument("--sigma", type=_flag(float, check_positive, "sigma"), default=1.0)
-    p.add_argument("--seed", type=_flag(int, check_seed), default=0)
+    p.add_argument("--seed", type=_flag(int, check_seed, "seed"), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
     p.add_argument("--k", type=_flag(int, check_int, "k"), required=True)
     p.add_argument("--iters", type=_flag(int, check_int, "n_iterations"), required=True)
-    p.add_argument("--seed", type=_flag(int, check_seed), default=0)
+    p.add_argument("--seed", type=_flag(int, check_seed, "seed"), default=0)
     p.add_argument("--rho", type=_flag(float, check_positive, "rho"), default=5.0)
     p.add_argument(
         "--lad-path",

@@ -73,15 +73,20 @@ def m_step_gaussian(
 
     ``w`` holds K x N memberships. Column k solves
     (sum_i w_ki x_i x_i^T) b = sum_i w_ki y_i x_i with the
-    standard ridge guard. A component with no mass has a zero Gram matrix,
-    whose ridge is zero too, so it fails to factorize and follows
-    ``refit_components``.
+    standard ridge guard, all K systems in one ``lad._weighted_lstsq``
+    call. A component with no mass has a zero Gram matrix, whose ridge is
+    zero too, so it fails to factorize; only then are the components
+    solved one at a time, through ``refit_components``.
     """
     x, y = data.x, data.y
+    xt = np.ascontiguousarray(x.T)
+    try:
+        return MlrParams(lad._weighted_lstsq(xt, x, y, w))
+    except SingularGram:
+        pass
 
     def solve(weights):
-        xw = x * weights[:, None]
-        return lad.solve_spd(xw.T @ x, xw.T @ y)
+        return lad._weighted_lstsq(xt, x, y, weights[None])[:, 0]
 
     return refit_components(solve, w, data.dim, previous)
 

@@ -18,13 +18,22 @@ loop over all N columns on every call and cost about twice the solve
 itself. The route is picked once, at import: on an older scipy, where
 that private module does not exist, ``dual_lp`` is the ``linprog`` call
 ``_dual_lp_linprog``.
+
+Every weighted least-squares system of EM goes through one kernel,
+``_weighted_lstsq``: the Gaussian M-step solves all K components in one
+call, and each IRLS pass solves its single component in one. The kernel
+works on the d x N layout, X^T as a contiguous array, so weighting the
+covariates is d passes over contiguous rows of length N per component
+instead of N short rows of length d. The K Gram matrices and right-hand
+sides come from two stacked matmuls, one stacked Cholesky factorization
+checks them, and one stacked solve returns the d x K coefficients.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import IterationLimit, SingularGram, SolverStall
+from .errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -41,23 +50,49 @@ IRLS_TOLERANCE = 1e-10
 
 
 def ridge_gram(gram: np.ndarray) -> np.ndarray:
-    """Gram matrix plus the stabilizing ridge RIDGE_SCALE * trace / d."""
-    d = gram.shape[0]
-    return gram + (RIDGE_SCALE * np.trace(gram) / d) * np.eye(d)
+    """Gram matrix plus the stabilizing ridge RIDGE_SCALE * trace / d.
+
+    ``gram`` is one d x d matrix or a (..., d, d) stack; each matrix gets
+    its own ridge.
+    """
+    d = gram.shape[-1]
+    ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / d
+    return gram + ridge[..., None, None] * np.eye(d)
 
 
 def _ridge_cholesky(gram: np.ndarray):
     """Cholesky factor of ``ridge_gram(gram)``; SingularGram if it has none."""
-    # Private, so perfbench's tracer adds no span to every IRLS pass.
     try:
         return scipy.linalg.cho_factor(ridge_gram(gram))
     except scipy.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
 
 
-def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the ridge-stabilized system via Cholesky."""
-    return scipy.linalg.cho_solve(_ridge_cholesky(gram), rhs)
+def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted least squares for every row of the K x N weights ``w``.
+
+    Column k of the d x K result solves the ridge-stabilized normal
+    equations ridge_gram(X^T W_k X) b = X^T W_k y, with W_k = diag(w[k]).
+    ``xt`` is x.T as a contiguous d x N array, so the weighting is K x d
+    passes over contiguous rows and both products are single stacked
+    matmuls. One stacked Cholesky factorization checks that every Gram
+    matrix is positive definite and raises SingularGram if any is not; a
+    stacked solve then gives all K columns. A Gram matrix or right-hand
+    side that overflowed gives a non-finite solution, which raises
+    NonFiniteInput rather than reach the caller.
+    """
+    # Private, so perfbench's tracer adds no span to every IRLS pass.
+    xw = w[:, None, :] * xt
+    gram = ridge_gram(xw @ x)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+    beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
+    # np.linalg.cholesky passes NaN and inf through instead of raising
+    if not np.isfinite(beta).all():
+        raise NonFiniteInput("weighted least-squares solution overflowed")
+    return beta
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -99,16 +134,20 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     SolverStall if IRLS_MAX_ITERATIONS passes run out while still making
     larger steps.
 
+    Every pass, the first included, solves its weighted least-squares
+    system through ``_weighted_lstsq`` on one contiguous copy of x.T,
+    which the residuals reuse.
+
     Returns (coefficients, iterations_used).
     """
+    xt = np.ascontiguousarray(x.T)
 
     def smoothed_residuals(beta):
-        r = y - x @ beta
+        r = y - beta @ xt
         return np.sqrt(r * r + delta * delta)
 
     def reweighted_solve(q):
-        xq = x * q[:, None]
-        return solve_spd(xq.T @ x, xq.T @ y)
+        return _weighted_lstsq(xt, x, y, q[None])[:, 0]
 
     beta = reweighted_solve(weights)
     s = smoothed_residuals(beta)

@@ -80,12 +80,12 @@ def check_non_negative(name: str, value) -> float:
     return _check_real(name, value, "finite non-negative real", lambda v: v >= 0.0)
 
 
-def check_seed(seed) -> int:
-    """``seed`` as an int that fits in an unsigned 64-bit integer."""
-    seed = _exact_int("seed", seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+def check_seed(name: str, value) -> int:
+    """``value`` as an int that fits in an unsigned 64-bit integer."""
+    value = _exact_int(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def check_lad_route(path: str) -> None:
@@ -216,7 +216,7 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_iterations", check_int("n_iterations", self.n_iterations))
         object.__setattr__(self, "rho", check_positive("rho", self.rho))
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed("seed", self.seed))
         if self.init_params is not None and not isinstance(self.init_params, MlrParams):
             raise TypeError("init_params must be an MlrParams")
 

@@ -20,7 +20,7 @@ def generate(k: int, d: int, n: int, nm: NoiseModel, seed: int) -> Dataset:
     the true coefficients depend on (k, d, seed) only.
     """
     k, d, n = check_int("k", k), check_int("d", d), check_int("n", n)
-    gen = stream(check_seed(seed), DOMAIN_DATA)
+    gen = stream(check_seed("seed", seed), DOMAIN_DATA)
     beta = gen.standard_normal((d, k))
     labels = gen.integers(0, k, size=n)
     x = gen.standard_normal((n, d))

@@ -47,6 +47,11 @@ def test_grid_validation():
                      {"k_values": (2,), "d_values": (1, 3, 1)}):
         with pytest.raises(ValueError, match="must not repeat"):
             bench.ExperimentGrid(n_samples=10, repetitions=1, n_iterations=1, **repeated)
+    # a bad base seed is reported under its own field name
+    with pytest.raises(ValueError, match=r"^base_seed must be in \[0, 2\*\*64\), got -1$"):
+        bench.ExperimentGrid(**{**small, "base_seed": -1})
+    with pytest.raises(ValueError, match="^base_seed must be an integer, got 3.7$"):
+        bench.ExperimentGrid(**{**small, "base_seed": 3.7})
 
 
 def test_integral_float_base_seed_is_the_integer_seed():

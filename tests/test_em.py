@@ -8,7 +8,7 @@ from helpers import (
     sample_major_e_step,
     separated_seed,
 )
-from mlrfit import admm, em, scoring, synth
+from mlrfit import admm, em, lad, scoring, synth
 from mlrfit.errors import CollapsedComponent, DegenerateRow, SingularGram
 from mlrfit.model import (
     Dataset,
@@ -144,8 +144,6 @@ class TestMStepLaplacian:
         raw /= raw.sum(axis=1, keepdims=True)
         data = Dataset(x=np.ones((31, 1)), y=y)
         fitted = em.m_step_laplacian(raw.T, data)
-        from mlrfit import lad
-
         for k in range(2):
             assert fitted.beta[0, k] == lad.weighted_median(y, raw[:, k])
 
@@ -213,11 +211,18 @@ class TestCollapsedComponent:
 
     def test_without_previous_coefficients_collapse_raises(self):
         data = synth.generate(1, 1, 5, GAUSS, seed=11)
-        w = np.vstack([np.ones(5), np.zeros(5)])
-        previous = MlrParams(np.array([[0.0, 7.0]]))
+        w = np.vstack([np.ones(5), np.zeros(5), np.full(5, 0.5)])
+        w[2, 0] = 0.25
+        previous = MlrParams(np.array([[0.0, 7.0, -3.0]]))
         with pytest.raises(SingularGram):
             em.m_step_gaussian(w, data)
-        assert em.m_step_gaussian(w, data, previous=previous).beta[0, 1] == 7.0
+        kept = em.m_step_gaussian(w, data, previous=previous).beta
+        assert kept[0, 1] == 7.0
+        # the rows that factorize get the kernel's own per-row solve
+        xt = np.ascontiguousarray(data.x.T)
+        for row in (0, 2):
+            alone = lad._weighted_lstsq(xt, data.x, data.y, w[row][None])[:, 0]
+            assert np.abs(kept[:, row] - alone).max() <= 1e-13 * np.abs(alone).max()
         for path in ("lp", "irls"):
             with pytest.raises(CollapsedComponent):
                 em.m_step_laplacian(w, data, path=path)
@@ -247,11 +252,15 @@ class TestFitEm:
         data = synth.generate(1, 2, 100, GAUSS, seed=12)
         cfg = SolverConfig(n_iterations=1, seed=12)
         trace = em.fit_em(data, 1, GAUSS, cfg)
-        xw = data.x
-        from mlrfit import lad
-
-        expected = lad.solve_spd(xw.T @ xw, xw.T @ data.y)
-        assert np.array_equal(trace.params.beta[:, 0], expected)
+        x = data.x
+        # one component: unit memberships, so the M-step is the kernel on unit weights
+        expected = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, data.y, np.ones((1, 100)))
+        assert np.array_equal(trace.params.beta[:, 0], expected[:, 0])
+        # least squares on X stacked over sqrt(ridge) * I: the same ridge, no normal equations
+        ridge = lad.RIDGE_SCALE * np.sum(x * x) / 2
+        stacked = np.vstack([x, np.sqrt(ridge) * np.eye(2)])
+        ols = np.linalg.lstsq(stacked, np.concatenate([data.y, np.zeros(2)]), rcond=None)[0]
+        assert np.abs(trace.params.beta[:, 0] - ols).max() <= 1e-12 * np.abs(ols).max()
 
     def test_gaussian_log_likelihood_non_decreasing(self):
         seed = separated_seed(2, 2, GAUSS, base=100)

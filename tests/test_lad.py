@@ -3,7 +3,7 @@ import pytest
 
 from helpers import simplex
 from mlrfit import em, lad, synth
-from mlrfit.errors import SolverStall
+from mlrfit.errors import NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -187,5 +187,54 @@ def test_ridge_keeps_singular_gram_solvable():
     # duplicated column makes X^T X singular without the ridge
     x = np.ones((10, 2))
     y = np.linspace(0, 1, 10)
-    solution = lad.solve_spd(x.T @ x, x.T @ y)
+    solution = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, np.ones((1, 10)))
     assert np.isfinite(solution).all()
+
+
+@pytest.mark.parametrize("n", [5, 200])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_weighted_lstsq_matches_per_row_normal_equations(k, d, n):
+    rng = np.random.default_rng(1000 * k + 10 * d + n)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal(n) * 2.0
+    w = rng.uniform(0.05, 1.0, (k, n))
+    beta = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w)
+    assert beta.shape == (d, k)
+    for row in range(k):
+        xw = x * w[row][:, None]
+        expected = np.linalg.solve(lad.ridge_gram(xw.T @ x), xw.T @ y)
+        scale = np.abs(expected).max()
+        assert np.abs(beta[:, row] - expected).max() <= 1e-12 * scale
+
+
+def test_weighted_lstsq_zero_weight_row_raises():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 2))
+    y = rng.standard_normal(40)
+    w = rng.uniform(0.05, 1.0, (3, 40))
+    w[1] = 0.0  # a zero Gram matrix has a zero ridge: no Cholesky factor
+    with pytest.raises(SingularGram):
+        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w)
+
+
+def test_overflowing_normal_equations_raise_non_finite():
+    # finite covariates whose squares overflow: no pass may run on a NaN system
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((50, 2)) * 1e160
+    y = rng.standard_normal(50)
+    w = rng.uniform(0.1, 1.0, 50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteInput):
+            lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
+        with pytest.raises(NonFiniteInput):
+            lad.irls(x, y, w, delta=1e-6)
+
+
+def test_ridge_gram_stack_matches_each_matrix():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((4, 3, 3))
+    stack = a @ a.transpose(0, 2, 1)
+    ridged = lad.ridge_gram(stack)
+    for gram, expected in zip(stack, ridged):
+        assert np.array_equal(lad.ridge_gram(gram), expected)
