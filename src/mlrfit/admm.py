@@ -83,10 +83,12 @@ def beta_update(
 
     ``z`` and ``lam`` are K x N. The right-hand side is transposed into a
     contiguous N x K copy, so X^T multiplies the same memory layout it
-    would for N x K arrays, rounding included.
+    would for N x K arrays, rounding included. ``chol`` was checked when
+    it was built, so the solve skips scipy's finiteness scan; a non-finite
+    result still raises NonFiniteInput in ``MlrParams``.
     """
     rhs = data.x.T @ np.ascontiguousarray((z - lam / rho).T)
-    return MlrParams(scipy.linalg.cho_solve(chol, rhs))
+    return MlrParams(scipy.linalg.cho_solve(chol, rhs, check_finite=False))
 
 
 def fit_admm(

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import minimize_lhat, separated_seed, surrogate_value
 from mlrfit import admm, em, scoring, synth
+from mlrfit.errors import NonFiniteInput
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -162,6 +163,15 @@ class TestBetaAndDualUpdates:
         gram = lad.ridge_gram(data.x.T @ data.x)
         expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho).T)
         assert np.allclose(fitted.beta, expected, atol=1e-10)
+
+    def test_non_finite_right_hand_side_raises(self):
+        # the solve skips scipy's finiteness scan; MlrParams is the gate
+        rng = np.random.default_rng(8)
+        data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
+        z = rng.standard_normal((2, 20))
+        z[1, 3] = np.nan
+        with pytest.raises(NonFiniteInput):
+            admm.beta_update(z, np.zeros_like(z), data, rho=1.0, chol=admm.gram_cholesky(data))
 
     def test_beta_update_stationarity(self):
         rng = np.random.default_rng(7)

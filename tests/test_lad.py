@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import simplex
+from helpers import ipm_lad, simplex
 from mlrfit import em, lad, synth
 from mlrfit.errors import NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
@@ -75,26 +79,12 @@ def test_simplex_two_point_tie_returns_vertex():
 
 
 def test_simplex_matches_scipy_reference():
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, y, w = random_instance(rng)
-        n, d = x.shape
         beta, objective = simplex(x, y, w)
-        ident = sp.identity(n, format="csr")
-        xs = sp.csr_matrix(x)
-        a_ub = sp.vstack([sp.hstack([-xs, -ident]), sp.hstack([xs, -ident])])
-        res = linprog(
-            np.concatenate([np.zeros(d), w]),
-            A_ub=a_ub,
-            b_ub=np.concatenate([-y, y]),
-            bounds=[(None, None)] * d + [(0, None)] * n,
-            method="highs",
-        )
-        assert res.status == 0
-        assert objective == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        _, reference = ipm_lad(x, y, w)
+        assert objective == pytest.approx(reference, rel=1e-9, abs=1e-9)
         assert lad_objective(x, y, w, beta) == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
 
@@ -115,6 +105,141 @@ def test_dual_lp_handles_zero_weights():
     beta, objective = lad.dual_lp(x, y, w)
     _, obj_sx = simplex(x, y, w)
     assert objective == pytest.approx(obj_sx, rel=1e-9, abs=1e-9)
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """(columns, right-hand side non-zero, feasible) of every working-set LP.
+
+    Records the LPs of whichever backend ``dual_lp`` is bound to.
+    """
+    solves = []
+    for name in ("_highs_dual", "_linprog_dual"):
+
+        def spy(x, y, w, rhs, solve=getattr(lad, name)):
+            beta = solve(x, y, w, rhs)
+            solves.append((y.size, bool(np.any(rhs)), beta is not None))
+            return beta
+
+        monkeypatch.setattr(lad, name, spy)
+    return solves
+
+
+def assert_matches_simplex(x, y, w):
+    beta, objective = lad.dual_lp(x, y, w)
+    _, optimum = simplex(x, y, w)
+    assert objective == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+    assert lad_objective(x, y, w, beta) == objective
+
+
+def test_working_set_doubles_when_infeasible_then_adds_violations(monkeypatch, lp_solves):
+    # a small first set: its LP cannot balance the fixed samples, then the
+    # doubled set's solution moves samples across the fit
+    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((200, 2))
+    y = x @ np.array([1.0, -2.0]) + rng.laplace(size=200)
+    w = rng.uniform(0.05, 1.0, 200)
+    assert_matches_simplex(x, y, w)
+    sizes = [size for size, _, _ in lp_solves]
+    assert sizes[:2] == [15, 30]
+    assert [feasible for _, _, feasible in lp_solves] == [False] + [True] * (len(sizes) - 1)
+    assert len(sizes) >= 3 and 30 < sizes[2] < 200
+    assert all(nonzero for _, nonzero, _ in lp_solves)
+
+
+@pytest.mark.parametrize("n", [3, 10, 16])
+def test_working_set_as_large_as_n_solves_one_full_lp(n, lp_solves):
+    assert math.ceil(lad.WORKING_SET_SCALE * math.sqrt(n)) >= n
+    rng = np.random.default_rng(n)
+    x, y, w = random_instance(rng, n=n, d=2)
+    assert_matches_simplex(x, y, w)
+    assert lp_solves == [(n, False, True)]
+
+
+def edge_instance(kind, rng):
+    x, y, w = random_instance(rng, n=200, d=int(rng.integers(2, 4)))
+    if kind == "zero weights":
+        w[rng.random(w.size) < 0.4] = 0.0
+    elif kind == "zeros in x":
+        x[rng.random(x.shape) < 0.3] = 0.0
+    elif kind == "duplicated rows and ties":
+        # every row three times, and integer data, so residuals tie
+        x = np.repeat(np.round(x[:67] * 2.0), 3, axis=0)[:200]
+        y = np.repeat(np.round(y[:67] * 2.0), 3, axis=0)[:200]
+    elif kind == "all but d weights zero":
+        keep = rng.choice(200, size=x.shape[1], replace=False)
+        w[np.setdiff1d(np.arange(200), keep)] = 0.0
+    return x, y, w
+
+
+@pytest.mark.parametrize(
+    "kind", ["zero weights", "zeros in x", "duplicated rows and ties", "all but d weights zero"]
+)
+def test_working_set_on_edge_inputs(kind, lp_solves):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(4):
+        x, y, w = edge_instance(kind, rng)
+        assert_matches_simplex(x, y, w)
+        assert_routes_identical(x, y, w)
+    assert lp_solves[0][0] < 200  # the working set was in use
+
+
+def test_failed_least_squares_start_solves_one_full_lp(lp_solves):
+    # the only weighted rows have x = 0: a zero Gram matrix, so no start
+    rng = np.random.default_rng(9)
+    x, y, w = random_instance(rng, n=100, d=2)
+    x[:10] = 0.0
+    w[10:] = 0.0
+    with pytest.raises(SingularGram):
+        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
+    assert_matches_simplex(x, y, w)
+    assert lp_solves == [(100, False, True)]
+
+
+def test_dual_lp_is_the_weighted_median_at_d_1(lp_solves):
+    rng = np.random.default_rng(10)
+    x, y, w = random_instance(rng, n=300, d=1)
+    beta, objective = lad.dual_lp(x, y, w)
+    assert beta[0] == lad.solve_1d(x[:, 0], y, w)
+    assert objective == pytest.approx(ipm_lad(x, y, w)[1], rel=1e-9)
+    assert lp_solves == []
+
+
+def drawn_instance(seed, n, d, zero_share):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = x @ rng.standard_normal(d) + rng.laplace(size=n)
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < zero_share] = 0.0
+    return x, y, w
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    d=st.integers(1, 3),
+    zero_share=st.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_dual_lp_never_above_independent_optimum(seed, n, d, zero_share):
+    x, y, w = drawn_instance(seed, n, d, zero_share)
+    _, objective = lad.dual_lp(x, y, w)
+    _, optimum = ipm_lad(x, y, w)
+    # an absolute floor for exact fits, where the optimum is rounding noise
+    assert objective <= optimum * (1.0 + 1e-9) + 1e-12 * (1.0 + float(np.sum(w * np.abs(y))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(17, 3000),
+    d=st.integers(2, 3),
+    zero_share=st.sampled_from([0.0, 0.2]),
+)
+def test_routes_identical_on_working_sets(seed, n, d, zero_share):
+    # N > 16: every call solves an LP on a working set with a non-zero right-hand side
+    assert_routes_identical(*drawn_instance(seed, n, d, zero_share))
 
 
 def assert_routes_identical(x, y, w):
