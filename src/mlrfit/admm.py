@@ -10,10 +10,12 @@ threshold about y_i under Laplacian noise, Boyd et al. 2011, section
 solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
 section 3.1). X b is computed once per iteration, right after the
 coefficient solve, and serves the primal residual, the dual step and the
-next iteration's memberships and Z-update. Like EM's, the per-iteration
-arrays (fitted values, memberships, Z and the duals) are component-major,
-K x N, so y broadcasts along each component's row. ``fit_admm`` hands
-the iteration to the loop in ``mlrfit.fit``, which both solvers share.
+next iteration's Z-update. Like EM's, the per-iteration arrays (fitted
+values, memberships, Z and the duals) are component-major, K x N, so y
+broadcasts along each component's row. ``fit_admm`` hands the iteration
+to the loop in ``mlrfit.fit``, which both solvers share; after the first,
+the memberships come from the pass that loop's likelihood makes over the
+same log-densities.
 """
 
 from typing import Optional
@@ -111,8 +113,8 @@ def fit_admm(
     def steps(params):
         fits = params.beta.T @ xt
         lam = np.zeros_like(fits)
+        w = responsibilities(fits, y, nm)
         while True:
-            w = responsibilities(fits, y, nm)
             if nm.kind is NoiseKind.GAUSSIAN:
                 z = z_update_gaussian(fits, lam, rho, w, y, nm)
             else:
@@ -121,6 +123,6 @@ def fit_admm(
             fits = params.beta.T @ xt
             consensus_gap = fits - z
             lam = lam + rho * consensus_gap
-            yield params, float(np.linalg.norm(consensus_gap))
+            w = yield params, float(np.linalg.norm(consensus_gap))
 
     return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol)

@@ -9,13 +9,14 @@ memberships are K x N, one contiguous row per component, and each column
 of the memberships is a probability vector. Every reduction over
 components is then an elementwise pass over K rows of length N. ``fit_em``
 hands the iteration to the loop in ``mlrfit.fit``, which both solvers
-share.
+share; after the first E-step, the memberships come from the pass that
+loop's likelihood makes over the same log-densities.
 """
 
 import numpy as np
 
-from . import fit, lad, noise
-from .errors import CollapsedComponent, DegenerateRow, SingularGram
+from . import fit, lad, noise, scoring
+from .errors import CollapsedComponent, SingularGram
 from .fit import LAD_PATH_NA, FitTrace
 from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
@@ -31,15 +32,13 @@ def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
 
     Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
     subtracted first so one huge residual cannot underflow all of its
-    memberships. Returns K x N memberships.
+    memberships. Returns K x N memberships; a sample with no mass in any
+    component raises DegenerateRow. The softmax is the one
+    ``scoring.log_likelihood`` fills its ``memberships`` from.
     """
     logd = noise.log_density(nm, y - fits)
-    peak = logd.max(axis=0)
-    if not np.isfinite(peak).all():
-        i = int(np.flatnonzero(~np.isfinite(peak))[0])
-        raise DegenerateRow(f"sample {i} has no probability mass in any component")
-    w = np.exp(logd - peak)
-    w /= w.sum(axis=0)
+    w = np.empty_like(logd)
+    scoring._softmax(logd, w)
     return w
 
 
@@ -161,12 +160,12 @@ def fit_em(
     xt, y = data.x.T, data.y
 
     def steps(params):
+        w = e_step(params.beta.T @ xt, y, nm)
         while True:
-            w = e_step(params.beta.T @ xt, y, nm)
             if nm.kind is NoiseKind.GAUSSIAN:
                 params = m_step_gaussian(w, data, previous=params)
             else:
                 params = m_step_laplacian(w, data, path=path, previous=params)
-            yield params, None
+            w = yield params, None
 
     return fit.run(steps, data, k, nm, cfg, lad_path=path)

@@ -4,12 +4,18 @@ A solver supplies a generator of iterates; ``run`` draws the start from
 the shared initialization policy, advances the generator once per
 iteration, scores each iterate with the mixture log-likelihood, applies
 the optional early stop on the primal residual, and times the loop.
+
+The likelihood and the E-step both need log f(y - X b) at the same
+coefficients, so they share one pass: the generator computes the
+memberships at the start itself, and from then on ``run`` sends it the
+memberships ``scoring.log_likelihood`` produced while scoring the iterate
+the generator just yielded. The final iterate, the last of the budget or
+the one that meets the early stop, is scored without them.
 """
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -20,9 +26,11 @@ from .model import check_int, check_non_negative
 
 LAD_PATH_NA = "n/a"
 
-# An iterate: the coefficients and the primal residual, None where the
-# solver has no consensus constraint.
-Steps = Callable[[MlrParams], Iterator[Tuple[MlrParams, Optional[float]]]]
+# Called with the start, a generator of iterates: the coefficients and the
+# primal residual, None where the solver has no consensus constraint. Each
+# ``yield`` receives the K x N memberships at the iterate it yielded, a
+# fresh array every time, so the solver may keep views of it.
+Steps = Callable[[MlrParams], Generator[Tuple[MlrParams, Optional[float]], np.ndarray, None]]
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,9 @@ def run(
     """Run ``cfg.n_iterations`` iterates of ``steps`` from the shared start.
 
     ``stop_tol`` stops the loop once an iterate's primal residual is at
-    most that value; it must be a finite non-negative real.
+    most that value; it must be a finite non-negative real. A sample with
+    no probability mass at an iterate the loop goes on from raises
+    DegenerateRow; at the final iterate it only scores -inf.
     """
     if stop_tol is not None:
         check_non_negative("stop_tol", stop_tol)
@@ -76,13 +86,20 @@ def run(
     log_liks = np.empty(cfg.n_iterations)
     residuals = np.empty(cfg.n_iterations)
     started = time.perf_counter()
-    iterates = itertools.islice(steps(params), cfg.n_iterations)
-    for t, (params, residual) in enumerate(iterates):
-        log_liks[t] = scoring.log_likelihood(params, data, nm)
+    iterates = steps(params)
+    params, residual = next(iterates)
+    for t in range(cfg.n_iterations):
         if residual is not None:
             residuals[t] = residual
-            if stop_tol is not None and residual <= stop_tol:
-                break
+        last = t + 1 == cfg.n_iterations or (
+            stop_tol is not None and residual is not None and residual <= stop_tol
+        )
+        # a fresh array each time: the solver may keep views of the last one
+        w = None if last else np.empty((params.k_components, data.n_samples))
+        log_liks[t] = scoring.log_likelihood(params, data, nm, memberships=w)
+        if last:
+            break
+        params, residual = iterates.send(w)
     wall = time.perf_counter() - started
     return FitTrace(
         params=params,

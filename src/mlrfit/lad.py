@@ -78,6 +78,12 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     ``gram`` is one d x d matrix or a (..., d, d) stack; each matrix gets
     its own ridge.
     """
+    return _ridge_gram(gram)
+
+
+def _ridge_gram(gram: np.ndarray) -> np.ndarray:
+    # ``ridge_gram``, under a private name for the kernels: like
+    # ``_weighted_lstsq``, it then adds no tracer span to every IRLS pass.
     d = gram.shape[-1]
     ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / d
     return gram + ridge[..., None, None] * np.eye(d)
@@ -86,7 +92,7 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
 def _ridge_cholesky(gram: np.ndarray):
     """Cholesky factor of ``ridge_gram(gram)``; SingularGram if it has none."""
     try:
-        return scipy.linalg.cho_factor(ridge_gram(gram))
+        return scipy.linalg.cho_factor(_ridge_gram(gram))
     except scipy.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
 
@@ -106,7 +112,7 @@ def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray)
     """
     # Private, so perfbench's tracer adds no span to every IRLS pass.
     xw = w[:, None, :] * xt
-    gram = ridge_gram(xw @ x)
+    gram = _ridge_gram(xw @ x)
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:

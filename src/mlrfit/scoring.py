@@ -9,11 +9,13 @@ import scipy.optimize
 import scipy.special
 
 from . import noise
-from .errors import DimensionMismatch, InsufficientData, ZeroVariance
+from .errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from .model import Dataset, MlrParams, NoiseModel, validate_problem
 
 
-def log_likelihood(params: MlrParams, data: Dataset, nm: NoiseModel) -> float:
+def log_likelihood(
+    params: MlrParams, data: Dataset, nm: NoiseModel, *, memberships: np.ndarray | None = None
+) -> float:
     """Uniform-mixture log-likelihood sum_i log(sum_k f(y_i - <x_i, b_k>) / K).
 
     Computed through log-sum-exp so far-off components cannot underflow
@@ -22,14 +24,48 @@ def log_likelihood(params: MlrParams, data: Dataset, nm: NoiseModel) -> float:
     over K contiguous rows. As in ``scipy.special.logsumexp``, a sample
     with no mass in any component (every log-density -inf) scores -inf,
     without a warning.
+
+    ``memberships``, a K x N array, receives the posterior memberships at
+    ``params`` from the same pass, bit for bit those ``em.e_step`` returns
+    for the fitted values (X b)^T; the returned value does not change.
+    With it a sample with no mass raises DegenerateRow, as in ``e_step``.
     """
     validate_problem(params, data)
     logd = noise.log_density(nm, data.y - params.beta.T @ data.x.T)
-    peak = logd.max(axis=0)
-    peak[~np.isfinite(peak)] = 0.0
+    if memberships is not None and memberships.shape != logd.shape:
+        raise DimensionMismatch(f"memberships must be {logd.shape}, got {memberships.shape}")
+    peak, total = _softmax(logd, memberships)
     with np.errstate(divide="ignore"):
-        per_sample = np.log(np.exp(logd - peak).sum(axis=0)) + peak
+        per_sample = np.log(total) + peak
     return float(per_sample.sum()) + data.n_samples * math.log(1.0 / params.k_components)
+
+
+def _softmax(logd: np.ndarray, out: np.ndarray | None):
+    """Column softmax of the K x N log-densities, computed in ``out`` if given.
+
+    Each sample's largest log-density (its peak) is taken out before
+    exponentiating, so one huge residual cannot underflow all of its
+    mass. Returns the peaks and the per-sample totals of the shifted
+    mass, whose log plus the peak is log sum_k f_k. A sample with no mass
+    in any component has a non-finite peak: with ``out`` that raises
+    DegenerateRow naming the first such sample; without, its peak is
+    taken as 0 and its total stays 0, without a warning. The E-step and
+    the likelihood both go through here, so their memberships agree bit
+    for bit.
+    """
+    peak = logd.max(axis=0)
+    degenerate = ~np.isfinite(peak)
+    if degenerate.any():
+        if out is not None:
+            i = int(np.flatnonzero(degenerate)[0])
+            raise DegenerateRow(f"sample {i} has no probability mass in any component")
+        peak[degenerate] = 0.0
+    mass = np.subtract(logd, peak, out=out)
+    np.exp(mass, out=mass)
+    total = mass.sum(axis=0)
+    if out is not None:
+        mass /= total
+    return peak, total
 
 
 @dataclass(frozen=True)

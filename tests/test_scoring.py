@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_assignment, density, logsumexp_log_likelihood
 import mlrfit
-from mlrfit import noise, scoring
-from mlrfit.errors import DimensionMismatch, InsufficientData, ZeroVariance
+from mlrfit import em, noise, scoring
+from mlrfit.errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
 
 GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
@@ -86,6 +88,52 @@ class TestLogLikelihood:
             value = scoring.log_likelihood(params, kept, GAUSS)
         assert math.isfinite(value)
         assert value == pytest.approx(logsumexp_log_likelihood(params, kept, GAUSS), rel=1e-12)
+
+    def test_memberships_must_be_k_by_n(self):
+        data = Dataset(x=np.ones((4, 1)), y=np.zeros(4))
+        params = MlrParams(np.array([[0.0, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            scoring.log_likelihood(params, data, GAUSS, memberships=np.empty((4, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nm=st.sampled_from([GAUSS, LAPLACE]),
+    k=st.integers(1, 5),
+    d=st.integers(1, 3),
+    n=st.integers(1, 500),
+    offsets=st.lists(st.sampled_from([0.0, 1.0, 60.0, 1e4]), min_size=5, max_size=5),
+    far_sample=st.booleans(),
+)
+def test_memberships_are_the_e_step_posterior(seed, nm, k, d, n, offsets, far_sample):
+    """The likelihood's memberships are ``em.e_step``'s, and its value is unchanged.
+
+    A component shifted by 60 or more leaves some samples with densities
+    that underflow next to the nearest component's; a response of 1e200
+    leaves its sample no Gaussian mass at all (its square overflows, and
+    that warning is silenced), and then both raise DegenerateRow.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    beta = rng.standard_normal((d, k)) + np.asarray(offsets[:k])
+    y = x @ beta[:, 0] + rng.standard_normal(n)
+    if far_sample:
+        y[rng.integers(n)] = 1e200
+    data, params = Dataset(x=x, y=y), MlrParams(beta)
+    out = np.full((k, n), np.nan)
+    with np.errstate(over="ignore"):
+        plain = scoring.log_likelihood(params, data, nm)
+        try:
+            posterior = em.e_step(params.beta.T @ data.x.T, data.y, nm)
+        except DegenerateRow as exc:
+            with pytest.raises(DegenerateRow, match=str(exc)):
+                scoring.log_likelihood(params, data, nm, memberships=out)
+            assert plain == -math.inf
+            return
+        filled = scoring.log_likelihood(params, data, nm, memberships=out)
+    assert filled == plain
+    assert np.array_equal(out, posterior)
 
 
 class TestRecoveryError:
