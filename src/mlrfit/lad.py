@@ -21,8 +21,8 @@ sample keeps that sign, the full LP's KKT conditions; otherwise the set
 grows and the LP is solved again. The cold dual simplex needs only a
 handful of iterations on this LP, but each one passes over every bounded
 column (Huangfu & Hall 2018), so its cost grows with the columns it is
-given: at N = 2000, d = 2 the working set cuts a call from about 2.9 to
-1.0 ms with the same optimum.
+given: at N = 2000, d = 2 the working set cuts a call from about 3.0 to
+0.85 ms with the same optimum.
 
 Each working-set LP goes straight to scipy's bundled HiGHS bindings
 (``scipy.optimize._highspy._core``, scipy >= 1.15) instead of going
@@ -30,9 +30,13 @@ through ``scipy.optimize.linprog``. The solver, its options and the LP
 are the same, and the results bit-identical; what goes is linprog's
 Python wrapper, which validated the options and built bound marginals in a
 loop over all columns on every call and cost about twice the solve
-itself. The route is picked once, at import: on an older scipy, where
-that private module does not exist, ``dual_lp`` is ``_dual_lp_linprog``,
-the same working-set loop with each LP solved by ``linprog``.
+itself. Each thread keeps one HiGHS instance, made with the options on
+its first LP and cleared of its model before every LP: each solve still
+starts cold, but the 0.1 to 0.2 ms that making an instance costs is
+paid once per thread instead of once per LP. The route is picked once,
+at import: on an older scipy, where that private module does not exist,
+``dual_lp`` is ``_dual_lp_linprog``, the same working-set loop with each
+LP solved by ``linprog``.
 
 Every weighted least-squares system of EM goes through one kernel,
 ``_weighted_lstsq``: the Gaussian M-step solves all K components in one
@@ -46,6 +50,7 @@ checks them, and one stacked solve returns the d x K coefficients.
 """
 
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -128,17 +133,23 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     """Lower weighted median: smallest v with cumulative weight >= half.
 
     Ties on the half-mass boundary resolve to the lower candidate, which
-    keeps the result deterministic.
+    keeps the result deterministic. The sort need not be stable: it
+    orders distinct values one way only, and within a run of equal values
+    any index returns the same value. Equal values do add their weights
+    to the cumulative sum in the sort's order, so where that sum ends a
+    run within rounding of half the total, rounding decides between the
+    run's value and the next; with weights whose partial sums are exact,
+    integers for one, the order cannot matter.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("weighted median needs positive total weight")
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     cumulative = np.cumsum(weights[order])
     idx = int(np.searchsorted(cumulative, 0.5 * total))
-    return float(values[order][idx])
+    return float(values[order[idx]])
 
 
 def solve_1d(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
@@ -209,7 +220,7 @@ def _exact_lad(x: np.ndarray, y: np.ndarray, weights: np.ndarray, solve_dual):
     if d == 1:
         beta = np.array([solve_1d(x[:, 0], y, weights)])
         return beta, float(np.sum(weights * np.abs(y - x @ beta)))
-    in_set = np.ones(n, dtype=bool)
+    inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
     fixed = np.zeros(n)  # the dual value s_i of each sample outside S
     size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
     if size < n:
@@ -223,21 +234,26 @@ def _exact_lad(x: np.ndarray, y: np.ndarray, weights: np.ndarray, solve_dual):
             fixed = np.where(r >= 0.0, weights, -weights)
             in_set = np.zeros(n, dtype=bool)
             in_set[np.argpartition(distance, size - 1)[:size]] = True
+            inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+    # in_set, the mask of S, exists whenever a sample is outside S
     while True:
-        out = ~in_set
-        beta = solve_dual(x[in_set], y[in_set], weights[in_set], -fixed[out] @ x[out])
+        # np.take gathers rows several times faster than x[index], same values
+        fixed_out = fixed[outside]
+        rhs = -fixed_out @ np.take(x, outside, axis=0)
+        beta = solve_dual(np.take(x, inside, axis=0), y[inside], weights[inside], rhs)
         if beta is None:
-            if not out.any():  # s = 0 is feasible, so this is the solver's fault
+            if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
                 raise SolverStall("HiGHS found the LAD dual LP infeasible")
             # the fixed samples ask for more than S can balance: double S along |r|
             order = np.argsort(distance, kind="stable")
-            in_set[order[out[order]][: np.count_nonzero(in_set)]] = True
-            continue
-        residual = y - x @ beta
-        violated = out & (fixed * residual < 0.0)
-        if not violated.any():
-            return beta, float(np.sum(weights * np.abs(residual)))
-        in_set |= violated
+            in_set[order[~in_set[order]][: inside.size]] = True
+        else:
+            residual = y - x @ beta
+            violated = outside[fixed_out * residual[outside] < 0.0]
+            if violated.size == 0:
+                return beta, float(np.sum(weights * np.abs(residual)))
+            in_set[violated] = True
+        inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
 
 
 def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -269,8 +285,9 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     For d = 1 the one-row dual is a fractional knapsack whose optimum is
     the weighted median of ``solve_1d``, which is returned without an LP.
 
-    Each LP goes to a fresh HiGHS instance, so every solve starts cold,
-    with the options of
+    Each LP goes to the calling thread's HiGHS instance, cleared of the
+    previous LP's model, basis and solution first, so every solve starts
+    cold, with the options of
     ``linprog(method="highs-ds", options={"presolve": False})``: presolve
     off, dual simplex, no output. It is passed as plain arrays, which
     HiGHS copies in bulk, with X_S^T column-wise straight from the rows of
@@ -285,13 +302,30 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     return _exact_lad(x, y, weights, _highs_dual)
 
 
+def _thread_solver():
+    """The calling thread's HiGHS instance, made with the options on its first LP.
+
+    A ``_Highs`` object is not safe to share between threads, and making a
+    fresh one per LP costs more than a small solve, so each thread keeps one.
+    """
+    try:
+        return _THREAD_STATE.solver
+    except AttributeError:
+        solver = _highs._Highs()
+        if solver.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
+            raise SolverStall("HiGHS rejected the LAD dual LP options") from None
+        _THREAD_STATE.solver = solver
+        return solver
+
+
 def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
-    """The working-set LP of ``_exact_lad`` on a direct HiGHS model."""
+    """The working-set LP of ``_exact_lad`` on this thread's HiGHS instance."""
     n, d = x.shape
-    solver = _highs._Highs()
+    solver = _thread_solver()
+    # no model, basis or solution survives from the thread's previous LP
+    solver.clearModel()
     if (
-        solver.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError
-        or solver.passModel(
+        solver.passModel(
             n,
             d,
             n * d,
@@ -355,7 +389,8 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
 if _highs is None:
     dual_lp = _dual_lp_linprog  # noqa: F811
 else:
-    # Built once; each LP copies it into its own fresh solver.
+    _THREAD_STATE = threading.local()  # .solver: the thread's _Highs, once made
+    # Built once and passed to each thread's solver when it is made.
     _HIGHS_OPTIONS = _highs.HighsOptions()
     # Presolve costs ~10x the actual solve on this problem shape.
     _HIGHS_OPTIONS.presolve = "off"

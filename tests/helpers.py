@@ -302,3 +302,38 @@ def ipm_lad(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         raise RuntimeError(f"independent LAD solve failed: {res.message}")
     beta = res.x[:d]
     return beta, float(np.sum(weights * np.abs(y - x @ beta)))
+
+
+def stable_weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """Lower weighted median through a stable sort, gathering the whole sorted array.
+
+    The implementation ``lad.weighted_median`` had before it took numpy's
+    default sort, kept as the reference it must match.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(values, kind="stable")
+    cumulative = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cumulative, 0.5 * float(weights.sum())))
+    return float(values[order][idx])
+
+
+def stable_solve_1d(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
+    """``lad.solve_1d`` on ``stable_weighted_median``: the ratio median of y_i / x_i."""
+    keep = (x != 0.0) & (weights > 0.0)
+    if not keep.any():
+        return 0.0
+    return stable_weighted_median(y[keep] / x[keep], weights[keep] * np.abs(x[keep]))
+
+
+def brute_force_weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """The smallest candidate c in ``values`` minimizing sum_i w_i |v_i - c|.
+
+    Exact when the values and weights are small integers, whose sums
+    floats hold exactly.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    objectives = [float(np.sum(weights * np.abs(values - c))) for c in values]
+    best = min(objectives)
+    return min(c for c, objective in zip(values, objectives) if objective == best)

@@ -1,13 +1,21 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ipm_lad, simplex
+from helpers import (
+    brute_force_weighted_median,
+    ipm_lad,
+    simplex,
+    stable_solve_1d,
+    stable_weighted_median,
+)
 from mlrfit import em, lad, synth
-from mlrfit.errors import NonFiniteInput, SingularGram, SolverStall
+from mlrfit.errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -51,6 +59,35 @@ def test_weighted_median_is_lad_minimizer():
 
         best_data_point = min(values, key=objective)
         assert objective(med) <= objective(best_data_point) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(0, 5)), min_size=1, max_size=40
+    ).filter(lambda pairs: any(weight for _, weight in pairs))
+)
+def test_weighted_median_is_lowest_brute_force_minimizer(pairs):
+    # few distinct integers: heavy ties, zero weights, single points; the
+    # sums are exact, so the half-mass boundary is hit exactly
+    values, weights = (np.array(column, dtype=float) for column in zip(*pairs))
+    assert lad.weighted_median(values, weights) == brute_force_weighted_median(values, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000), ties=st.booleans())
+def test_solve_1d_matches_stable_sort_implementation(seed, n, ties):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n) * 3.0
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < 0.2] = 0.0
+    if ties:
+        # integer data and weights: tied ratios, and every partial sum exact
+        x, y, w = np.round(x * 2.0), np.round(y), np.round(w * 4.0)
+    assert lad.solve_1d(x, y, w) == stable_solve_1d(x, y, w)
+    if np.any(w > 0.0):
+        assert lad.weighted_median(y, w) == stable_weighted_median(y, w)
 
 
 def test_solve_1d_matches_ratio_median():
@@ -132,15 +169,19 @@ def assert_matches_simplex(x, y, w):
     assert lad_objective(x, y, w, beta) == objective
 
 
+def infeasible_first_set_instance():
+    """An LP whose first working set at WORKING_SET_SCALE = 1 is infeasible."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((200, 2))
+    y = x @ np.array([1.0, -2.0]) + rng.laplace(size=200)
+    return x, y, rng.uniform(0.05, 1.0, 200)
+
+
 def test_working_set_doubles_when_infeasible_then_adds_violations(monkeypatch, lp_solves):
     # a small first set: its LP cannot balance the fixed samples, then the
     # doubled set's solution moves samples across the fit
     monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((200, 2))
-    y = x @ np.array([1.0, -2.0]) + rng.laplace(size=200)
-    w = rng.uniform(0.05, 1.0, 200)
-    assert_matches_simplex(x, y, w)
+    assert_matches_simplex(*infeasible_first_set_instance())
     sizes = [size for size, _, _ in lp_solves]
     assert sizes[:2] == [15, 30]
     assert [feasible for _, _, feasible in lp_solves] == [False] + [True] * (len(sizes) - 1)
@@ -185,12 +226,16 @@ def test_working_set_on_edge_inputs(kind, lp_solves):
     assert lp_solves[0][0] < 200  # the working set was in use
 
 
-def test_failed_least_squares_start_solves_one_full_lp(lp_solves):
-    # the only weighted rows have x = 0: a zero Gram matrix, so no start
-    rng = np.random.default_rng(9)
-    x, y, w = random_instance(rng, n=100, d=2)
+def no_start_instance():
+    """The only weighted rows have x = 0: a zero Gram matrix, so no start."""
+    x, y, w = random_instance(np.random.default_rng(9), n=100, d=2)
     x[:10] = 0.0
     w[10:] = 0.0
+    return x, y, w
+
+
+def test_failed_least_squares_start_solves_one_full_lp(lp_solves):
+    x, y, w = no_start_instance()
     with pytest.raises(SingularGram):
         lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
     assert_matches_simplex(x, y, w)
@@ -286,6 +331,99 @@ def test_em_lp_trajectory_identical_through_linprog_route(monkeypatch):
     reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
     assert np.array_equal(direct.params.beta, reference.params.beta)
     assert np.array_equal(direct.log_liks, reference.log_liks)
+
+
+def solver_reuse_calls():
+    """(x, y, w, WORKING_SET_SCALE) for a mixed sequence of dual_lp calls.
+
+    Random instances of every d and of N from 3 to 3000, an infeasible
+    first working set, a failed least-squares start and duplicated rows
+    with ties, in a seeded shuffled order.
+    """
+    rng = np.random.default_rng(31)
+    calls = [(*random_instance(rng, n=n, d=d), lad.WORKING_SET_SCALE)
+             for n in (3, 16, 40, 300, 3000) for d in (1, 2, 3)]
+    calls.append((*infeasible_first_set_instance(), 1.0))
+    calls.append((*no_start_instance(), lad.WORKING_SET_SCALE))
+    ties = np.random.default_rng(len("duplicated rows and ties"))
+    calls += [(*edge_instance("duplicated rows and ties", ties), lad.WORKING_SET_SCALE)
+              for _ in range(4)]
+    return [calls[i] for i in rng.permutation(len(calls))]
+
+
+def solve_each(calls, monkeypatch, solve):
+    results = []
+    for x, y, w, scale in calls:
+        monkeypatch.setattr(lad, "WORKING_SET_SCALE", scale)
+        results.append(solve(x, y, w))
+    return results
+
+
+def assert_same_results(results, reference):
+    assert len(results) == len(reference)
+    for (beta, objective), (beta_ref, objective_ref) in zip(results, reference):
+        assert np.array_equal(beta, beta_ref)
+        assert objective == objective_ref
+
+
+def test_reused_solver_matches_stateless_route_on_mixed_calls(monkeypatch):
+    calls = solver_reuse_calls()
+    reference = solve_each(calls, monkeypatch, lad._dual_lp_linprog)
+    assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
+    # again, on a solver that has already seen every one of them
+    assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
+
+
+@pytest.mark.skipif(lad.dual_lp is lad._dual_lp_linprog, reason="no direct HiGHS route")
+def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
+    # the infeasible first set: the second LP of the call reports the limit
+    # and leaves its model, basis and solution on the thread's solver
+    x, y, w = infeasible_first_set_instance()
+    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
+    solver = lad._thread_solver()
+
+    class LimitOnSecondRun:
+        runs = 0
+
+        def __getattr__(self, name):
+            return getattr(solver, name)
+
+        def run(self):
+            self.runs += 1
+            return solver.run()
+
+        def getModelStatus(self):
+            if self.runs < 2:
+                return solver.getModelStatus()
+            return lad._highs.HighsModelStatus.kIterationLimit
+
+    proxy = LimitOnSecondRun()
+    with monkeypatch.context() as patch:
+        patch.setattr(lad, "_thread_solver", lambda: proxy)
+        with pytest.raises(IterationLimit):
+            lad.dual_lp(x, y, w)
+    assert proxy.runs == 2
+    assert_same_results([lad.dual_lp(x, y, w)], [lad._dual_lp_linprog(x, y, w)])
+    calls = solver_reuse_calls()
+    assert_same_results(
+        solve_each(calls, monkeypatch, lad.dual_lp),
+        solve_each(calls, monkeypatch, lad._dual_lp_linprog),
+    )
+
+
+def test_dual_lp_from_four_threads_equals_serial():
+    # more threads than cores, switching often: a solver shared between
+    # threads would mix their LPs
+    calls = [call[:3] for call in solver_reuse_calls() if call[3] == lad.WORKING_SET_SCALE] * 3
+    serial = [lad.dual_lp(*call) for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda call: lad.dual_lp(*call), calls, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_results(threaded, serial)
 
 
 def test_irls_reaches_lp_optimum():

@@ -15,6 +15,10 @@ quartiles, and the number of pairs the change won (ties count for
 neither), plus the per-pair values. The Python, numpy and scipy versions
 the command runs under are recorded too.
 
+The file is written in any case, but if any run reports ``correct: false``
+or ``failed > 0``, the tool names each such seed and side on stderr and
+exits 1.
+
 The file gains one entry per workload: running the tool again with
 another workload adds that workload's entry to the same file, and a
 workload run again replaces its own entry.
@@ -133,7 +137,12 @@ def main(argv=None):
     }
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    return 0
+    faulty = [(run["seed"], side, run[side]) for run in runs for side in SIDES
+              if not run[side]["correct"] or run[side]["failed"] > 0]
+    for seed, side, result in faulty:
+        print(f"bench_pairs: {args.workload} seed {seed} {side} reported "
+              f"correct={result['correct']} failed={result['failed']}", file=sys.stderr)
+    return 1 if faulty else 0
 
 
 if __name__ == "__main__":
