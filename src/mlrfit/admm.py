@@ -4,8 +4,9 @@ The mixture log-likelihood is rewritten over auxiliary per-sample fits
 z_ik constrained to equal <x_i, b_k>. Each iteration updates memberships
 from the current fitted values X b, minimizes a separable upper bound of
 the augmented Lagrangian in Z in closed form per coordinate (a weighted
-average of y_i and the shifted fit under Gaussian noise, a soft
-threshold about y_i under Laplacian noise, Boyd et al. 2011, section
+average of y_i and the shifted fit under Gaussian noise; under Laplacian
+noise y_i clipped to the interval of half-width w/(b rho) around
+c = Xb + lam/rho, the proximal operator of |.|, Boyd et al. 2011, section
 4.4.3), refits the coefficients by one pre-factorized least-squares
 solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
 section 3.1). X b is computed once per iteration, right after the
@@ -25,6 +26,7 @@ import scipy.linalg
 
 from . import fit, lad
 from .em import e_step
+from .errors import SingularGram
 from .fit import FitTrace
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
@@ -33,8 +35,11 @@ responsibilities = e_step
 
 
 def gram_cholesky(data: Dataset):
-    """Cholesky factor of the ridge-stabilized X^T X, reusable across iterations."""
-    return lad._ridge_cholesky(data.x.T @ data.x)
+    """Cholesky factor of the ridge-stabilized X^T X; SingularGram if it has none."""
+    try:
+        return scipy.linalg.cho_factor(lad.ridge_gram(data.x.T @ data.x))
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
 
 
 def z_update_gaussian(
@@ -65,17 +70,13 @@ def z_update_laplacian(
 ) -> np.ndarray:
     """Closed-form minimizer of each coordinate's surrogate, Laplacian noise.
 
-    The surrogate w |y_i - z| / b - lam z + rho/2 (f - z)^2 is convex with
-    one kink at y_i, so its minimizer is a soft threshold about y_i: the
-    below-branch stationary point zbar = f + (lam b + w) / (b rho) if it
-    lies below y_i, the above-branch one ztil = f - (w - lam b) / (b rho)
-    if it lies above y_i, and y_i otherwise. Since w >= 0, zbar >= ztil,
-    so at most one of the two conditions holds. All arrays are K x N.
+    The surrogate w |y_i - z| / b - lam z + rho/2 (f - z)^2 is minimized by
+    y_i clipped to [c - w/(b rho), c + w/(b rho)], c = f + lam/rho, the
+    proximal operator of |.|; all arrays are K x N.
     """
-    b = nm.b
-    zbar = fits + (lam * b + w) / (b * rho)
-    ztil = fits - (w - lam * b) / (b * rho)
-    return np.where(zbar < y, zbar, np.where(ztil > y, ztil, y))
+    centre = fits + lam / rho
+    reach = w / (nm.b * rho)
+    return np.clip(y, centre - reach, centre + reach)
 
 
 def beta_update(
@@ -83,13 +84,11 @@ def beta_update(
 ) -> MlrParams:
     """Least-squares coefficient refit b = (X^T X)^-1 X^T (Z - lam / rho)^T.
 
-    ``z`` and ``lam`` are K x N. The right-hand side is transposed into a
-    contiguous N x K copy, so X^T multiplies the same memory layout it
-    would for N x K arrays, rounding included. ``chol`` was checked when
-    it was built, so the solve skips scipy's finiteness scan; a non-finite
-    result still raises NonFiniteInput in ``MlrParams``.
+    ``z`` and ``lam`` are K x N. ``chol`` was checked when it was built, so
+    the solve skips scipy's finiteness scan; a non-finite result still
+    raises NonFiniteInput in ``MlrParams``.
     """
-    rhs = data.x.T @ np.ascontiguousarray((z - lam / rho).T)
+    rhs = data.x.T @ (z - lam / rho).T
     return MlrParams(scipy.linalg.cho_solve(chol, rhs, check_finite=False))
 
 
@@ -122,7 +121,7 @@ def fit_admm(
             params = beta_update(z, lam, data, rho, chol)
             fits = params.beta.T @ xt
             consensus_gap = fits - z
-            lam = lam + rho * consensus_gap
+            lam += rho * consensus_gap
             w = yield params, float(np.linalg.norm(consensus_gap))
 
     return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol)

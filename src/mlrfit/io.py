@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench, scoring
 from .errors import InsufficientData, ZeroVariance
-from .model import Dataset, MlrParams, NoiseKind
+from .model import Dataset, MlrParams, NoiseKind, check_int, check_positive, check_seed
 
 FORMAT_VERSION = "1"
 
@@ -99,7 +99,12 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
     for required in ("k", "d", "n", "noise", "sigma", "seed"):
         if required not in header:
             raise ValueError(f"{path}: missing dataset header key {required!r}")
-    k, d, n = int(header["k"]), int(header["d"]), int(header["n"])
+    try:
+        k, d, n = (check_int(key, header[key]) for key in ("k", "d", "n"))
+        sigma = check_positive("sigma", header["sigma"])
+        seed = check_seed("seed", header["seed"])
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     if len(rows) != n:
         raise ValueError(f"{path}: header says n = {n} but found {len(rows)} rows")
     # comments=None: a '#' line that is not a '# ' header line is a bad row
@@ -118,8 +123,8 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
         "d": d,
         "n": n,
         "noise": NoiseKind(header["noise"]),
-        "sigma": float(header["sigma"]),
-        "seed": int(header["seed"]),
+        "sigma": sigma,
+        "seed": seed,
     }
     labels = table["label"] - 1
     return Dataset(x=table["x"], y=table["y"], labels=labels, true_params=true_params), meta

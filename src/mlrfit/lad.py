@@ -47,13 +47,14 @@ covariates is d passes over contiguous rows of length N per component
 instead of N short rows of length d. The K Gram matrices and right-hand
 sides come from two stacked matmuls, one stacked Cholesky factorization
 checks them, and one stacked solve returns the d x K coefficients.
+ADMM factors its one Gram matrix in ``admm.gram_cholesky`` and takes only
+``ridge_gram`` from here.
 """
 
 import math
 import threading
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
@@ -83,23 +84,14 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     ``gram`` is one d x d matrix or a (..., d, d) stack; each matrix gets
     its own ridge.
     """
-    return _ridge_gram(gram)
-
-
-def _ridge_gram(gram: np.ndarray) -> np.ndarray:
-    # ``ridge_gram``, under a private name for the kernels: like
-    # ``_weighted_lstsq``, it then adds no tracer span to every IRLS pass.
     d = gram.shape[-1]
     ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / d
     return gram + ridge[..., None, None] * np.eye(d)
 
 
-def _ridge_cholesky(gram: np.ndarray):
-    """Cholesky factor of ``ridge_gram(gram)``; SingularGram if it has none."""
-    try:
-        return scipy.linalg.cho_factor(_ridge_gram(gram))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+# ``ridge_gram`` under a private name for the kernels: like
+# ``_weighted_lstsq``, it then adds no tracer span to every IRLS pass.
+_ridge_gram = ridge_gram
 
 
 def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -170,13 +170,14 @@ class Dataset:
             raise DimensionMismatch(
                 f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
             )
+        check_int("n_samples", y.shape[0])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.labels is not None:
             labels = _locked_array(self.labels, dtype=np.int64, ndim=1, name="labels")
             if labels.shape[0] != y.shape[0]:
                 raise DimensionMismatch("labels length must match y")
-            if labels.size and labels.min() < 0:
+            if labels.min() < 0:
                 raise ValueError("labels must be 0-based component indices")
             object.__setattr__(self, "labels", labels)
         if self.true_params is not None:
@@ -184,9 +185,8 @@ class Dataset:
                 raise TypeError("true_params must be an MlrParams")
             if self.true_params.dim != x.shape[1]:
                 raise DimensionMismatch("true_params dimension disagrees with x")
-            if self.labels is not None and self.labels.size:
-                if int(self.labels.max()) >= self.true_params.k_components:
-                    raise ValueError("labels exceed the number of true components")
+            if self.labels is not None and self.labels.max() >= self.true_params.k_components:
+                raise ValueError("labels exceed the number of true components")
 
     @property
     def n_samples(self) -> int:

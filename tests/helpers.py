@@ -121,6 +121,22 @@ def minimize_lhat(w, lam, rho, fit, y, nm):
     return 0.5 * (lo + hi)
 
 
+def three_branch_z_update_laplacian(fits, lam, rho, w, y, nm):
+    """The Laplacian Z-update written as its case analysis, as a reference.
+
+    The surrogate w |y_i - z| / b - lam z + rho/2 (f - z)^2 is convex with
+    one kink at y_i: its minimizer is the below-branch stationary point
+    zbar = f + (lam b + w) / (b rho) if that lies below y_i, the
+    above-branch one ztil = f - (w - lam b) / (b rho) if that lies above
+    y_i, and y_i otherwise. Since w >= 0, zbar >= ztil, so at most one of
+    the two conditions holds.
+    """
+    b = nm.b
+    zbar = fits + (lam * b + w) / (b * rho)
+    ztil = fits - (w - lam * b) / (b * rho)
+    return np.where(zbar < y, zbar, np.where(ztil > y, ztil, y))
+
+
 def brute_force_assignment(cost: np.ndarray):
     """Exact minimum-cost assignment by enumerating all permutations.
 

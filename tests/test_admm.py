@@ -3,8 +3,15 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import minimize_lhat, separated_seed, surrogate_value
+from helpers import (
+    minimize_lhat,
+    separated_seed,
+    surrogate_value,
+    three_branch_z_update_laplacian,
+)
 from mlrfit import admm, em, scoring, synth
 from mlrfit.errors import NonFiniteInput
 from mlrfit.model import (
@@ -126,6 +133,74 @@ class TestZUpdateLaplacian:
         # thresholds (zbar = 0.75, ztil = -0.25), zbar on y, ztil on y
         assert z[0].tolist() == [-2.0, 2.5, 0.0, 1.0, 1.0]
         assert np.array_equal(z[1], fits[1] + lam[1] / rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 8.0),
+        log_sigma=st.floats(-2.0, 2.0),
+        log_rho=st.floats(-2.0, 2.0),
+    )
+    def test_within_ulps_of_three_branch_form(self, seed, log_scale, log_sigma, log_rho):
+        """The clip against the case analysis, in floating point.
+
+        f and lam / rho have magnitude 10**log_scale, and each y is drawn
+        at that magnitude apart from the interval, inside or near it, or
+        on one of its ends, c -+ w / (b rho); a tenth of the memberships
+        are 0. Every entry is within 4 ulp of
+        |f| + |lam| / rho + w / (b rho) + |y| of the reference, and exactly
+        y_i wherever the reference returns y_i.
+        """
+        rng = np.random.default_rng(seed)
+        nm = NoiseModel(NoiseKind.LAPLACIAN, 10.0**log_sigma)
+        rho, scale, shape = 10.0**log_rho, 10.0**log_scale, (3, 50)
+        fits = scale * rng.standard_normal(shape)
+        lam = rho * scale * rng.standard_normal(shape)
+        w = np.where(rng.random(shape) < 0.1, 0.0, rng.random(shape))
+        centre, reach = fits + lam / rho, w / (nm.b * rho)
+        mode = rng.integers(0, 3, shape)
+        y = np.select(
+            [mode == 0, mode == 1],
+            [scale * rng.standard_normal(shape),
+             centre + reach * rng.uniform(-2.0, 2.0, shape)],
+            centre + reach * rng.choice([-1.0, 1.0], shape),
+        )
+        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        expected = three_branch_z_update_laplacian(fits, lam, rho, w, y, nm)
+        size = np.abs(fits) + np.abs(lam) / rho + reach + np.abs(y)
+        assert (np.abs(z - expected) <= 4 * np.spacing(size)).all()
+        kink = expected == y
+        assert np.array_equal(z[kink], y[kink])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b_exp=st.integers(-6, 6),
+        rho_exp=st.integers(-6, 6),
+    )
+    def test_equals_three_branch_form_on_exact_ties(self, seed, b_exp, rho_exp):
+        """Dyadic inputs, where both forms round nothing, so ties are exact.
+
+        b = 2**b_exp and rho = 2**rho_exp (sigma = b sqrt 2, so sigma and
+        rho lie in [1e-2, 1e2]); f, lam and w are multiples of 2**-8. Each y
+        is c, c - w / (b rho), c + w / (b rho) or an unrelated multiple of
+        2**-8, and the two forms agree exactly, ties returning y_i.
+        """
+        rng = np.random.default_rng(seed)
+        nm = NoiseModel(NoiseKind.LAPLACIAN, 2.0**b_exp * math.sqrt(2.0))
+        assert nm.b == 2.0**b_exp
+        rho, shape = 2.0**rho_exp, (3, 40)
+        fits = rng.integers(-2**18, 2**18, shape) / 2**8
+        lam = rng.integers(-2**18, 2**18, shape) / 2**8
+        w = rng.integers(0, 2**8 + 1, shape) / 2**8
+        centre, reach = fits + lam / rho, w / (nm.b * rho)
+        ends = [centre, centre - reach, centre + reach, rng.integers(-2**18, 2**18, shape) / 2**8]
+        y = np.choose(rng.integers(0, 4, shape), ends)
+        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        expected = three_branch_z_update_laplacian(fits, lam, rho, w, y, nm)
+        assert np.array_equal(z, expected)
+        tie = np.abs(y - centre) == reach
+        assert tie.any() and np.array_equal(z[tie], y[tie])
 
 
 class TestBetaAndDualUpdates:

@@ -215,6 +215,39 @@ class TestFit:
                 "--iters", "5", "--data", bad, "--out", tmp_path / "o.txt",
             ]) == 2, name
 
+    @pytest.mark.parametrize("algo", ["em", "admm"])
+    @pytest.mark.parametrize(
+        "line,replacement,message",
+        [
+            ("# n = 4", "# n = 0", "n must be an integer >= 1, got 0"),
+            ("# k = 2", "# k = 0", "k must be an integer >= 1, got 0"),
+            ("# d = 2", "# d = 1.5", "d must be an integer, got 1.5"),
+            ("# sigma = 1", "# sigma = -1", "sigma must be a positive finite real, got -1.0"),
+            ("# seed = 3", "# seed = -1", "seed must be in [0, 2**64), got -1"),
+        ],
+        ids=["n-zero", "k-zero", "d-fractional", "sigma-negative", "seed-negative"],
+    )
+    def test_header_value_outside_its_rule_exits_two(
+        self, tmp_path, capsys, algo, line, replacement, message
+    ):
+        data = synth.generate(2, 2, 4, NoiseModel(NoiseKind.GAUSSIAN, 1.0), seed=3)
+        io.write_dataset(tmp_path / "good.txt", data, NoiseKind.GAUSSIAN, 1.0, 3)
+        text = read(tmp_path / "good.txt")
+        assert f"\n{line}\n" in text
+        text = text.replace(f"\n{line}\n", f"\n{replacement}\n")
+        if replacement == "# n = 0":  # an empty dataset, consistent with its header
+            text = text[: text.index("\n", text.index("# columns = ")) + 1]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        out = tmp_path / "o.txt"
+        assert run([
+            "fit", "--algo", algo, "--noise", "gaussian", "--k", "2",
+            "--iters", "5", "--data", bad, "--out", out,
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "o.txt.manifest.txt").exists()
+
 
 BENCH_CONFIG = """\
 k_values = 2

@@ -76,6 +76,11 @@ def test_dataset_label_validation():
         Dataset(x=x, y=y, labels=np.array([0, 1, 2, 0]), true_params=truth)
 
 
+def test_dataset_without_samples_rejected():
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1, got 0"):
+        Dataset(x=np.zeros((0, 2)), y=np.zeros(0))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_iterations=0)
