@@ -33,10 +33,10 @@ loop over all columns on every call and cost about twice the solve
 itself. Each thread keeps one HiGHS instance, made with the options on
 its first LP and cleared of its model before every LP: each solve still
 starts cold, but the 0.1 to 0.2 ms that making an instance costs is
-paid once per thread instead of once per LP. The route is picked once,
-at import: on an older scipy, where that private module does not exist,
-``dual_lp`` is ``_dual_lp_linprog``, the same working-set loop with each
-LP solved by ``linprog``.
+paid once per thread instead of once per LP. The backend is picked once,
+at import: ``_solve_dual``, which ``dual_lp`` hands each working-set LP,
+is ``_highs_dual``, or ``_linprog_dual`` on an older scipy, where that
+private module does not exist.
 
 Every weighted least-squares system of EM goes through one kernel,
 ``_weighted_lstsq``: the Gaussian M-step solves all K components in one
@@ -197,57 +197,6 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     )
 
 
-def _exact_lad(x: np.ndarray, y: np.ndarray, weights: np.ndarray, solve_dual):
-    """Exact weighted LAD: the working-set loop that both LP backends share.
-
-    ``solve_dual(x_s, y_s, w_s, rhs)`` solves the bounded dual restricted
-    to the samples S, max y_S.s subject to X_S^T s = rhs and
-    -w_S <= s <= w_S, and returns minus its equality multipliers, or None
-    if that LP is infeasible. See ``dual_lp`` for the loop itself.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n, d = x.shape
-    if d == 1:
-        beta = np.array([solve_1d(x[:, 0], y, weights)])
-        return beta, float(np.sum(weights * np.abs(y - x @ beta)))
-    inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
-    fixed = np.zeros(n)  # the dual value s_i of each sample outside S
-    size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
-    if size < n:
-        try:
-            start = _weighted_lstsq(np.ascontiguousarray(x.T), x, y, weights[None])[:, 0]
-        except (SingularGram, NonFiniteInput):
-            pass  # no start to rank the samples by: the LP on all of them
-        else:
-            r = y - x @ start
-            distance = np.abs(r)
-            fixed = np.where(r >= 0.0, weights, -weights)
-            in_set = np.zeros(n, dtype=bool)
-            in_set[np.argpartition(distance, size - 1)[:size]] = True
-            inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-    # in_set, the mask of S, exists whenever a sample is outside S
-    while True:
-        # np.take gathers rows several times faster than x[index], same values
-        fixed_out = fixed[outside]
-        rhs = -fixed_out @ np.take(x, outside, axis=0)
-        beta = solve_dual(np.take(x, inside, axis=0), y[inside], weights[inside], rhs)
-        if beta is None:
-            if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
-                raise SolverStall("HiGHS found the LAD dual LP infeasible")
-            # the fixed samples ask for more than S can balance: double S along |r|
-            order = np.argsort(distance, kind="stable")
-            in_set[order[~in_set[order]][: inside.size]] = True
-        else:
-            residual = y - x @ beta
-            violated = outside[fixed_out * residual[outside] < 0.0]
-            if violated.size == 0:
-                return beta, float(np.sum(weights * np.abs(residual)))
-            in_set[violated] = True
-        inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-
-
 def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """Exact weighted LAD through the bounded dual LP, solved on a working set.
 
@@ -285,13 +234,53 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     HiGHS copies in bulk, with X_S^T column-wise straight from the rows of
     x, exact zeros included where linprog drops them; the route-parity
     tests show the results are bit-identical either way. On scipy < 1.15
-    this name is bound to ``_dual_lp_linprog`` instead (see the module
-    docstring).
+    each LP goes through ``linprog`` instead (``_solve_dual``, see the
+    module docstring).
 
     Returns (coefficients, objective over all N at those coefficients).
     Raises IterationLimit or SolverStall when HiGHS stops short of optimal.
     """
-    return _exact_lad(x, y, weights, _highs_dual)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n, d = x.shape
+    if d == 1:
+        beta = np.array([solve_1d(x[:, 0], y, weights)])
+        return beta, float(np.sum(weights * np.abs(y - x @ beta)))
+    inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
+    fixed = np.zeros(n)  # the dual value s_i of each sample outside S
+    size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
+    if size < n:
+        try:
+            start = _weighted_lstsq(np.ascontiguousarray(x.T), x, y, weights[None])[:, 0]
+        except (SingularGram, NonFiniteInput):
+            pass  # no start to rank the samples by: the LP on all of them
+        else:
+            r = y - x @ start
+            distance = np.abs(r)
+            fixed = np.where(r >= 0.0, weights, -weights)
+            in_set = np.zeros(n, dtype=bool)
+            in_set[np.argpartition(distance, size - 1)[:size]] = True
+            inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+    # in_set, the mask of S, exists whenever a sample is outside S
+    while True:
+        # np.take gathers rows several times faster than x[index], same values
+        fixed_out = fixed[outside]
+        rhs = -fixed_out @ np.take(x, outside, axis=0)
+        beta = _solve_dual(np.take(x, inside, axis=0), y[inside], weights[inside], rhs)
+        if beta is None:
+            if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
+                raise SolverStall("HiGHS found the LAD dual LP infeasible")
+            # the fixed samples ask for more than S can balance: double S along |r|
+            order = np.argsort(distance, kind="stable")
+            in_set[order[~in_set[order]][: inside.size]] = True
+        else:
+            residual = y - x @ beta
+            violated = outside[fixed_out * residual[outside] < 0.0]
+            if violated.size == 0:
+                return beta, float(np.sum(weights * np.abs(residual)))
+            in_set[violated] = True
+        inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
 
 
 def _thread_solver():
@@ -311,7 +300,7 @@ def _thread_solver():
 
 
 def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
-    """The working-set LP of ``_exact_lad`` on this thread's HiGHS instance."""
+    """A working-set LP of ``dual_lp`` on this thread's HiGHS instance."""
     n, d = x.shape
     solver = _thread_solver()
     # no model, basis or solution survives from the thread's previous LP
@@ -349,18 +338,13 @@ def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarr
     return -np.array(solver.getSolution().row_dual)
 
 
-def _dual_lp_linprog(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
-    """``dual_lp`` through ``scipy.optimize.linprog``: the route on scipy < 1.15.
-
-    Same working-set loop, LPs, options and return value as ``dual_lp``;
-    the tests use it as the reference the direct route must match bit for
-    bit.
-    """
-    return _exact_lad(x, y, weights, _linprog_dual)
-
-
 def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
-    """The working-set LP of ``_exact_lad`` through ``scipy.optimize.linprog``."""
+    """A working-set LP of ``dual_lp`` through ``scipy.optimize.linprog``.
+
+    The backend on scipy < 1.15. The LP and the options are those of
+    ``_highs_dual``; the tests use it as the reference that route must
+    match bit for bit.
+    """
     res = scipy.optimize.linprog(
         -y,
         A_eq=x.T,
@@ -378,9 +362,14 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
     return -np.asarray(res.eqlin.marginals, dtype=float)
 
 
+# The backend of dual_lp: _solve_dual(x_s, y_s, w_s, rhs) solves the bounded
+# dual restricted to the samples S, max y_S.s subject to X_S^T s = rhs and
+# -w_S <= s <= w_S, and returns minus its equality multipliers, or None if
+# that LP is infeasible.
 if _highs is None:
-    dual_lp = _dual_lp_linprog  # noqa: F811
+    _solve_dual = _linprog_dual
 else:
+    _solve_dual = _highs_dual
     _THREAD_STATE = threading.local()  # .solver: the thread's _Highs, once made
     # Built once and passed to each thread's solver when it is made.
     _HIGHS_OPTIONS = _highs.HighsOptions()

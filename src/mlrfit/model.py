@@ -43,7 +43,17 @@ LAD_PATHS = (LAD_PATH_AUTO, LAD_PATH_LP, LAD_PATH_IRLS) = ("auto", "lp", "irls")
 
 
 def _exact_int(name: str, value) -> int:
-    """``value`` as an int, never rounded: ints, numpy ints and integral floats."""
+    """``value`` as an int, never rounded: ints, numpy ints, integral floats
+    and text that holds one of these ("3", "3.0", "1e3")."""
+    if isinstance(value, str):
+        try:
+            return int(value)  # exact, where float() rounds 2**64 - 1 up to 2**64
+        except ValueError:
+            pass
+        try:
+            value = float(value)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not isinstance(value, numbers.Integral):  # int() of an int is exact at any size
         real = float(value)
         if not math.isfinite(real):
@@ -171,6 +181,7 @@ class Dataset:
                 f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
             )
         check_int("n_samples", y.shape[0])
+        check_int("dim", x.shape[1])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.labels is not None:

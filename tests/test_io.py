@@ -68,6 +68,17 @@ def test_dataset_rows_render_every_float_with_fmt(tmp_path):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_dataset_header_integers_may_be_written_as_floats(tmp_path):
+    data = _tricky_dataset()
+    io.write_dataset(tmp_path / "data.txt", data, NoiseKind.LAPLACIAN, 1.0, 5)
+    text = (tmp_path / "data.txt").read_text()
+    assert "\n# d = 2\n" in text
+    (tmp_path / "float.txt").write_text(text.replace("\n# d = 2\n", "\n# d = 2.0\n"))
+    back, meta = io.read_dataset(tmp_path / "float.txt")
+    assert meta["d"] == 2 and type(meta["d"]) is int
+    assert np.array_equal(back.x, data.x) and np.array_equal(back.y, data.y)
+
+
 def test_dataset_rows_tolerate_padded_fields_and_blank_lines(tmp_path):
     data = _tricky_dataset()
     io.write_dataset(tmp_path / "data.txt", data, NoiseKind.LAPLACIAN, 1.0, 5)

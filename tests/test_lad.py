@@ -1,4 +1,7 @@
+import inspect
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,11 +17,25 @@ from helpers import (
     stable_solve_1d,
     stable_weighted_median,
 )
+import mlrfit
 from mlrfit import em, lad, synth
 from mlrfit.errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
+# dual_lp as imported: some tests patch the module's name, and the reference
+# route must not call the patch back
+DUAL_LP = lad.dual_lp
+
+
+def dual_lp_linprog(x, y, w):
+    """``dual_lp`` with every working-set LP through ``linprog``: the reference."""
+    backend = lad._solve_dual
+    lad._solve_dual = lad._linprog_dual
+    try:
+        return DUAL_LP(x, y, w)
+    finally:
+        lad._solve_dual = backend
 
 
 def random_instance(rng, n=None, d=None):
@@ -148,17 +165,16 @@ def test_dual_lp_handles_zero_weights():
 def lp_solves(monkeypatch):
     """(columns, right-hand side non-zero, feasible) of every working-set LP.
 
-    Records the LPs of whichever backend ``dual_lp`` is bound to.
+    Records the LPs of whichever backend ``dual_lp`` hands them to.
     """
     solves = []
-    for name in ("_highs_dual", "_linprog_dual"):
 
-        def spy(x, y, w, rhs, solve=getattr(lad, name)):
-            beta = solve(x, y, w, rhs)
-            solves.append((y.size, bool(np.any(rhs)), beta is not None))
-            return beta
+    def spy(x, y, w, rhs, solve=lad._solve_dual):
+        beta = solve(x, y, w, rhs)
+        solves.append((y.size, bool(np.any(rhs)), beta is not None))
+        return beta
 
-        monkeypatch.setattr(lad, name, spy)
+    monkeypatch.setattr(lad, "_solve_dual", spy)
     return solves
 
 
@@ -289,7 +305,7 @@ def test_routes_identical_on_working_sets(seed, n, d, zero_share):
 
 def assert_routes_identical(x, y, w):
     beta, objective = lad.dual_lp(x, y, w)
-    beta_ref, objective_ref = lad._dual_lp_linprog(x, y, w)
+    beta_ref, objective_ref = dual_lp_linprog(x, y, w)
     assert np.array_equal(beta, beta_ref)
     assert objective == objective_ref
 
@@ -301,7 +317,7 @@ def test_dual_lp_matches_linprog_route_on_em_calls(monkeypatch):
 
     def capture(x, y, w):
         calls.append((x, y, w.copy()))
-        return lad._dual_lp_linprog(x, y, w)
+        return dual_lp_linprog(x, y, w)
 
     monkeypatch.setattr(lad, "dual_lp", capture)
     em.fit_em(data, 3, LAPLACE, SolverConfig(n_iterations=20, seed=22), lad_path="lp")
@@ -327,7 +343,7 @@ def test_em_lp_trajectory_identical_through_linprog_route(monkeypatch):
     data = synth.generate(3, 2, 1000, LAPLACE, seed=23)
     cfg = SolverConfig(n_iterations=30, seed=24)
     direct = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
-    monkeypatch.setattr(lad, "dual_lp", lad._dual_lp_linprog)
+    monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
     reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
     assert np.array_equal(direct.params.beta, reference.params.beta)
     assert np.array_equal(direct.log_liks, reference.log_liks)
@@ -368,13 +384,69 @@ def assert_same_results(results, reference):
 
 def test_reused_solver_matches_stateless_route_on_mixed_calls(monkeypatch):
     calls = solver_reuse_calls()
-    reference = solve_each(calls, monkeypatch, lad._dual_lp_linprog)
+    reference = solve_each(calls, monkeypatch, dual_lp_linprog)
     assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
     # again, on a solver that has already seen every one of them
     assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
 
 
-@pytest.mark.skipif(lad.dual_lp is lad._dual_lp_linprog, reason="no direct HiGHS route")
+# Imports mlrfit.lad as it imports on scipy < 1.15, where scipy.optimize has
+# no _highspy module, solves the calls saved in argv[1] and saves the results
+# to argv[2]. scipy.optimize is imported first: linprog itself runs on _highspy.
+WITHOUT_HIGHSPY = """
+import builtins, inspect, sys
+import numpy as np
+import scipy.optimize
+
+real_import = builtins.__import__
+
+def import_without_highspy(name, *args, **kwargs):
+    if name == "scipy.optimize._highspy":
+        raise ImportError("no scipy.optimize._highspy")
+    return real_import(name, *args, **kwargs)
+
+builtins.__import__ = import_without_highspy
+from mlrfit import lad
+builtins.__import__ = real_import
+
+assert lad._highs is None
+assert lad._solve_dual is lad._linprog_dual
+assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
+calls = np.load(sys.argv[1])
+results = {}
+for i, scale in enumerate(calls["scales"]):
+    lad.WORKING_SET_SCALE = float(scale)
+    results[f"beta{i}"], results[f"objective{i}"] = lad.dual_lp(
+        calls[f"x{i}"], calls[f"y{i}"], calls[f"w{i}"])
+np.savez(sys.argv[2], **results)
+"""
+
+
+def test_linprog_backend_bound_when_highspy_is_missing(tmp_path, monkeypatch):
+    # a patch or partial in place of the function would hide dual_lp from
+    # tracers that wrap the module's plain functions
+    assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
+    calls = solver_reuse_calls()
+    assert {x.shape[1] for x, _, _, _ in calls} == {1, 2, 3}
+    arrays = {"scales": np.array([scale for _, _, _, scale in calls])}
+    for i, (x, y, w, _) in enumerate(calls):
+        arrays.update({f"x{i}": x, f"y{i}": y, f"w{i}": w})
+    np.savez(tmp_path / "calls.npz", **arrays)
+    # the package under test comes first on the child's path
+    src = os.path.dirname(os.path.dirname(mlrfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", WITHOUT_HIGHSPY, str(tmp_path / "calls.npz"),
+         str(tmp_path / "results.npz")],
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    with np.load(tmp_path / "results.npz") as saved:
+        fallback = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
+                    for i in range(len(calls))]
+    assert_same_results(fallback, solve_each(calls, monkeypatch, DUAL_LP))
+
+
+@pytest.mark.skipif(lad._highs is None, reason="no direct HiGHS route")
 def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
     # the infeasible first set: the second LP of the call reports the limit
     # and leaves its model, basis and solution on the thread's solver
@@ -403,11 +475,11 @@ def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
         with pytest.raises(IterationLimit):
             lad.dual_lp(x, y, w)
     assert proxy.runs == 2
-    assert_same_results([lad.dual_lp(x, y, w)], [lad._dual_lp_linprog(x, y, w)])
+    assert_same_results([lad.dual_lp(x, y, w)], [dual_lp_linprog(x, y, w)])
     calls = solver_reuse_calls()
     assert_same_results(
         solve_each(calls, monkeypatch, lad.dual_lp),
-        solve_each(calls, monkeypatch, lad._dual_lp_linprog),
+        solve_each(calls, monkeypatch, dual_lp_linprog),
     )
 
 

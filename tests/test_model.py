@@ -8,6 +8,8 @@ from mlrfit.model import (
     NoiseKind,
     NoiseModel,
     SolverConfig,
+    check_int,
+    check_seed,
     initial_params,
     validate_problem,
 )
@@ -79,6 +81,27 @@ def test_dataset_label_validation():
 def test_dataset_without_samples_rejected():
     with pytest.raises(ValueError, match="n_samples must be an integer >= 1, got 0"):
         Dataset(x=np.zeros((0, 2)), y=np.zeros(0))
+
+
+def test_dataset_without_covariates_rejected():
+    with pytest.raises(ValueError, match="dim must be an integer >= 1, got 0"):
+        Dataset(x=np.zeros((5, 0)), y=np.zeros(5))
+
+
+@pytest.mark.parametrize("check", [check_int, check_seed])
+def test_integer_rules_read_text_exactly(check):
+    # dataset headers hand the rules text
+    assert check("k", "3.0") == 3
+    assert check("k", "1e3") == 1000
+    # parsed as an int first: as a float it would round up to 2**64
+    assert check("k", str(2**64 - 1)) == 2**64 - 1
+    assert type(check("k", "3.0")) is int
+    with pytest.raises(ValueError, match="k must be an integer, got 3.5"):
+        check("k", "3.5")
+    with pytest.raises(NonFiniteInput, match="k must be an integer, got nan"):
+        check("k", "nan")
+    with pytest.raises(ValueError, match="k must be an integer, got 'abc'"):
+        check("k", "abc")
 
 
 def test_solver_config_validation():
