@@ -7,26 +7,26 @@ the augmented Lagrangian in Z in closed form per coordinate (a weighted
 average of y_i and the shifted fit under Gaussian noise; under Laplacian
 noise y_i clipped to the interval of half-width w/(b rho) around
 c = Xb + lam/rho, the proximal operator of |.|, Boyd et al. 2011, section
-4.4.3), refits the coefficients by one pre-factorized least-squares
-solve, and ascends the duals, lam + rho (X b - Z) (Boyd et al. 2011,
-section 3.1). X b is computed once per iteration, right after the
-coefficient solve, and serves the primal residual, the dual step and the
-next iteration's Z-update. Like EM's, the per-iteration arrays (fitted
-values, memberships, Z and the duals) are component-major, K x N, so y
-broadcasts along each component's row. ``fit_admm`` hands the iteration
-to the loop in ``mlrfit.fit``, which both solvers share; after the first,
-the memberships come from the pass that loop's likelihood makes over the
-same log-densities.
+4.4.3), refits the coefficients by one matmul with the least-squares
+projection P = (X^T X)^-1 X^T, which depends on X alone and is formed
+once per fit (Boyd et al. 2011, section 4.2), and ascends the duals,
+lam + rho (X b - Z) (Boyd et al. 2011, section 3.1). X b is computed once
+per iteration, right after the coefficient refit, and serves the primal
+residual, the dual step and the next iteration's Z-update. Like EM's, the
+per-iteration arrays (fitted values, memberships, Z and the duals) are
+component-major, K x N, so y broadcasts along each component's row.
+``fit_admm`` hands the iteration to the loop in ``mlrfit.fit``, which both
+solvers share; after the first, the memberships come from the pass that
+loop's likelihood makes over the same log-densities.
 """
 
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import fit, lad
 from .em import e_step
-from .errors import SingularGram
+from .errors import NonFiniteInput, SingularGram
 from .fit import FitTrace
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
@@ -34,12 +34,25 @@ from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 responsibilities = e_step
 
 
-def gram_cholesky(data: Dataset):
-    """Cholesky factor of the ridge-stabilized X^T X; SingularGram if it has none."""
+def gram_projection(data: Dataset) -> np.ndarray:
+    """The d x N least-squares projection P = ridge_gram(X^T X)^-1 X^T.
+
+    Raises NonFiniteInput if X^T X overflows and SingularGram if its
+    ridge-stabilized form is not positive definite, the Cholesky gate of
+    ``lad._weighted_lstsq``. The d x d inverse then costs less than solving
+    against the N columns of X^T.
+    """
+    xt = data.x.T
+    # an overflowed X^T X is inf, and its ridge inf * 0 = NaN off the diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = lad.ridge_gram(xt @ data.x)
+    if not np.isfinite(gram).all():
+        raise NonFiniteInput("Gram matrix X^T X overflowed")
     try:
-        return scipy.linalg.cho_factor(lad.ridge_gram(data.x.T @ data.x))
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+    return np.linalg.inv(gram) @ xt
 
 
 def z_update_gaussian(
@@ -79,17 +92,13 @@ def z_update_laplacian(
     return np.clip(y, centre - reach, centre + reach)
 
 
-def beta_update(
-    z: np.ndarray, lam: np.ndarray, data: Dataset, rho: float, chol
-) -> MlrParams:
-    """Least-squares coefficient refit b = (X^T X)^-1 X^T (Z - lam / rho)^T.
+def beta_update(z: np.ndarray, lam: np.ndarray, rho: float, proj: np.ndarray) -> MlrParams:
+    """Least-squares coefficient refit b = P (Z - lam / rho)^T.
 
-    ``z`` and ``lam`` are K x N. ``chol`` was checked when it was built, so
-    the solve skips scipy's finiteness scan; a non-finite result still
-    raises NonFiniteInput in ``MlrParams``.
+    ``z`` and ``lam`` are K x N and ``proj`` is ``gram_projection``'s P; a
+    non-finite result raises NonFiniteInput in ``MlrParams``.
     """
-    rhs = data.x.T @ (z - lam / rho).T
-    return MlrParams(scipy.linalg.cho_solve(chol, rhs, check_finite=False))
+    return MlrParams(proj @ (z - lam / rho).T)
 
 
 def fit_admm(
@@ -106,7 +115,7 @@ def fit_admm(
     residual ||X b - Z||_F drops to it; by default the full budget runs,
     matching the fixed-iteration protocol of the EM benchmark.
     """
-    chol = gram_cholesky(data)
+    proj = gram_projection(data)
     xt, y, rho = data.x.T, data.y, cfg.rho
 
     def steps(params):
@@ -118,7 +127,7 @@ def fit_admm(
                 z = z_update_gaussian(fits, lam, rho, w, y, nm)
             else:
                 z = z_update_laplacian(fits, lam, rho, w, y, nm)
-            params = beta_update(z, lam, data, rho, chol)
+            params = beta_update(z, lam, rho, proj)
             fits = params.beta.T @ xt
             consensus_gap = fits - z
             lam += rho * consensus_gap

@@ -7,6 +7,7 @@ indices are 1-based in every file and converted at this boundary.
 
 import csv
 import dataclasses
+import math
 import os
 import typing
 from io import StringIO
@@ -75,10 +76,31 @@ def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int
                    fmt=["%d"] + ["%.17g"] * (data.dim + 1), delimiter=",")
 
 
+def _at_line(path, line_no: int, rule: Callable, *args):
+    """``rule(*args)``, with a ValueError it raises prefixed by path:line."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise type(exc)(f"{path}:{line_no}: {exc}") from exc
+
+
+def _coefficients(key: str, d: int, text: str) -> List[float]:
+    """The d finite coefficients of a ``beta_true[j]`` header line."""
+    try:
+        values = [float(v) for v in text.split()]
+    except ValueError:
+        values = []
+    if len(values) != d or not all(map(math.isfinite, values)):
+        raise ValueError(f"{key} must be {d} finite real numbers, got {text!r}")
+    return values
+
+
 def read_dataset(path) -> Tuple[Dataset, Dict]:
-    """Parse a dataset file back into a Dataset plus its header metadata."""
-    header: Dict[str, str] = {}
-    beta_rows: Dict[int, List[float]] = {}
+    """Parse a dataset file back into a Dataset plus its header metadata.
+
+    A header error, a repeated key among them, names the file and the line.
+    """
+    header: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
     rows = []
     with open(path, "r") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -89,22 +111,27 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
                 if line == "# mlrfit dataset":
                     continue
                 key, value = _parse_kv_line(line[2:], str(path), line_no)
-                if key.startswith("beta_true["):
-                    component = int(key[len("beta_true[") : -1])
-                    beta_rows[component] = [float(v) for v in value.split()]
-                else:
-                    header[key] = value
+                if key.startswith("beta_true["):  # so beta_true[01] repeats beta_true[1]
+                    index = key[len("beta_true[") : -1]
+                    index = _at_line(path, line_no, check_int, "beta_true index", index)
+                    key = f"beta_true[{index}]"
+                if key in header:
+                    raise ValueError(f"{path}:{line_no}: duplicate dataset header key {key!r}")
+                header[key] = (value, line_no)
                 continue
             rows.append(line)
     for required in ("k", "d", "n", "noise", "sigma", "seed"):
         if required not in header:
             raise ValueError(f"{path}: missing dataset header key {required!r}")
-    try:
-        k, d, n = (check_int(key, header[key]) for key in ("k", "d", "n"))
-        sigma = check_positive("sigma", header["sigma"])
-        seed = check_seed("seed", header["seed"])
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+
+    def parse(key, rule, *args):
+        value, line_no = header[key]
+        return _at_line(path, line_no, rule, *args, value)
+
+    k, d, n = (parse(key, check_int, key) for key in ("k", "d", "n"))
+    noise = parse("noise", NoiseKind)
+    sigma = parse("sigma", check_positive, "sigma")
+    seed = parse("seed", check_seed, "seed")
     if len(rows) != n:
         raise ValueError(f"{path}: header says n = {n} but found {len(rows)} rows")
     # comments=None: a '#' line that is not a '# ' header line is a bad row
@@ -114,15 +141,18 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     true_params: Optional[MlrParams] = None
-    if beta_rows:
-        if sorted(beta_rows) != list(range(1, k + 1)):
+    beta_keys = {key for key in header if key.startswith("beta_true[")}
+    if beta_keys:
+        wanted = [f"beta_true[{j}]" for j in range(1, k + 1)]
+        if beta_keys != set(wanted):
             raise ValueError(f"{path}: beta_true lines must cover components 1..{k}")
-        true_params = MlrParams(np.column_stack([beta_rows[j] for j in range(1, k + 1)]))
+        columns = [parse(key, _coefficients, key, d) for key in wanted]
+        true_params = MlrParams(np.column_stack(columns))
     meta = {
         "k": k,
         "d": d,
         "n": n,
-        "noise": NoiseKind(header["noise"]),
+        "noise": noise,
         "sigma": sigma,
         "seed": seed,
     }

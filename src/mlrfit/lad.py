@@ -47,8 +47,8 @@ covariates is d passes over contiguous rows of length N per component
 instead of N short rows of length d. The K Gram matrices and right-hand
 sides come from two stacked matmuls, one stacked Cholesky factorization
 checks them, and one stacked solve returns the d x K coefficients.
-ADMM factors its one Gram matrix in ``admm.gram_cholesky`` and takes only
-``ridge_gram`` from here.
+ADMM forms its one Gram matrix's projection in ``admm.gram_projection``
+and takes only ``ridge_gram`` from here.
 """
 
 import math

@@ -13,7 +13,7 @@ from helpers import (
     three_branch_z_update_laplacian,
 )
 from mlrfit import admm, em, scoring, synth
-from mlrfit.errors import NonFiniteInput
+from mlrfit.errors import NonFiniteInput, SingularGram
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -209,8 +209,7 @@ class TestBetaAndDualUpdates:
         data = Dataset(x=rng.standard_normal((40, 3)), y=rng.standard_normal(40))
         beta0 = rng.standard_normal((3, 2))
         z = (data.x @ beta0).T
-        chol = admm.gram_cholesky(data)
-        fitted = admm.beta_update(z, np.zeros_like(z), data, rho=1.0, chol=chol)
+        fitted = admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))
         assert np.allclose(fitted.beta, beta0, atol=1e-10)
 
     def test_scalar_normal_equation(self):
@@ -219,8 +218,7 @@ class TestBetaAndDualUpdates:
         z = rng.standard_normal((30, 1)).T
         lam = rng.standard_normal((30, 1)).T
         rho = 2.5
-        chol = admm.gram_cholesky(data)
-        fitted = admm.beta_update(z, lam, data, rho=rho, chol=chol)
+        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
         x = data.x[:, 0]
         expected = np.sum(x * (z[0] - lam[0] / rho)) / np.sum(x * x)
         assert fitted.beta[0, 0] == pytest.approx(expected, rel=1e-9)
@@ -233,20 +231,19 @@ class TestBetaAndDualUpdates:
         rho = 1.7
         from mlrfit import lad
 
-        chol = admm.gram_cholesky(data)
-        fitted = admm.beta_update(z, lam, data, rho=rho, chol=chol)
+        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
         gram = lad.ridge_gram(data.x.T @ data.x)
         expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho).T)
         assert np.allclose(fitted.beta, expected, atol=1e-10)
 
     def test_non_finite_right_hand_side_raises(self):
-        # the solve skips scipy's finiteness scan; MlrParams is the gate
+        # the refit is a bare matmul; MlrParams is the gate
         rng = np.random.default_rng(8)
         data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
         z = rng.standard_normal((2, 20))
         z[1, 3] = np.nan
         with pytest.raises(NonFiniteInput):
-            admm.beta_update(z, np.zeros_like(z), data, rho=1.0, chol=admm.gram_cholesky(data))
+            admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))
 
     def test_beta_update_stationarity(self):
         rng = np.random.default_rng(7)
@@ -254,7 +251,7 @@ class TestBetaAndDualUpdates:
         z = rng.standard_normal((80, 2)).T
         lam = rng.standard_normal((80, 2)).T
         rho = 0.7
-        fitted = admm.beta_update(z, lam, data, rho=rho, chol=admm.gram_cholesky(data))
+        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
         residual = data.x.T @ data.x @ fitted.beta - data.x.T @ (z - lam / rho).T
         assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(z))
 
@@ -265,7 +262,7 @@ class TestBetaAndDualUpdates:
         cfg = SolverConfig(n_iterations=3, seed=31)
         trace = admm.fit_admm(data, 3, nm, cfg)
         params = initial_params(cfg, 2, 3)
-        chol = admm.gram_cholesky(data)
+        proj = admm.gram_projection(data)
         lam = np.zeros((3, data.n_samples))
         log_liks, residuals = [], []
         for _ in range(3):
@@ -275,7 +272,7 @@ class TestBetaAndDualUpdates:
                 z = admm.z_update_gaussian(fits, lam, cfg.rho, w, data.y, nm)
             else:
                 z = admm.z_update_laplacian(fits, lam, cfg.rho, w, data.y, nm)
-            params = admm.beta_update(z, lam, data, cfg.rho, chol)
+            params = admm.beta_update(z, lam, cfg.rho, proj)
             gap = params.beta.T @ data.x.T - z
             lam = lam + cfg.rho * gap
             log_liks.append(scoring.log_likelihood(params, data, nm))
@@ -326,6 +323,21 @@ class TestFitAdmm:
         admm_pinned = admm.fit_admm(data, 2, GAUSS, pinned)
         assert np.array_equal(em_free.params.beta, em_pinned.params.beta)
         assert np.array_equal(admm_free.params.beta, admm_pinned.params.beta)
+
+    def test_all_zero_covariates_raise_singular_gram(self):
+        data = Dataset(x=np.zeros((20, 2)), y=np.ones(20))
+        with pytest.raises(SingularGram):
+            admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflowing_gram_raises_non_finite_input(self, d):
+        # finite covariates whose X^T X overflows; no RuntimeWarning escapes
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((20, d))
+        x[0, 0] = 1e160
+        data = Dataset(x=x, y=rng.standard_normal(20))
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=1))
 
     def test_trace_deterministic(self):
         data = synth.generate(2, 2, 300, LAPLACE, seed=22)

@@ -6,7 +6,7 @@ import pytest
 from helpers import strip_clock_lines
 from mlrfit import bench, io, scoring, synth
 from mlrfit.cli import main
-from mlrfit.model import NoiseKind, NoiseModel
+from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
 
 GEN_ARGS = [
     "generate", "--k", "2", "--d", "2", "--n", "100",
@@ -219,18 +219,34 @@ class TestFit:
     @pytest.mark.parametrize(
         "line,replacement,message",
         [
-            ("# n = 4", "# n = 0", "n must be an integer >= 1, got 0"),
-            ("# k = 2", "# k = 0", "k must be an integer >= 1, got 0"),
-            ("# d = 2", "# d = 1.5", "d must be an integer, got 1.5"),
-            ("# sigma = 1", "# sigma = -1", "sigma must be a positive finite real, got -1.0"),
-            ("# seed = 3", "# seed = -1", "seed must be in [0, 2**64), got -1"),
+            ("# n = 4", "# n = 0", "bad.txt:5: n must be an integer >= 1, got 0"),
+            ("# k = 2", "# k = 0", "bad.txt:3: k must be an integer >= 1, got 0"),
+            ("# d = 2", "# d = 1.5", "bad.txt:4: d must be an integer, got 1.5"),
+            ("# sigma = 1", "# sigma = -1",
+             "bad.txt:7: sigma must be a positive finite real, got -1.0"),
+            ("# seed = 3", "# seed = -1", "bad.txt:8: seed must be in [0, 2**64), got -1"),
+            ("# n = 4", "# n = 4\n# n = 4", "bad.txt:6: duplicate dataset header key 'n'"),
+            ("# beta_true[1] = 1 0.5", "# beta_true[1] = 1 0.5\n# beta_true[1] = 1 0.5",
+             "bad.txt:10: duplicate dataset header key 'beta_true[1]'"),
+            ("# beta_true[2] = -1 2", "# beta_true[01] = -1 2",
+             "bad.txt:10: duplicate dataset header key 'beta_true[1]'"),
+            ("# beta_true[1] = 1 0.5", "# beta_true[one] = 1 0.5",
+             "bad.txt:9: beta_true index must be an integer, got 'one'"),
+            ("# beta_true[1] = 1 0.5", "# beta_true[1] = 1 abc",
+             "bad.txt:9: beta_true[1] must be 2 finite real numbers, got '1 abc'"),
+            ("# noise = gaussian", "# noise = gauss", "bad.txt:6: 'gauss' is not a valid NoiseKind"),
         ],
-        ids=["n-zero", "k-zero", "d-fractional", "sigma-negative", "seed-negative"],
+        ids=["n-zero", "k-zero", "d-fractional", "sigma-negative", "seed-negative",
+             "n-repeated", "beta-repeated", "beta-index-repeated", "beta-index-text",
+             "beta-coefficient-text", "noise-unknown"],
     )
     def test_header_value_outside_its_rule_exits_two(
         self, tmp_path, capsys, algo, line, replacement, message
     ):
         data = synth.generate(2, 2, 4, NoiseModel(NoiseKind.GAUSSIAN, 1.0), seed=3)
+        # known true coefficients, so the beta_true lines can be named in full
+        truth = MlrParams(np.array([[1.0, -1.0], [0.5, 2.0]]))
+        data = Dataset(x=data.x, y=data.y, labels=data.labels, true_params=truth)
         io.write_dataset(tmp_path / "good.txt", data, NoiseKind.GAUSSIAN, 1.0, 3)
         text = read(tmp_path / "good.txt")
         assert f"\n{line}\n" in text
