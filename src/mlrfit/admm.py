@@ -16,8 +16,9 @@ residual, the dual step and the next iteration's Z-update. Like EM's, the
 per-iteration arrays (fitted values, memberships, Z and the duals) are
 component-major, K x N, so y broadcasts along each component's row.
 ``fit_admm`` hands the iteration to the loop in ``mlrfit.fit``, which both
-solvers share; after the first, the memberships come from the pass that
-loop's likelihood makes over the same log-densities.
+solvers share and which computes every membership: the start's through
+``scoring.e_step``, EM's E-step, and each later one in the pass its
+likelihood makes over the same log-densities.
 """
 
 from typing import Optional
@@ -25,34 +26,20 @@ from typing import Optional
 import numpy as np
 
 from . import fit, lad
-from .em import e_step
-from .errors import NonFiniteInput, SingularGram
 from .fit import FitTrace
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
-
-# Membership computation is the same posterior as EM's E-step.
-responsibilities = e_step
 
 
 def gram_projection(data: Dataset) -> np.ndarray:
     """The d x N least-squares projection P = ridge_gram(X^T X)^-1 X^T.
 
     Raises NonFiniteInput if X^T X overflows and SingularGram if its
-    ridge-stabilized form is not positive definite, the Cholesky gate of
-    ``lad._weighted_lstsq``. The d x d inverse then costs less than solving
+    ridge-stabilized form is not positive definite, the checks of
+    ``lad.gated_gram``. The d x d inverse then costs less than solving
     against the N columns of X^T.
     """
     xt = data.x.T
-    # an overflowed X^T X is inf, and its ridge inf * 0 = NaN off the diagonal
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = lad.ridge_gram(xt @ data.x)
-    if not np.isfinite(gram).all():
-        raise NonFiniteInput("Gram matrix X^T X overflowed")
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
-    return np.linalg.inv(gram) @ xt
+    return np.linalg.inv(lad.gated_gram(xt, data.x)) @ xt
 
 
 def z_update_gaussian(
@@ -118,10 +105,8 @@ def fit_admm(
     proj = gram_projection(data)
     xt, y, rho = data.x.T, data.y, cfg.rho
 
-    def steps(params):
-        fits = params.beta.T @ xt
+    def steps(params, fits, w):
         lam = np.zeros_like(fits)
-        w = responsibilities(fits, y, nm)
         while True:
             if nm.kind is NoiseKind.GAUSSIAN:
                 z = z_update_gaussian(fits, lam, rho, w, y, nm)

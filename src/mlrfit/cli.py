@@ -38,20 +38,20 @@ def _write_manifest(path, command, config, inputs, outputs, started):
     ))
 
 
-def _flag(parse, check, name):
-    """An argparse ``type=`` that parses the text, then runs ``check(name, value)``.
+def _flag(check, name):
+    """An argparse ``type=`` that hands the text to ``check(name, text)`` alone.
 
-    A broken rule reads "argument --flag: <rule>"; ``_Parser.error`` exits 1.
+    The ``model`` rule reads the text, as it reads a config or a dataset
+    header value, so "3.0" and "1e3" pass an integer flag. A broken rule
+    reads "argument --flag: <rule>"; ``_Parser.error`` exits 1.
     """
 
     def convert(text):
-        value = parse(text)
         try:
-            return check(name, value)
+            return check(name, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
-    convert.__name__ = parse.__name__
     return convert
 
 
@@ -196,29 +196,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="write a synthetic dataset file")
-    p.add_argument("--k", type=_flag(int, check_int, "k"), required=True)
-    p.add_argument("--d", type=_flag(int, check_int, "d"), required=True)
-    p.add_argument("--n", type=_flag(int, check_int, "n"), required=True)
+    p.add_argument("--k", type=_flag(check_int, "k"), required=True)
+    p.add_argument("--d", type=_flag(check_int, "d"), required=True)
+    p.add_argument("--n", type=_flag(check_int, "n"), required=True)
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
-    p.add_argument("--sigma", type=_flag(float, check_positive, "sigma"), default=1.0)
-    p.add_argument("--seed", type=_flag(int, check_seed, "seed"), default=0)
+    p.add_argument("--sigma", type=_flag(check_positive, "sigma"), default=1.0)
+    p.add_argument("--seed", type=_flag(check_seed, "seed"), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("fit", help="fit one dataset with one solver")
     p.add_argument("--algo", choices=["em", "admm"], required=True)
     p.add_argument("--noise", choices=["gaussian", "laplacian"], required=True)
-    p.add_argument("--k", type=_flag(int, check_int, "k"), required=True)
-    p.add_argument("--iters", type=_flag(int, check_int, "n_iterations"), required=True)
-    p.add_argument("--seed", type=_flag(int, check_seed, "seed"), default=0)
-    p.add_argument("--rho", type=_flag(float, check_positive, "rho"), default=5.0)
+    p.add_argument("--k", type=_flag(check_int, "k"), required=True)
+    p.add_argument("--iters", type=_flag(check_int, "n_iterations"), required=True)
+    p.add_argument("--seed", type=_flag(check_seed, "seed"), default=0)
+    p.add_argument("--rho", type=_flag(check_positive, "rho"), default=5.0)
     p.add_argument(
         "--lad-path",
         choices=LAD_PATHS,
         default=em.LAD_PATH_IRLS,
         help="EM Laplacian M-step route (default irls)",
     )
-    p.add_argument("--stop-tol", type=_flag(float, check_non_negative, "stop_tol"), default=None,
+    p.add_argument("--stop-tol", type=_flag(check_non_negative, "stop_tol"), default=None,
                    help="ADMM early stop on the consensus residual; off by default")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

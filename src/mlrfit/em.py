@@ -9,37 +9,23 @@ memberships are K x N, one contiguous row per component, and each column
 of the memberships is a probability vector. Every reduction over
 components is then an elementwise pass over K rows of length N. ``fit_em``
 hands the iteration to the loop in ``mlrfit.fit``, which both solvers
-share; after the first E-step, the memberships come from the pass that
-loop's likelihood makes over the same log-densities.
+share and which computes every E-step through ``scoring``, whose
+``e_step`` is bound here as EM's.
 """
 
 import numpy as np
 
-from . import fit, lad, noise, scoring
+from . import fit, lad
 from .errors import CollapsedComponent, SingularGram
 from .fit import LAD_PATH_NA, FitTrace
 from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
+from .scoring import e_step  # noqa: F401  EM's E-step, run by the fit loop
 
 # lad_path 'auto' runs the exact LP up to this many samples and IRLS beyond.
 DEFAULT_LP_CAP = 5000
 
 IRLS_DELTA_SCALE = 1e-6
-
-
-def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Posterior membership of every sample, from the K x N fitted values.
-
-    Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
-    subtracted first so one huge residual cannot underflow all of its
-    memberships. Returns K x N memberships; a sample with no mass in any
-    component raises DegenerateRow. The softmax is the one
-    ``scoring.log_likelihood`` fills its ``memberships`` from.
-    """
-    logd = noise.log_density(nm, y - fits)
-    w = np.empty_like(logd)
-    scoring._softmax(logd, w)
-    return w
 
 
 def refit_components(
@@ -152,15 +138,14 @@ def fit_em(
 ) -> FitTrace:
     """Run the fixed EM iteration budget and record the likelihood path.
 
-    The first E-step overwrites any notion of initial memberships, so
-    only the coefficient initialization (shared with the ADMM solver
-    through the config) matters.
+    The fit loop's start E-step overwrites any notion of initial
+    memberships, so only the coefficient initialization (shared with the
+    ADMM solver through the config) matters.
     """
     path = resolve_lad_path(lad_path, nm, data.n_samples)
-    xt, y = data.x.T, data.y
 
-    def steps(params):
-        w = e_step(params.beta.T @ xt, y, nm)
+    def steps(params, fits, w):
+        del fits  # EM needs only the memberships; no K x N array outlives the start
         while True:
             if nm.kind is NoiseKind.GAUSSIAN:
                 params = m_step_gaussian(w, data, previous=params)

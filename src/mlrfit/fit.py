@@ -5,12 +5,12 @@ the shared initialization policy, advances the generator once per
 iteration, scores each iterate with the mixture log-likelihood, applies
 the optional early stop on the primal residual, and times the loop.
 
-The likelihood and the E-step both need log f(y - X b) at the same
-coefficients, so they share one pass: the generator computes the
-memberships at the start itself, and from then on ``run`` sends it the
-memberships ``scoring.log_likelihood`` produced while scoring the iterate
-the generator just yielded. The final iterate, the last of the budget or
-the one that meets the early stop, is scored without them.
+``run`` hands the generator the start's fitted values (X b)^T and their
+memberships, ``scoring.e_step``, then sends it the memberships that
+``scoring.log_likelihood`` produced while scoring the iterate it just
+yielded: the likelihood and the E-step share one log f(y - X b) pass.
+The final iterate, the last of the budget or the one that meets the
+early stop, is scored without them.
 """
 
 import time
@@ -26,11 +26,12 @@ from .model import check_int, check_non_negative
 
 LAD_PATH_NA = "n/a"
 
-# Called with the start, a generator of iterates: the coefficients and the
-# primal residual, None where the solver has no consensus constraint. Each
-# ``yield`` receives the K x N memberships at the iterate it yielded, a
-# fresh array every time, so the solver may keep views of it.
-Steps = Callable[[MlrParams], Generator[Tuple[MlrParams, Optional[float]], np.ndarray, None]]
+# Called with the start and its K x N fitted values and memberships, a
+# generator of iterates: the coefficients and the primal residual, None
+# without a consensus constraint. Each ``yield`` receives the memberships at
+# its iterate, a fresh array every time, so the solver may keep views of it.
+Iterates = Generator[Tuple[MlrParams, Optional[float]], np.ndarray, None]
+Steps = Callable[[MlrParams, np.ndarray, np.ndarray], Iterates]
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,9 @@ def run(
     log_liks = np.empty(cfg.n_iterations)
     residuals = np.empty(cfg.n_iterations)
     started = time.perf_counter()
-    iterates = steps(params)
+    fits = params.beta.T @ data.x.T
+    iterates = steps(params, fits, scoring.e_step(fits, data.y, nm))
+    del fits  # the generator holds them alone, so it can drop them
     params, residual = next(iterates)
     for t in range(cfg.n_iterations):
         if residual is not None:

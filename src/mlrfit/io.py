@@ -20,6 +20,8 @@ from .errors import InsufficientData, ZeroVariance
 from .model import Dataset, MlrParams, NoiseKind, check_int, check_positive, check_seed
 
 FORMAT_VERSION = "1"
+# The keys of a dataset file's header, beside its beta_true[j] lines.
+_DATASET_KEYS = ("format", "k", "d", "n", "noise", "sigma", "seed", "columns")
 
 
 def fmt(value) -> str:
@@ -65,8 +67,7 @@ def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int
         for j in range(k):
             coeffs = " ".join(fmt(v) for v in data.true_params.beta[:, j])
             lines.append(f"# beta_true[{j + 1}] = {coeffs}")
-    columns = ",".join(["label", "y"] + [f"x{j + 1}" for j in range(data.dim)])
-    lines.append(f"# columns = {columns}")
+    lines.append(f"# columns = {_columns(data.dim)}")
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
         # '%.17g' % v is fmt(v), and the labels are small integers, exact as
@@ -74,6 +75,16 @@ def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int
         # 1 MB of heap behind per 20000-row file.
         np.savetxt(handle, np.column_stack([data.labels + 1, data.y, data.x]),
                    fmt=["%d"] + ["%.17g"] * (data.dim + 1), delimiter=",")
+
+
+def _columns(d: int) -> str:
+    """The ``columns`` header value of a dataset with d covariates."""
+    return ",".join(["label", "y"] + [f"x{j + 1}" for j in range(d)])
+
+
+def _exactly(key: str, wanted: str, text: str) -> None:
+    if text != wanted:
+        raise ValueError(f"{key} must be {wanted!r}, got {text!r}")
 
 
 def _at_line(path, line_no: int, rule: Callable, *args):
@@ -98,7 +109,9 @@ def _coefficients(key: str, d: int, text: str) -> List[float]:
 def read_dataset(path) -> Tuple[Dataset, Dict]:
     """Parse a dataset file back into a Dataset plus its header metadata.
 
-    A header error, a repeated key among them, names the file and the line.
+    A header error names the file and the line: a repeated or unknown
+    key, a ``format`` other than FORMAT_VERSION, ``columns`` other than
+    label,y,x1..xd, or a value outside its ``model`` rule.
     """
     header: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
     rows = []
@@ -115,12 +128,14 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
                     index = key[len("beta_true[") : -1]
                     index = _at_line(path, line_no, check_int, "beta_true index", index)
                     key = f"beta_true[{index}]"
+                elif key not in _DATASET_KEYS:
+                    raise ValueError(f"{path}:{line_no}: unknown dataset header key {key!r}")
                 if key in header:
                     raise ValueError(f"{path}:{line_no}: duplicate dataset header key {key!r}")
                 header[key] = (value, line_no)
                 continue
             rows.append(line)
-    for required in ("k", "d", "n", "noise", "sigma", "seed"):
+    for required in _DATASET_KEYS:
         if required not in header:
             raise ValueError(f"{path}: missing dataset header key {required!r}")
 
@@ -128,7 +143,9 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
         value, line_no = header[key]
         return _at_line(path, line_no, rule, *args, value)
 
+    parse("format", _exactly, "format", FORMAT_VERSION)
     k, d, n = (parse(key, check_int, key) for key in ("k", "d", "n"))
+    parse("columns", _exactly, "columns", _columns(d))
     noise = parse("noise", NoiseKind)
     sigma = parse("sigma", check_positive, "sigma")
     seed = parse("seed", check_seed, "seed")
@@ -260,6 +277,10 @@ def _schema(cls) -> Dict[str, Codec]:
 
 
 _GRID_SCHEMA = _schema(bench.ExperimentGrid)
+_GRID_TUPLES = {
+    name for name, hint in typing.get_type_hints(bench.ExperimentGrid).items()
+    if typing.get_origin(hint) is tuple
+}
 
 
 def grid_config_values(grid: bench.ExperimentGrid) -> Dict[str, str]:
@@ -287,8 +308,10 @@ def parse_grid_config(text: str, source: str = "<config>") -> bench.ExperimentGr
         missing = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if missing and f.name not in values:
             raise ValueError(f"{source}: missing required config key {f.name!r}")
+    # the grid's own checks, the model rules, read each value from its text
     return bench.ExperimentGrid(**{
-        name: parse(values[name]) for name, (_, parse) in _GRID_SCHEMA.items() if name in values
+        name: tuple(v.strip() for v in text.split(",")) if name in _GRID_TUPLES else text
+        for name, text in values.items()
     })
 
 

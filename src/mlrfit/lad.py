@@ -45,10 +45,10 @@ takes its starting fit from it. The kernel
 works on the d x N layout, X^T as a contiguous array, so weighting the
 covariates is d passes over contiguous rows of length N per component
 instead of N short rows of length d. The K Gram matrices and right-hand
-sides come from two stacked matmuls, one stacked Cholesky factorization
-checks them, and one stacked solve returns the d x K coefficients.
-ADMM forms its one Gram matrix's projection in ``admm.gram_projection``
-and takes only ``ridge_gram`` from here.
+sides come from two stacked matmuls, ``gated_gram`` checks the Gram
+matrices, and one stacked solve returns the d x K coefficients. ADMM
+forms its one Gram matrix's projection in ``admm.gram_projection`` and
+takes only ``gated_gram`` from here.
 """
 
 import math
@@ -89,9 +89,35 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     return gram + ridge[..., None, None] * np.eye(d)
 
 
-# ``ridge_gram`` under a private name for the kernels: like
-# ``_weighted_lstsq``, it then adds no tracer span to every IRLS pass.
+# An overflow raises FloatingPointError at once, so the finite path pays for
+# no finiteness check, only for the error state, which the decorator sets
+# at less cost than a ``with np.errstate`` block.
+@np.errstate(over="raise", invalid="raise")
+def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ridge_gram(xw @ x), checked: finite and positive definite.
+
+    ``xw`` is d x N, or a K x d x N stack that gives one Gram matrix per
+    row. Raises NonFiniteInput if the product overflows, without letting
+    numpy's RuntimeWarning escape, and SingularGram if a ridge-stabilized
+    Gram matrix is not positive definite, by one stacked Cholesky
+    factorization, whose factor is not kept. The Gram matrices of EM's
+    kernel ``_weighted_lstsq`` and of ADMM's projection both pass here.
+    """
+    try:
+        gram = _ridge_gram(xw @ x)
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+    return gram
+
+
+# ``ridge_gram`` and ``gated_gram`` under private names for the kernels: like
+# ``_weighted_lstsq``, they then add no tracer span to every IRLS pass.
 _ridge_gram = ridge_gram
+_gated_gram = gated_gram
 
 
 def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -101,21 +127,15 @@ def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray)
     equations ridge_gram(X^T W_k X) b = X^T W_k y, with W_k = diag(w[k]).
     ``xt`` is x.T as a contiguous d x N array, so the weighting is K x d
     passes over contiguous rows and both products are single stacked
-    matmuls. One stacked Cholesky factorization checks that every Gram
-    matrix is positive definite and raises SingularGram if any is not; a
-    stacked solve then gives all K columns. A Gram matrix or right-hand
+    matmuls. ``gated_gram`` checks the K Gram matrices (NonFiniteInput,
+    SingularGram); a stacked solve then gives all K columns. A right-hand
     side that overflowed gives a non-finite solution, which raises
     NonFiniteInput rather than reach the caller.
     """
     # Private, so perfbench's tracer adds no span to every IRLS pass.
     xw = w[:, None, :] * xt
-    gram = _ridge_gram(xw @ x)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+    gram = _gated_gram(xw, x)
     beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
-    # np.linalg.cholesky passes NaN and inf through instead of raising
     if not np.isfinite(beta).all():
         raise NonFiniteInput("weighted least-squares solution overflowed")
     return beta

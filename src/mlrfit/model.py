@@ -72,7 +72,10 @@ def check_int(name: str, value) -> int:
 
 
 def _check_real(name: str, value, rule: str, in_range) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except ValueError:  # text that holds no number
+        raise ValueError(f"{name} must be a {rule}, got {value!r}") from None
     if not math.isfinite(value):
         raise NonFiniteInput(f"{name} must be a {rule}, got {value}")
     if not in_range(value):

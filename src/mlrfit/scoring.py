@@ -1,4 +1,8 @@
-"""Model scoring: mixture log-likelihood, recovery error, paired t-test."""
+"""Model scoring: memberships, mixture log-likelihood, recovery error, paired t-test.
+
+Both solvers' posterior memberships come from here: from ``e_step`` at
+the start, and from the pass of ``log_likelihood`` that scores an iterate.
+"""
 
 import math
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ def log_likelihood(
     without a warning.
 
     ``memberships``, a K x N array, receives the posterior memberships at
-    ``params`` from the same pass, bit for bit those ``em.e_step`` returns
+    ``params`` from the same pass, bit for bit those ``e_step`` returns
     for the fitted values (X b)^T; the returned value does not change.
     With it a sample with no mass raises DegenerateRow, as in ``e_step``.
     """
@@ -38,6 +42,20 @@ def log_likelihood(
     with np.errstate(divide="ignore"):
         per_sample = np.log(total) + peak
     return float(per_sample.sum()) + data.n_samples * math.log(1.0 / params.k_components)
+
+
+def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
+    """Posterior membership of every sample, from the K x N fitted values.
+
+    Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
+    subtracted first so one huge residual cannot underflow all of its
+    memberships. Returns K x N memberships; a sample with no mass in any
+    component raises DegenerateRow.
+    """
+    logd = noise.log_density(nm, y - fits)
+    w = np.empty_like(logd)
+    _softmax(logd, w)
+    return w
 
 
 def _softmax(logd: np.ndarray, out: np.ndarray | None):

@@ -235,10 +235,16 @@ class TestFit:
             ("# beta_true[1] = 1 0.5", "# beta_true[1] = 1 abc",
              "bad.txt:9: beta_true[1] must be 2 finite real numbers, got '1 abc'"),
             ("# noise = gaussian", "# noise = gauss", "bad.txt:6: 'gauss' is not a valid NoiseKind"),
+            ("# format = 1", "# format = 9", "bad.txt:2: format must be '1', got '9'"),
+            ("# columns = label,y,x1,x2", "# columns = a,b",
+             "bad.txt:11: columns must be 'label,y,x1,x2', got 'a,b'"),
+            ("# sigma = 1", "# sigma = 1\n# sigmaa = 7",
+             "bad.txt:8: unknown dataset header key 'sigmaa'"),
         ],
         ids=["n-zero", "k-zero", "d-fractional", "sigma-negative", "seed-negative",
              "n-repeated", "beta-repeated", "beta-index-repeated", "beta-index-text",
-             "beta-coefficient-text", "noise-unknown"],
+             "beta-coefficient-text", "noise-unknown", "format-other", "columns-other",
+             "key-unknown"],
     )
     def test_header_value_outside_its_rule_exits_two(
         self, tmp_path, capsys, algo, line, replacement, message
@@ -444,3 +450,68 @@ class TestBenchmarkAndReport:
 
 def test_version_flag_exits_zero():
     assert run(["--version"]) == 0
+
+
+def through_flag(tmp_path, capsys, key, text):
+    """``text`` as the ``--key`` flag of ``mlrfit generate``: the value written, or the rule."""
+    flags = {"--k": "2", "--d": "1", "--n": "20", "--noise": "gaussian", f"--{key}": text}
+    out = tmp_path / "flag.txt"
+    code = run(["generate", *(part for pair in flags.items() for part in pair), "--out", out])
+    if code == 0:
+        return io.read_dataset(out)[1][key]
+    assert code == 1
+    err = capsys.readouterr().err
+    return err[err.index(f"argument --{key}: ") + len(f"argument --{key}: "):].strip()
+
+
+def through_config(config_key, text):
+    """``text`` as a benchmark config value: the grid's value, or the rule."""
+    values = {"k_values": "2", "d_values": "1", "n_samples": "20", "repetitions": "1",
+              "n_iterations": "1", config_key: text}
+    try:
+        grid = io.parse_grid_config("".join(f"{key} = {value}\n" for key, value in values.items()))
+    except ValueError as exc:
+        return str(exc)
+    value = getattr(grid, config_key)
+    return value[0] if isinstance(value, tuple) else value
+
+
+def through_header(tmp_path, key, text):
+    """``text`` as a dataset header value: the value read, or the rule after path:line."""
+    data = synth.generate(2, 1, 20, NoiseModel(NoiseKind.GAUSSIAN, 1.0), seed=3)
+    # no beta_true lines, which a header k would have to agree with
+    io.write_dataset(tmp_path / "good.txt", Dataset(x=data.x, y=data.y, labels=data.labels),
+                     NoiseKind.GAUSSIAN, 1.0, 3)
+    lines = read(tmp_path / "good.txt").splitlines()
+    lines = [f"# {key} = {text}" if line.startswith(f"# {key} = ") else line for line in lines]
+    (tmp_path / "header.txt").write_text("\n".join(lines) + "\n")
+    try:
+        return io.read_dataset(tmp_path / "header.txt")[1][key]
+    except ValueError as exc:
+        return str(exc).split(": ", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "key,config_key,text,expected",
+    [
+        ("k", "k_values", "3.0", 3),
+        ("k", "k_values", "1e3", 1000),
+        ("k", "k_values", "2.9", "k must be an integer, got 2.9"),
+        ("k", "k_values", "abc", "k must be an integer, got 'abc'"),
+        ("sigma", "sigma", "3.0", 3.0),
+        ("sigma", "sigma", "1e3", 1000.0),
+        ("sigma", "sigma", "2.9", 2.9),
+        ("sigma", "sigma", "abc", "sigma must be a positive finite real, got 'abc'"),
+    ],
+)
+def test_flag_config_and_header_read_a_text_alike(
+    tmp_path, capsys, key, config_key, text, expected
+):
+    """Each boundary hands the text to the one ``model`` rule, so all three agree."""
+    got = [
+        through_flag(tmp_path, capsys, key, text),
+        through_config(config_key, text),
+        through_header(tmp_path, key, text),
+    ]
+    assert got == [expected] * 3
+    assert all(type(value) is type(expected) for value in got)

@@ -9,7 +9,7 @@ from helpers import (
     separated_seed,
 )
 from mlrfit import admm, em, lad, scoring, synth
-from mlrfit.errors import CollapsedComponent, DegenerateRow, SingularGram
+from mlrfit.errors import CollapsedComponent, DegenerateRow, MlrError, NonFiniteInput, SingularGram
 from mlrfit.model import (
     Dataset,
     MlrParams,
@@ -364,3 +364,18 @@ def test_degenerate_row_names_the_sample(fit):
     far = Dataset(x=data.x, y=y, labels=data.labels, true_params=data.true_params)
     with np.errstate(over="ignore"), pytest.raises(DegenerateRow, match="sample 0 "):
         fit(far, 2, GAUSS, SolverConfig(n_iterations=5, seed=1))
+
+
+@pytest.mark.parametrize(
+    "path, error", [("irls", NonFiniteInput), ("lp", MlrError)], ids=["irls", "lp"]
+)
+def test_overflowing_weighted_gram_ends_in_a_typed_error(path, error):
+    # every weighted X^T W X overflows, and the tests' warning gate
+    # (pyproject.toml) fails on a RuntimeWarning. The lp route meets the
+    # overflow in dual_lp's least-squares start and falls back to the LP on
+    # all samples, which the LP solver then refuses.
+    x = np.random.default_rng(9).standard_normal((20, 2))
+    x[0, 0] = 1e160
+    data = Dataset(x=x, y=np.random.default_rng(9).standard_normal(20))
+    with pytest.raises(error):
+        em.fit_em(data, 2, LAPLACE, SolverConfig(n_iterations=3, seed=1), lad_path=path)

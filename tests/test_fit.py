@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mlrfit import admm, em, fit, synth
+from mlrfit import admm, em, fit, scoring, synth
 from mlrfit.errors import DegenerateRow
-from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
+from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, initial_params
 
 GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -22,10 +22,15 @@ NEAR = MlrParams(np.array([[0.0, 1.0], [0.5, -0.5]]))
 FAR = MlrParams(np.array([[1e160, 1e160], [0.0, 0.0]]))
 
 
-def stub(iterates, received):
-    """Steps that yield ``iterates`` in turn, appending what each yield receives."""
+def stub(iterates, received, started=None):
+    """Steps that yield ``iterates`` in turn, appending what each yield receives.
 
-    def steps(start):
+    ``started``, if given, receives the start, its fits and its memberships.
+    """
+
+    def steps(start, fits, w):
+        if started is not None:
+            started.append((start, fits, w))
         for iterate in iterates:
             received.append((yield iterate))
 
@@ -40,10 +45,24 @@ def run_stub(iterates, n_iterations, stop_tol=None):
     return trace, received
 
 
+def test_em_step_is_the_scoring_e_step():
+    assert em.e_step is scoring.e_step
+
+
+def test_start_gets_its_fits_and_their_e_step():
+    started = []
+    cfg = SolverConfig(n_iterations=2, seed=1)
+    fit.run(stub([(NEAR, None)] * 2, [], started), DATA, 2, GAUSS, cfg)
+    [(start, fits, w)] = started
+    assert np.array_equal(start.beta, initial_params(cfg, DATA.dim, 2).beta)
+    assert np.array_equal(fits, start.beta.T @ DATA.x.T)
+    assert np.array_equal(w, scoring.e_step(fits, DATA.y, GAUSS))
+
+
 def test_each_yield_receives_the_posterior_at_its_iterate():
     trace, received = run_stub([(NEAR, None)] * 3, 3)
     assert len(received) == 2
-    expected = em.e_step(NEAR.beta.T @ DATA.x.T, DATA.y, GAUSS)
+    expected = scoring.e_step(NEAR.beta.T @ DATA.x.T, DATA.y, GAUSS)
     for w in received:
         assert np.array_equal(w, expected)
     assert not np.shares_memory(received[0], received[1])
@@ -110,3 +129,19 @@ def test_memberships_handed_over_are_fresh_and_never_written_again(name, monkeyp
         assert np.array_equal(w, copy)
         for other, _ in handed[:i]:
             assert not np.shares_memory(w, other)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_one_e_step_per_fit_the_start(name, monkeypatch):
+    """Only the loop's start runs the E-step; the likelihood fills the rest."""
+    calls = []
+    e_step = scoring.e_step
+
+    def counting(*args):
+        calls.append(args)
+        return e_step(*args)
+
+    monkeypatch.setattr(scoring, "e_step", counting)
+    nm, solve = SOLVERS[name]
+    solve(synth.generate(3, 2, 200, nm, seed=41), SolverConfig(n_iterations=6, seed=41))
+    assert len(calls) == 1

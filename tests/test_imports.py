@@ -51,3 +51,46 @@ def test_guard_reads_every_import_form():
         "scipy.linalg", "numpy", "scipy.sparse", "scipy.linalg", "scipy.special",
         "scipy.optimize._highspy",
     ]
+
+
+def sibling_imports(source: str):
+    """Every mlrfit module named by an import statement of ``source``, by its short name."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("mlrfit.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            if package in (".", "mlrfit"):  # from . import em
+                yield from (alias.name for alias in node.names)
+            elif package.startswith("."):  # from .em import e_step
+                yield package[1:].split(".")[0]
+            elif package.startswith("mlrfit."):
+                yield package.split(".")[1]
+
+
+def test_solver_modules_do_not_import_each_other():
+    # both solvers reach the E-step through scoring, not through each other
+    package = Path(mlrfit.__file__).parent
+    admm_imports = set(sibling_imports((package / "admm.py").read_text()))
+    em_imports = set(sibling_imports((package / "em.py").read_text()))
+    assert {"fit", "lad"} <= admm_imports, "the guard saw none of admm's imports"
+    assert "em" not in admm_imports
+    assert "admm" not in em_imports
+
+
+def test_sibling_guard_reads_every_import_form():
+    source = (
+        "import mlrfit.em\n"
+        "import numpy, mlrfit.lad as lad\n"
+        "from . import em, fit\n"
+        "from .em import e_step\n"
+        "from mlrfit import scoring\n"
+        "from mlrfit.model import Dataset\n"
+        "from scipy import special\n"
+    )
+    assert list(sibling_imports(source)) == [
+        "em", "lad", "em", "fit", "em", "scoring", "model",
+    ]

@@ -554,16 +554,16 @@ def test_weighted_lstsq_zero_weight_row_raises():
 
 
 def test_overflowing_normal_equations_raise_non_finite():
-    # finite covariates whose squares overflow: no pass may run on a NaN system
+    # finite covariates whose squares overflow: no pass may run on a NaN
+    # system, and no RuntimeWarning escapes
     rng = np.random.default_rng(6)
     x = rng.standard_normal((50, 2)) * 1e160
     y = rng.standard_normal(50)
     w = rng.uniform(0.1, 1.0, 50)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteInput):
-            lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
-        with pytest.raises(NonFiniteInput):
-            lad.irls(x, y, w, delta=1e-6)
+    with pytest.raises(NonFiniteInput, match="overflowed"):
+        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
+    with pytest.raises(NonFiniteInput, match="overflowed"):
+        lad.irls(x, y, w, delta=1e-6)
 
 
 def test_ridge_gram_stack_matches_each_matrix():
