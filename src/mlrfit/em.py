@@ -64,14 +64,13 @@ def m_step_gaussian(
     solved one at a time, through ``refit_components``.
     """
     x, y = data.x, data.y
-    xt = np.ascontiguousarray(x.T)
     try:
-        return MlrParams(lad._weighted_lstsq(xt, x, y, w))
+        return MlrParams(lad._weighted_lstsq(x, y, w))
     except SingularGram:
         pass
 
     def solve(weights):
-        return lad._weighted_lstsq(xt, x, y, weights[None])[:, 0]
+        return lad._weighted_lstsq(x, y, weights[None])[:, 0]
 
     return refit_components(solve, w, data.dim, previous)
 

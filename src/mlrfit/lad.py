@@ -41,14 +41,19 @@ private module does not exist.
 Every weighted least-squares system of EM goes through one kernel,
 ``_weighted_lstsq``: the Gaussian M-step solves all K components in one
 call, each IRLS pass solves its single component in one, and ``dual_lp``
-takes its starting fit from it. The kernel
-works on the d x N layout, X^T as a contiguous array, so weighting the
-covariates is d passes over contiguous rows of length N per component
-instead of N short rows of length d. The K Gram matrices and right-hand
+takes its starting fit from it. The kernel reads X through ``x.T``, the
+d x N layout, which is contiguous for the column-major x that
+``model.Dataset`` stores, so weighting the covariates is d passes over
+contiguous rows of length N per component instead of N short rows of
+length d, and no routine copies X to get there. A row-major x gives the
+same results, only more slowly. The K Gram matrices and right-hand
 sides come from two stacked matmuls, ``gated_gram`` checks the Gram
 matrices, and one stacked solve returns the d x K coefficients. ADMM
 forms its one Gram matrix's projection in ``admm.gram_projection`` and
-takes only ``gated_gram`` from here.
+takes only ``gated_gram`` from here. ``dual_lp``'s working-set LPs are
+the one sample-major reader: HiGHS takes X_S^T column by column, that
+is, rows of X, so ``dual_lp`` gathers them from one row-major copy of x
+per call.
 """
 
 import math
@@ -120,20 +125,20 @@ _ridge_gram = ridge_gram
 _gated_gram = gated_gram
 
 
-def _weighted_lstsq(xt: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares for every row of the K x N weights ``w``.
 
     Column k of the d x K result solves the ridge-stabilized normal
     equations ridge_gram(X^T W_k X) b = X^T W_k y, with W_k = diag(w[k]).
-    ``xt`` is x.T as a contiguous d x N array, so the weighting is K x d
-    passes over contiguous rows and both products are single stacked
-    matmuls. ``gated_gram`` checks the K Gram matrices (NonFiniteInput,
-    SingularGram); a stacked solve then gives all K columns. A right-hand
-    side that overflowed gives a non-finite solution, which raises
-    NonFiniteInput rather than reach the caller.
+    The weighting reads ``x.T``, K x d passes over contiguous rows when
+    x is column-major as in ``model.Dataset``, and both products are
+    single stacked matmuls. ``gated_gram`` checks the K Gram matrices
+    (NonFiniteInput, SingularGram); a stacked solve then gives all K
+    columns. A right-hand side that overflowed gives a non-finite
+    solution, which raises NonFiniteInput rather than reach the caller.
     """
     # Private, so perfbench's tracer adds no span to every IRLS pass.
-    xw = w[:, None, :] * xt
+    xw = w[:, None, :] * x.T
     gram = _gated_gram(xw, x)
     beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
     if not np.isfinite(beta).all():
@@ -187,19 +192,18 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     larger steps.
 
     Every pass, the first included, solves its weighted least-squares
-    system through ``_weighted_lstsq`` on one contiguous copy of x.T,
-    which the residuals reuse.
+    system through ``_weighted_lstsq``; it and the residuals read x.T in
+    place, a contiguous array for a ``model.Dataset``'s x.
 
     Returns (coefficients, iterations_used).
     """
-    xt = np.ascontiguousarray(x.T)
 
     def smoothed_residuals(beta):
-        r = y - beta @ xt
+        r = y - beta @ x.T
         return np.sqrt(r * r + delta * delta)
 
     def reweighted_solve(q):
-        return _weighted_lstsq(xt, x, y, q[None])[:, 0]
+        return _weighted_lstsq(x, y, q[None])[:, 0]
 
     beta = reweighted_solve(weights)
     s = smoothed_residuals(beta)
@@ -253,9 +257,11 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     off, dual simplex, no output. It is passed as plain arrays, which
     HiGHS copies in bulk, with X_S^T column-wise straight from the rows of
     x, exact zeros included where linprog drops them; the route-parity
-    tests show the results are bit-identical either way. On scipy < 1.15
-    each LP goes through ``linprog`` instead (``_solve_dual``, see the
-    module docstring).
+    tests show the results are bit-identical either way. Those rows come
+    from one row-major copy of x per call (a ``model.Dataset`` stores x
+    column-major); the least-squares start reads x as given. On scipy < 1.15 each LP goes
+    through ``linprog`` instead (``_solve_dual``, see the module
+    docstring).
 
     Returns (coefficients, objective over all N at those coefficients).
     Raises IterationLimit or SolverStall when HiGHS stops short of optimal.
@@ -267,16 +273,22 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     if d == 1:
         beta = np.array([solve_1d(x[:, 0], y, weights)])
         return beta, float(np.sum(weights * np.abs(y - x @ beta)))
+    # The samples as rows, for the gathers. Filled a column at a time: numpy
+    # copies a narrow column-major x to row-major in short inner loops of
+    # length d, about three times as slowly (N = 2000, d = 2).
+    rows = np.empty((n, d))
+    for j in range(d):
+        rows[:, j] = x[:, j]
     inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
     fixed = np.zeros(n)  # the dual value s_i of each sample outside S
     size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
     if size < n:
         try:
-            start = _weighted_lstsq(np.ascontiguousarray(x.T), x, y, weights[None])[:, 0]
+            start = _weighted_lstsq(x, y, weights[None])[:, 0]
         except (SingularGram, NonFiniteInput):
             pass  # no start to rank the samples by: the LP on all of them
         else:
-            r = y - x @ start
+            r = y - rows @ start
             distance = np.abs(r)
             fixed = np.where(r >= 0.0, weights, -weights)
             in_set = np.zeros(n, dtype=bool)
@@ -284,10 +296,10 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
             inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
     # in_set, the mask of S, exists whenever a sample is outside S
     while True:
-        # np.take gathers rows several times faster than x[index], same values
+        # np.take gathers rows several times faster than rows[index], same values
         fixed_out = fixed[outside]
-        rhs = -fixed_out @ np.take(x, outside, axis=0)
-        beta = _solve_dual(np.take(x, inside, axis=0), y[inside], weights[inside], rhs)
+        rhs = -fixed_out @ np.take(rows, outside, axis=0)
+        beta = _solve_dual(np.take(rows, inside, axis=0), y[inside], weights[inside], rhs)
         if beta is None:
             if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
                 raise SolverStall("HiGHS found the LAD dual LP infeasible")
@@ -295,7 +307,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
             order = np.argsort(distance, kind="stable")
             in_set[order[~in_set[order]][: inside.size]] = True
         else:
-            residual = y - x @ beta
+            residual = y - rows @ beta
             violated = outside[fixed_out * residual[outside] < 0.0]
             if violated.size == 0:
                 return beta, float(np.sum(weights * np.abs(residual)))

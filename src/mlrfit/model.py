@@ -3,7 +3,9 @@
 All types are immutable after construction (backing arrays are copied and
 marked read-only), so they can be shared freely across workers. Component
 indices are 0-based everywhere in memory; file formats are 1-based and
-converted at the I/O boundary.
+converted at the I/O boundary. A ``Dataset`` stores its covariates
+column-major, so ``x.T`` is the contiguous d x N array that every solver
+step reads.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .errors import DimensionMismatch, NonFiniteInput
 from .rng import DOMAIN_INIT, stream
 
 
-def _locked_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _locked_array(values, dtype=float, ndim=None, name="array", order="K") -> np.ndarray:
+    arr = np.array(values, dtype=dtype, order=order)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got {arr.ndim}")
     arr.flags.writeable = False
@@ -31,6 +33,21 @@ def _locked_array(values, dtype=float, ndim=None, name="array") -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} contains NaN or infinite entries")
+
+
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as a locked 1-d int64 array, never rounded.
+
+    Integer arrays are cast as they are; any other values must be finite
+    (NonFiniteInput) and integral and within int64 (ValueError) first.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = np.asarray(arr, dtype=float)
+        _require_finite(arr, name)
+        if not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
+            raise ValueError(f"{name} must be integers")
+    return _locked_array(arr, dtype=np.int64, ndim=1, name=name)
 
 
 # Input rules, each stated once: the types below, synth, the solvers, the
@@ -164,9 +181,13 @@ class NoiseModel:
 class Dataset:
     """Observed covariates and responses, optionally with ground truth.
 
-    ``x`` is (N, d) with one sample per row, ``y`` is (N,). ``labels``
-    holds 0-based generating-component indices when known, and
-    ``true_params`` the generating coefficients.
+    ``x`` is (N, d) with one sample per row, ``y`` is (N,). ``x`` is
+    stored column-major (Fortran order), whatever the layout it was given
+    in, so ``x.T`` is a contiguous d x N array: the weighted regressions,
+    the fitted values X b and ADMM's projection all read it in place.
+    ``labels`` holds 0-based generating-component indices when known, and
+    ``true_params`` the generating coefficients; a label must be a
+    non-negative integer, and an integral float such as 2.0 reads exactly.
     """
 
     x: np.ndarray
@@ -175,7 +196,7 @@ class Dataset:
     true_params: Optional[MlrParams] = None
 
     def __post_init__(self):
-        x = _locked_array(self.x, ndim=2, name="x")
+        x = _locked_array(self.x, ndim=2, name="x", order="F")
         y = _locked_array(self.y, ndim=1, name="y")
         _require_finite(x, "x")
         _require_finite(y, "y")
@@ -188,7 +209,7 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.labels is not None:
-            labels = _locked_array(self.labels, dtype=np.int64, ndim=1, name="labels")
+            labels = _index_array(self.labels, "labels")
             if labels.shape[0] != y.shape[0]:
                 raise DimensionMismatch("labels length must match y")
             if labels.min() < 0:

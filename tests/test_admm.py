@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -12,6 +15,7 @@ from helpers import (
     surrogate_value,
     three_branch_z_update_laplacian,
 )
+import mlrfit
 from mlrfit import admm, em, scoring, synth
 from mlrfit.errors import NonFiniteInput, SingularGram
 from mlrfit.model import (
@@ -276,7 +280,7 @@ class TestBetaAndDualUpdates:
             gap = params.beta.T @ data.x.T - z
             lam = lam + cfg.rho * gap
             log_liks.append(scoring.log_likelihood(params, data, nm))
-            residuals.append(float(np.linalg.norm(gap)))
+            residuals.append(math.sqrt(np.einsum("kn,kn->", gap, gap)))
         assert np.array_equal(trace.params.beta, params.beta)
         assert np.array_equal(trace.log_liks, log_liks)
         assert np.array_equal(trace.primal_residuals, residuals)
@@ -390,3 +394,35 @@ class TestFitAdmm:
         data = synth.generate(2, 1, 50, GAUSS, seed=24)
         with pytest.raises(ValueError):
             admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=5, seed=24), stop_tol=stop_tol)
+
+
+# One Gaussian ADMM fit whose K x N gap is large enough for OpenBLAS to
+# split a dot product across threads; prints every trace as hex bytes. On a
+# one-core host OpenBLAS runs one thread either way, so the test cannot fail.
+THREADED_FIT = """
+import numpy as np
+from mlrfit import admm, synth
+from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
+
+nm = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
+data = synth.generate(3, 2, 6000, nm, seed=7)
+trace = admm.fit_admm(data, 3, nm, SolverConfig(n_iterations=20, seed=11))
+for values in (trace.primal_residuals, trace.log_liks, trace.params.beta):
+    print(np.ascontiguousarray(values).tobytes().hex())
+"""
+
+
+def test_trace_does_not_depend_on_the_blas_thread_count():
+    # the package under test comes first on the child's path
+    src = os.path.dirname(os.path.dirname(mlrfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", THREADED_FIT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout.split())
+    residuals = np.frombuffer(bytes.fromhex(outputs[0][0]))
+    assert residuals.shape == (20,) and np.isfinite(residuals).all()
+    assert outputs[0] == outputs[1]

@@ -219,9 +219,8 @@ class TestCollapsedComponent:
         kept = em.m_step_gaussian(w, data, previous=previous).beta
         assert kept[0, 1] == 7.0
         # the rows that factorize get the kernel's own per-row solve
-        xt = np.ascontiguousarray(data.x.T)
         for row in (0, 2):
-            alone = lad._weighted_lstsq(xt, data.x, data.y, w[row][None])[:, 0]
+            alone = lad._weighted_lstsq(data.x, data.y, w[row][None])[:, 0]
             assert np.abs(kept[:, row] - alone).max() <= 1e-13 * np.abs(alone).max()
         for path in ("lp", "irls"):
             with pytest.raises(CollapsedComponent):
@@ -254,7 +253,7 @@ class TestFitEm:
         trace = em.fit_em(data, 1, GAUSS, cfg)
         x = data.x
         # one component: unit memberships, so the M-step is the kernel on unit weights
-        expected = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, data.y, np.ones((1, 100)))
+        expected = lad._weighted_lstsq(x, data.y, np.ones((1, 100)))
         assert np.array_equal(trace.params.beta[:, 0], expected[:, 0])
         # least squares on X stacked over sqrt(ridge) * I: the same ridge, no normal equations
         ridge = lad.RIDGE_SCALE * np.sum(x * x) / 2

@@ -253,7 +253,7 @@ def no_start_instance():
 def test_failed_least_squares_start_solves_one_full_lp(lp_solves):
     x, y, w = no_start_instance()
     with pytest.raises(SingularGram):
-        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
+        lad._weighted_lstsq(x, y, w[None])
     assert_matches_simplex(x, y, w)
     assert lp_solves == [(100, False, True)]
 
@@ -522,7 +522,7 @@ def test_ridge_keeps_singular_gram_solvable():
     # duplicated column makes X^T X singular without the ridge
     x = np.ones((10, 2))
     y = np.linspace(0, 1, 10)
-    solution = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, np.ones((1, 10)))
+    solution = lad._weighted_lstsq(x, y, np.ones((1, 10)))
     assert np.isfinite(solution).all()
 
 
@@ -534,7 +534,7 @@ def test_weighted_lstsq_matches_per_row_normal_equations(k, d, n):
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n) * 2.0
     w = rng.uniform(0.05, 1.0, (k, n))
-    beta = lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w)
+    beta = lad._weighted_lstsq(x, y, w)
     assert beta.shape == (d, k)
     for row in range(k):
         xw = x * w[row][:, None]
@@ -550,7 +550,7 @@ def test_weighted_lstsq_zero_weight_row_raises():
     w = rng.uniform(0.05, 1.0, (3, 40))
     w[1] = 0.0  # a zero Gram matrix has a zero ridge: no Cholesky factor
     with pytest.raises(SingularGram):
-        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w)
+        lad._weighted_lstsq(x, y, w)
 
 
 def test_overflowing_normal_equations_raise_non_finite():
@@ -561,9 +561,31 @@ def test_overflowing_normal_equations_raise_non_finite():
     y = rng.standard_normal(50)
     w = rng.uniform(0.1, 1.0, 50)
     with pytest.raises(NonFiniteInput, match="overflowed"):
-        lad._weighted_lstsq(np.ascontiguousarray(x.T), x, y, w[None])
+        lad._weighted_lstsq(x, y, w[None])
     with pytest.raises(NonFiniteInput, match="overflowed"):
         lad.irls(x, y, w, delta=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernels_agree_on_either_layout(d):
+    # a Dataset's x is column-major, but library callers may pass either
+    rng = np.random.default_rng(70 + d)
+    x = rng.standard_normal((300, d))
+    y = rng.standard_normal(300) * 2.0
+    w = rng.uniform(0.05, 1.0, (3, 300))
+    rows, columns = np.ascontiguousarray(x), np.asfortranarray(x)
+
+    def assert_close(got, expected):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    assert_close(lad._weighted_lstsq(columns, y, w), lad._weighted_lstsq(rows, y, w))
+    assert_close(lad.irls(columns, y, w[0], 1e-6)[0], lad.irls(rows, y, w[0], 1e-6)[0])
+    for row in w:
+        (beta_c, objective_c), (beta_r, objective_r) = (
+            lad.dual_lp(columns, y, row), lad.dual_lp(rows, y, row)
+        )
+        assert_close(beta_c, beta_r)
+        assert abs(objective_c - objective_r) <= 1e-12 * objective_r
 
 
 def test_ridge_gram_stack_matches_each_matrix():

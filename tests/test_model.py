@@ -13,7 +13,7 @@ from mlrfit.model import (
     initial_params,
     validate_problem,
 )
-from mlrfit import synth
+from mlrfit import io, synth
 
 
 def small_problem(d=2, k=2, n=10, seed=0):
@@ -76,6 +76,58 @@ def test_dataset_label_validation():
     truth = MlrParams(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Dataset(x=x, y=y, labels=np.array([0, 1, 2, 0]), true_params=truth)
+
+
+def test_labels_must_be_integral_and_finite():
+    x, y = np.ones((3, 1)), np.zeros(3)
+    # a fraction is an error, not a truncation to [0, 1, 2]
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(x=x, y=y, labels=np.array([0.5, 1.7, 2.9]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput, match="labels"):
+            Dataset(x=x, y=y, labels=np.array([0.0, bad, 1.0]))
+    # integral, but past int64: the cast would wrap it
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(x=x, y=y, labels=np.array([0.0, 1e300, 1.0]))
+    with pytest.raises(ValueError, match="labels must be 0-based component indices"):
+        Dataset(x=x, y=y, labels=np.array([0.0, -1.0, 1.0]))
+    # integral floats read exactly
+    labels = Dataset(x=x[:2], y=y[:2], labels=[0.0, 1.0]).labels
+    assert labels.dtype == np.int64 and labels.tolist() == [0, 1]
+    assert not labels.flags.writeable
+
+
+def assert_column_major(data, expected):
+    """``data.x`` equals ``expected`` and is locked, with x.T the contiguous d x N array."""
+    assert data.x.flags.f_contiguous and data.x.T.flags.c_contiguous
+    assert not data.x.flags.writeable
+    assert data.x.shape == expected.shape
+    assert np.array_equal(data.x, expected)
+
+
+@pytest.mark.parametrize("layout", ["nested list", "row-major", "column-major", "strided view"])
+def test_dataset_stores_x_column_major(layout):
+    base = np.random.default_rng(4).standard_normal((12, 6))
+    given = {
+        "nested list": base[:, :3].tolist(),
+        "row-major": np.ascontiguousarray(base[:, :3]),
+        "column-major": np.asfortranarray(base[:, :3]),
+        "strided view": base[::2, ::2],
+    }[layout]
+    expected = np.array(given)
+    data = Dataset(x=given, y=np.zeros(expected.shape[0]))
+    assert_column_major(data, expected)
+    # a copy, so the caller's array stays writable and the dataset's does not move
+    assert not np.shares_memory(data.x, given)
+
+
+def test_generated_and_parsed_datasets_store_x_column_major(tmp_path):
+    nm = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
+    data = synth.generate(3, 2, 50, nm, seed=9)
+    assert_column_major(data, data.x)
+    io.write_dataset(tmp_path / "data.txt", data, nm.kind, nm.sigma, 9)
+    back, _ = io.read_dataset(tmp_path / "data.txt")
+    assert_column_major(back, data.x)
 
 
 def test_dataset_without_samples_rejected():
