@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import fit, lad
+from .errors import NonFiniteInput
 from .fit import FitTrace
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
 
@@ -101,8 +102,12 @@ def fit_admm(
     Starts from the shared initialization policy with zero duals.
     ``stop_tol`` optionally stops early once the consensus
     residual ||X b - Z||_F drops to it; by default the full budget runs,
-    matching the fixed-iteration protocol of the EM benchmark.
+    matching the fixed-iteration protocol of the EM benchmark. Under
+    Gaussian noise a sigma whose square overflows raises NonFiniteInput.
     """
+    if nm.kind is NoiseKind.GAUSSIAN and not math.isfinite(nm.sigma * nm.sigma):
+        # checked once here, so z_update_gaussian's s^2 never overflows
+        raise NonFiniteInput(f"sigma**2 overflowed for sigma = {nm.sigma!r}")
     proj = gram_projection(data)
     xt, y, rho = data.x.T, data.y, cfg.rho
 

@@ -1,8 +1,9 @@
 """Command-line surface: generate, fit, benchmark, report, plot.
 
-Exit codes: 0 on success, 1 for usage errors (bad flags, or flag values
-that break a library input rule: "argument --flag: <rule>"), 2 for runtime
-failures (unreadable files, bad benchmark configs, solver errors).
+Exit codes: 0 on success, 1 for usage errors (bad flags, flag values that
+break a library input rule: "argument --flag: <rule>", or ``fit``'s
+--stop-tol without --algo admm), 2 for runtime failures (unreadable files,
+bad benchmark configs, solver errors).
 """
 
 import argparse
@@ -12,7 +13,7 @@ from datetime import datetime, timezone
 
 from . import __version__, admm, bench, em, io, lad, scoring, synth
 from .errors import MlrError
-from .model import LAD_PATHS, NoiseKind, NoiseModel, SolverConfig, check_int
+from .model import LAD_PATH_IRLS, LAD_PATHS, NoiseKind, NoiseModel, SolverConfig, check_int
 from .model import check_non_negative, check_positive, check_seed
 
 
@@ -80,36 +81,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.stop_tol is not None and args.algo != "admm":  # EM has no stopping rule
+        print("mlrfit fit: error: argument --stop-tol: applies to --algo admm only",
+              file=sys.stderr)
+        return 1
     started = _timestamp()
     data, meta = io.read_dataset(args.data)
     nm = NoiseModel(NoiseKind(args.noise), meta["sigma"])
     cfg = SolverConfig(n_iterations=args.iters, rho=args.rho, seed=args.seed)
-    manifest_name = os.path.basename(args.out) + ".manifest.txt"
-    config = {
-        "algo": args.algo,
-        "noise": nm.kind.value,
-        "sigma": nm.sigma,
-        "k": args.k,
-        "iterations": args.iters,
-        "seed": args.seed,
-        "rho": cfg.rho,
-        "ridge_scale": lad.RIDGE_SCALE,
-    }
     if args.algo == "em":
         trace = em.fit_em(data, args.k, nm, cfg, lad_path=args.lad_path)
-        config["lad_path"] = trace.lad_path
-        config["lad_lp_cap"] = em.DEFAULT_LP_CAP
-        if nm.kind is NoiseKind.LAPLACIAN:
-            config["irls_delta"] = em.irls_delta(data.y)
-            config["irls_max_iterations"] = lad.IRLS_MAX_ITERATIONS
-            config["irls_tolerance"] = lad.IRLS_TOLERANCE
     else:
         trace = admm.fit_admm(data, args.k, nm, cfg, stop_tol=args.stop_tol)
-        config["stop_tol"] = "none" if args.stop_tol is None else args.stop_tol
     recovery = None
     truth = data.true_params
     if truth is not None and truth.k_components == args.k:
         recovery = scoring.recovery_error(trace.params, truth)
+    # the resolved settings, stated once: the result's header and the manifest's config
     settings = [
         ("algo", args.algo),
         ("noise", nm.kind.value),
@@ -121,11 +109,19 @@ def cmd_fit(args) -> int:
         ("seed", str(args.seed)),
         ("rho", io.fmt(cfg.rho)),
         ("lad_path", trace.lad_path),
-        ("data", args.data),
-        ("manifest", manifest_name),
+        ("stop_tol", "none" if args.stop_tol is None else io.fmt(args.stop_tol)),
     ]
+    # the manifest adds the constants the fit ran under
+    config = {**dict(settings), "ridge_scale": lad.RIDGE_SCALE}
+    if args.algo == "em":
+        config["lad_lp_cap"] = em.DEFAULT_LP_CAP
+    if trace.lad_path == LAD_PATH_IRLS:
+        config.update(irls_delta=em.irls_delta(data.y),
+                      irls_max_iterations=lad.IRLS_MAX_ITERATIONS,
+                      irls_tolerance=lad.IRLS_TOLERANCE)
+    manifest_name = os.path.basename(args.out) + ".manifest.txt"
     text = io.fit_result_text(
-        settings=settings,
+        settings=settings + [("data", args.data), ("manifest", manifest_name)],
         params=trace.params,
         recovery=recovery,
         wall_seconds=trace.wall_seconds,
@@ -215,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lad-path",
         choices=LAD_PATHS,
-        default=em.LAD_PATH_IRLS,
+        default=LAD_PATH_IRLS,
         help="EM Laplacian M-step route (default irls)",
     )
     p.add_argument("--stop-tol", type=_flag(check_non_negative, "stop_tol"), default=None,
-                   help="ADMM early stop on the consensus residual; off by default")
+                   help="ADMM early stop on the consensus residual (--algo admm only);"
+                        " off by default")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_fit)

@@ -16,7 +16,7 @@ share and which computes every E-step through ``scoring``, whose
 import numpy as np
 
 from . import fit, lad
-from .errors import CollapsedComponent, SingularGram
+from .errors import CollapsedComponent, NonFiniteInput, SingularGram
 from .fit import LAD_PATH_NA, FitTrace
 from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
@@ -76,8 +76,18 @@ def m_step_gaussian(
 
 
 def irls_delta(y: np.ndarray) -> float:
-    """Smoothing width used by the IRLS route, 1e-6 * (1 + std(y))."""
-    return IRLS_DELTA_SCALE * (1.0 + float(np.std(y)))
+    """Smoothing width used by the IRLS route, 1e-6 * (1 + std(y)).
+
+    Raises NonFiniteInput, with no RuntimeWarning, when the spread of the
+    finite ``y`` overflows (|y_i| above about 1e154 squares past the
+    largest float).
+    """
+    try:
+        with np.errstate(over="raise"):
+            spread = float(np.std(y))
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"the spread of y overflowed: {exc}") from None
+    return IRLS_DELTA_SCALE * (1.0 + spread)
 
 
 def m_step_laplacian(

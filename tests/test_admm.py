@@ -343,6 +343,16 @@ class TestFitAdmm:
         with pytest.raises(NonFiniteInput, match="overflowed"):
             admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=1))
 
+    def test_overflowing_sigma_squared_raises_non_finite_input(self):
+        # sigma**2 overflows as a Python float; EM fits the same data
+        data = synth.generate(2, 2, 50, GAUSS, seed=3)
+        scaled = Dataset(x=data.x, y=1e160 * data.y)
+        nm = NoiseModel(NoiseKind.GAUSSIAN, 1e160)
+        cfg = SolverConfig(n_iterations=5, seed=1)
+        with pytest.raises(NonFiniteInput, match="sigma"):
+            admm.fit_admm(scaled, 2, nm, cfg)
+        assert np.isfinite(em.fit_em(scaled, 2, nm, cfg).log_liks).all()
+
     def test_trace_deterministic(self):
         data = synth.generate(2, 2, 300, LAPLACE, seed=22)
         cfg = SolverConfig(n_iterations=30, seed=22)

@@ -89,6 +89,35 @@ class TestGenerate:
         assert not out.exists()
 
 
+SETTINGS = ("algo", "noise", "k", "d", "n", "sigma", "iterations", "seed", "rho",
+            "lad_path", "stop_tol")
+IRLS_CONSTANTS = {"irls_delta", "irls_max_iterations", "irls_tolerance"}
+
+
+def assert_same_settings(result, algo):
+    """The fit's settings, which its result header and manifest state alike.
+
+    The manifest adds only the constants the fit ran under: the ridge
+    scale, EM's LP cap, and the IRLS constants when the irls route ran.
+    """
+    lines = read(result).splitlines()
+    header = lines[2:next(i for i, line in enumerate(lines) if line.startswith("error_metric = "))]
+    stated = [line.split(" = ", 1) for line in header]
+    assert [key for key, _ in stated] == [*SETTINGS, "data", "manifest"]
+    settings = dict(stated[: len(SETTINGS)])
+    config = dict(
+        line[len("config."):].split(" = ", 1)
+        for line in read(f"{result}.manifest.txt").splitlines()
+        if line.startswith("config.")
+    )
+    constants = {"ridge_scale"} | ({"lad_lp_cap"} if algo == "em" else set())
+    if settings["lad_path"] == "irls":
+        constants |= IRLS_CONSTANTS
+    assert set(config) == set(settings) | constants
+    assert {key: config[key] for key in settings} == settings
+    return settings
+
+
 class TestFit:
     @pytest.fixture()
     def dataset(self, tmp_path):
@@ -131,6 +160,57 @@ class TestFit:
         manifest = read(tmp_path / "fit_lp.txt.manifest.txt")
         assert "config.lad_path = lp" in manifest
         assert "lad_path = lp" in read(out)
+
+    @pytest.mark.parametrize(
+        "algo,noise,flags,lad_path,stop_tol",
+        [
+            ("em", "gaussian", [], "n/a", "none"),
+            ("em", "laplacian", ["--lad-path", "lp"], "lp", "none"),
+            ("em", "laplacian", ["--lad-path", "irls"], "irls", "none"),
+            ("em", "laplacian", ["--lad-path", "auto"], "lp", "none"),
+            ("admm", "laplacian", [], "n/a", "none"),
+            ("admm", "gaussian", ["--stop-tol", "1e-3"], "n/a", "0.001"),
+        ],
+        ids=["em-gaussian", "em-lp", "em-irls", "em-auto", "admm-laplacian",
+             "admm-gaussian-stop-tol"],
+    )
+    def test_result_and_manifest_state_the_same_settings(
+        self, tmp_path, dataset, algo, noise, flags, lad_path, stop_tol
+    ):
+        out = tmp_path / "fit.txt"
+        assert run([
+            "fit", "--algo", algo, "--noise", noise, "--k", "2", "--iters", "5",
+            "--seed", "5", *flags, "--data", dataset, "--out", out,
+        ]) == 0
+        settings = assert_same_settings(out, algo)
+        assert settings["lad_path"] == lad_path
+        assert settings["stop_tol"] == stop_tol
+
+    def test_lp_fit_of_a_y_whose_spread_overflows(self, tmp_path, capsys):
+        # the lp route needs no spread of y, which overflows here; irls does
+        x = np.random.default_rng(9).standard_normal((20, 2))
+        y = np.random.default_rng(9).standard_normal(20)
+        y[0] = 1e200
+        data = Dataset(x=x, y=y, labels=np.arange(20) % 2)
+        io.write_dataset(tmp_path / "far.txt", data, NoiseKind.LAPLACIAN, 1.0, 9)
+        argv = ["fit", "--algo", "em", "--noise", "laplacian", "--k", "2", "--iters", "3",
+                "--seed", "1", "--data", tmp_path / "far.txt"]
+        assert run([*argv, "--lad-path", "lp", "--out", tmp_path / "lp.txt"]) == 0
+        assert assert_same_settings(tmp_path / "lp.txt", "em")["lad_path"] == "lp"
+        assert run([*argv, "--lad-path", "irls", "--out", tmp_path / "irls.txt"]) == 2
+        assert "NonFiniteInput: the spread of y overflowed" in capsys.readouterr().err
+        assert not (tmp_path / "irls.txt").exists()
+
+    def test_stop_tol_with_em_is_a_usage_error(self, tmp_path, dataset, capsys):
+        out = tmp_path / "em_stop.txt"
+        assert run([
+            "fit", "--algo", "em", "--noise", "laplacian", "--k", "2", "--iters", "5",
+            "--stop-tol", "1e-2", "--data", dataset, "--out", out,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "--stop-tol" in err and "--algo admm" in err
+        assert not out.exists()
+        assert not (tmp_path / "em_stop.txt.manifest.txt").exists()
 
     def test_rerun_identical_modulo_clock(self, tmp_path, dataset):
         a, b = tmp_path / "fa.txt", tmp_path / "fb.txt"

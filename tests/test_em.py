@@ -378,3 +378,19 @@ def test_overflowing_weighted_gram_ends_in_a_typed_error(path, error):
     data = Dataset(x=x, y=np.random.default_rng(9).standard_normal(20))
     with pytest.raises(error):
         em.fit_em(data, 2, LAPLACE, SolverConfig(n_iterations=3, seed=1), lad_path=path)
+
+
+def test_irls_on_a_y_whose_spread_overflows_raises_non_finite_input():
+    # std(y) squares |y_0| = 1e200 past the largest float; the tests' warning
+    # gate fails on numpy's RuntimeWarning. The lp route, which needs no
+    # spread, fits the same data.
+    x = np.random.default_rng(9).standard_normal((20, 2))
+    y = np.random.default_rng(9).standard_normal(20)
+    y[0] = 1e200
+    data = Dataset(x=x, y=y)
+    cfg = SolverConfig(n_iterations=3, seed=1)
+    with pytest.raises(NonFiniteInput, match="spread of y"):
+        em.fit_em(data, 2, LAPLACE, cfg, lad_path="irls")
+    assert np.isfinite(em.fit_em(data, 2, LAPLACE, cfg, lad_path="lp").log_liks).all()
+    # where the spread squares finitely, delta keeps its bits
+    assert em.irls_delta(x[:, 0]) == 1e-6 * (1.0 + float(np.std(x[:, 0])))
