@@ -22,6 +22,7 @@ likelihood makes over the same log-densities.
 """
 
 import math
+import time
 from typing import Optional
 
 import numpy as np
@@ -108,6 +109,7 @@ def fit_admm(
     if nm.kind is NoiseKind.GAUSSIAN and not math.isfinite(nm.sigma * nm.sigma):
         # checked once here, so z_update_gaussian's s^2 never overflows
         raise NonFiniteInput(f"sigma**2 overflowed for sigma = {nm.sigma!r}")
+    started = time.perf_counter()  # the fit's wall time counts the projection
     proj = gram_projection(data)
     xt, y, rho = data.x.T, data.y, cfg.rho
 
@@ -125,4 +127,4 @@ def fit_admm(
             # ||gap||_F without BLAS, whose threaded dot products round by thread count
             w = yield params, math.sqrt(np.einsum("kn,kn->", consensus_gap, consensus_gap))
 
-    return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol)
+    return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol, started=started)

@@ -60,19 +60,11 @@ def cmd_generate(args) -> int:
     started = _timestamp()
     nm = NoiseModel(NoiseKind(args.noise), args.sigma)
     data = synth.generate(args.k, args.d, args.n, nm, args.seed)
-    io.write_dataset(args.out, data, nm.kind, nm.sigma, args.seed)
-    config = {
-        "k": args.k,
-        "d": args.d,
-        "n": args.n,
-        "noise": nm.kind.value,
-        "sigma": nm.sigma,
-        "seed": args.seed,
-    }
+    settings = io.write_dataset(args.out, data, nm.kind, nm.sigma, args.seed)
     _write_manifest(
         args.out + ".manifest.txt",
         "generate",
-        config,
+        dict(settings),
         {},
         {"dataset": os.path.basename(args.out)},
         started,
@@ -115,7 +107,7 @@ def cmd_fit(args) -> int:
     config = {**dict(settings), "ridge_scale": lad.RIDGE_SCALE}
     if args.algo == "em":
         config["lad_lp_cap"] = em.DEFAULT_LP_CAP
-    if trace.lad_path == LAD_PATH_IRLS:
+    if trace.lad_path == LAD_PATH_IRLS and data.dim > 1:  # d = 1 takes the weighted median
         config.update(irls_delta=em.irls_delta(data.y),
                       irls_max_iterations=lad.IRLS_MAX_ITERATIONS,
                       irls_tolerance=lad.IRLS_TOLERANCE)

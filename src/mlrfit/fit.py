@@ -73,20 +73,24 @@ def run(
     cfg: SolverConfig,
     lad_path: str = LAD_PATH_NA,
     stop_tol: Optional[float] = None,
+    started: Optional[float] = None,
 ) -> FitTrace:
     """Run ``cfg.n_iterations`` iterates of ``steps`` from the shared start.
 
     ``stop_tol`` stops the loop once an iterate's primal residual is at
     most that value; it must be a finite non-negative real. A sample with
     no probability mass at an iterate the loop goes on from raises
-    DegenerateRow; at the final iterate it only scores -inf.
+    DegenerateRow; at the final iterate it only scores -inf. ``started``
+    is the ``time.perf_counter()`` reading taken before a solver's per-fit
+    setup, so ``wall_seconds`` counts it; by default the clock starts here.
     """
     if stop_tol is not None:
         check_non_negative("stop_tol", stop_tol)
     params = initial_params(cfg, data.dim, check_int("k", k))
     log_liks = np.empty(cfg.n_iterations)
     residuals = np.empty(cfg.n_iterations)
-    started = time.perf_counter()
+    if started is None:
+        started = time.perf_counter()
     fits = params.beta.T @ data.x.T
     iterates = steps(params, fits, scoring.e_step(fits, data.y, nm))
     del fits  # the generator holds them alone, so it can drop them

@@ -20,8 +20,6 @@ from .errors import InsufficientData, ZeroVariance
 from .model import Dataset, MlrParams, NoiseKind, check_int, check_positive, check_seed
 
 FORMAT_VERSION = "1"
-# The keys of a dataset file's header, beside its beta_true[j] lines.
-_DATASET_KEYS = ("format", "k", "d", "n", "noise", "sigma", "seed", "columns")
 
 
 def fmt(value) -> str:
@@ -46,23 +44,36 @@ def _parse_kv_line(line: str, path: str, line_no: int) -> Tuple[str, str]:
 # dataset files
 
 
+# The settings of a dataset file's header, in file order: each key's model
+# rule, which reads its text, and how its value is written. The writer passes
+# each value through the rule, so every header it writes reads back.
+_SETTINGS: Dict[str, Tuple[Callable, Callable]] = {
+    "k": (check_int, str),
+    "d": (check_int, str),
+    "n": (check_int, str),
+    "noise": (lambda _, value: NoiseKind(value), lambda kind: kind.value),
+    "sigma": (check_positive, fmt),
+    "seed": (check_seed, str),
+}
+# The keys of a dataset file's header, beside its beta_true[j] lines.
+_DATASET_KEYS = ("format", *_SETTINGS, "columns")
+
+
 def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int):
-    """Write a dataset in the header-plus-CSV layout."""
+    """Write a dataset in the header-plus-CSV layout; return its settings' (key, text) pairs.
+
+    Each value passes its rule before the file is opened, so a value the
+    reader would reject raises the reader's error and writes nothing.
+    """
     if data.labels is None:
         raise ValueError("dataset files carry generating labels")
     k = data.true_params.k_components if data.true_params is not None else (
         int(data.labels.max()) + 1
     )
-    lines = [
-        "# mlrfit dataset",
-        f"# format = {FORMAT_VERSION}",
-        f"# k = {k}",
-        f"# d = {data.dim}",
-        f"# n = {data.n_samples}",
-        f"# noise = {NoiseKind(noise).value}",
-        f"# sigma = {fmt(sigma)}",
-        f"# seed = {int(seed)}",
-    ]
+    values = dict(k=k, d=data.dim, n=data.n_samples, noise=noise, sigma=sigma, seed=seed)
+    settings = [(key, write(read(key, values[key]))) for key, (read, write) in _SETTINGS.items()]
+    lines = ["# mlrfit dataset", f"# format = {FORMAT_VERSION}"]
+    lines += [f"# {key} = {text}" for key, text in settings]
     if data.true_params is not None:
         for j in range(k):
             coeffs = " ".join(fmt(v) for v in data.true_params.beta[:, j])
@@ -75,6 +86,7 @@ def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int
         # 1 MB of heap behind per 20000-row file.
         np.savetxt(handle, np.column_stack([data.labels + 1, data.y, data.x]),
                    fmt=["%d"] + ["%.17g"] * (data.dim + 1), delimiter=",")
+    return settings
 
 
 def _columns(d: int) -> str:
@@ -111,7 +123,8 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
 
     A header error names the file and the line: a repeated or unknown
     key, a ``format`` other than FORMAT_VERSION, ``columns`` other than
-    label,y,x1..xd, or a value outside its ``model`` rule.
+    label,y,x1..xd, or a value outside its ``model`` rule; a label outside
+    1..k names the file.
     """
     header: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
     rows = []
@@ -144,11 +157,9 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
         return _at_line(path, line_no, rule, *args, value)
 
     parse("format", _exactly, "format", FORMAT_VERSION)
-    k, d, n = (parse(key, check_int, key) for key in ("k", "d", "n"))
+    meta = {key: parse(key, read, key) for key, (read, _) in _SETTINGS.items()}
+    k, d, n = meta["k"], meta["d"], meta["n"]
     parse("columns", _exactly, "columns", _columns(d))
-    noise = parse("noise", NoiseKind)
-    sigma = parse("sigma", check_positive, "sigma")
-    seed = parse("seed", check_seed, "seed")
     if len(rows) != n:
         raise ValueError(f"{path}: header says n = {n} but found {len(rows)} rows")
     # comments=None: a '#' line that is not a '# ' header line is a bad row
@@ -165,15 +176,9 @@ def read_dataset(path) -> Tuple[Dataset, Dict]:
             raise ValueError(f"{path}: beta_true lines must cover components 1..{k}")
         columns = [parse(key, _coefficients, key, d) for key in wanted]
         true_params = MlrParams(np.column_stack(columns))
-    meta = {
-        "k": k,
-        "d": d,
-        "n": n,
-        "noise": noise,
-        "sigma": sigma,
-        "seed": seed,
-    }
     labels = table["label"] - 1
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"{path}: labels must be in 1..{k}")
     return Dataset(x=table["x"], y=table["y"], labels=labels, true_params=true_params), meta
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -352,6 +353,23 @@ class TestFitAdmm:
         with pytest.raises(NonFiniteInput, match="sigma"):
             admm.fit_admm(scaled, 2, nm, cfg)
         assert np.isfinite(em.fit_em(scaled, 2, nm, cfg).log_liks).all()
+
+    def test_wall_seconds_counts_the_projection(self, monkeypatch):
+        data = synth.generate(2, 2, 100, GAUSS, seed=5)
+        cfg = SolverConfig(n_iterations=3, seed=5)
+        plain = admm.fit_admm(data, 2, GAUSS, cfg)
+        project = admm.gram_projection
+
+        def slow_projection(data):
+            time.sleep(0.05)
+            return project(data)
+
+        monkeypatch.setattr(admm, "gram_projection", slow_projection)
+        slowed = admm.fit_admm(data, 2, GAUSS, cfg)
+        assert slowed.wall_seconds >= 0.05
+        assert np.array_equal(slowed.params.beta, plain.params.beta)
+        assert np.array_equal(slowed.log_liks, plain.log_liks)
+        assert np.array_equal(slowed.primal_residuals, plain.primal_residuals)
 
     def test_trace_deterministic(self):
         data = synth.generate(2, 2, 300, LAPLACE, seed=22)

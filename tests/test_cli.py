@@ -49,6 +49,14 @@ class TestGenerate:
         io.write_dataset(again, data, meta["noise"], meta["sigma"], meta["seed"])
         assert read(out) == read(again)
 
+    def test_manifest_states_the_header_settings(self, tmp_path):
+        out = tmp_path / "data.txt"
+        assert run(GEN_ARGS + ["--out", out]) == 0
+        header = [line[2:] for line in read(out).splitlines()[2:8]]
+        config = [line[len("config."):] for line in read(f"{out}.manifest.txt").splitlines()
+                  if line.startswith("config.")]
+        assert sorted(header) == config and "seed = 7" in config
+
     def test_sigma_zero_rejected_with_message(self, tmp_path, capsys):
         args = [a for a in GEN_ARGS]
         args[args.index("--sigma") + 1] = "0"
@@ -98,7 +106,8 @@ def assert_same_settings(result, algo):
     """The fit's settings, which its result header and manifest state alike.
 
     The manifest adds only the constants the fit ran under: the ridge
-    scale, EM's LP cap, and the IRLS constants when the irls route ran.
+    scale, EM's LP cap, and the IRLS constants when IRLS passes ran: the
+    irls route at d >= 2, since at d = 1 it takes the weighted median.
     """
     lines = read(result).splitlines()
     header = lines[2:next(i for i, line in enumerate(lines) if line.startswith("error_metric = "))]
@@ -111,7 +120,7 @@ def assert_same_settings(result, algo):
         if line.startswith("config.")
     )
     constants = {"ridge_scale"} | ({"lad_lp_cap"} if algo == "em" else set())
-    if settings["lad_path"] == "irls":
+    if settings["lad_path"] == "irls" and int(settings["d"]) >= 2:
         constants |= IRLS_CONSTANTS
     assert set(config) == set(settings) | constants
     assert {key: config[key] for key in settings} == settings
@@ -200,6 +209,21 @@ class TestFit:
         assert run([*argv, "--lad-path", "irls", "--out", tmp_path / "irls.txt"]) == 2
         assert "NonFiniteInput: the spread of y overflowed" in capsys.readouterr().err
         assert not (tmp_path / "irls.txt").exists()
+
+    def test_d1_irls_fit_of_a_y_whose_spread_overflows(self, tmp_path):
+        # at d = 1 the irls route is the weighted median, which needs no spread of y
+        x = np.random.default_rng(9).standard_normal((20, 1))
+        y = np.random.default_rng(9).standard_normal(20)
+        y[0] = 1e200
+        data = Dataset(x=x, y=y, labels=np.arange(20) % 2)
+        io.write_dataset(tmp_path / "far.txt", data, NoiseKind.LAPLACIAN, 1.0, 9)
+        out = tmp_path / "irls.txt"
+        assert run(["fit", "--algo", "em", "--noise", "laplacian", "--k", "2", "--iters", "3",
+                    "--seed", "1", "--lad-path", "irls", "--data", tmp_path / "far.txt",
+                    "--out", out]) == 0
+        settings = assert_same_settings(out, "em")
+        assert (settings["lad_path"], settings["d"]) == ("irls", "1")
+        assert "config.irls_" not in read(tmp_path / "irls.txt.manifest.txt")
 
     def test_stop_tol_with_em_is_a_usage_error(self, tmp_path, dataset, capsys):
         out = tmp_path / "em_stop.txt"
