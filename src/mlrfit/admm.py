@@ -12,13 +12,16 @@ projection P = (X^T X)^-1 X^T, which depends on X alone and is formed
 once per fit (Boyd et al. 2011, section 4.2), and ascends the duals,
 lam + rho (X b - Z) (Boyd et al. 2011, section 3.1). X b is computed once
 per iteration, right after the coefficient refit, and serves the primal
-residual, the dual step and the next iteration's Z-update. Like EM's, the
-per-iteration arrays (fitted values, memberships, Z and the duals) are
-component-major, K x N, so y broadcasts along each component's row.
-``fit_admm`` hands the iteration to the loop in ``mlrfit.fit``, which both
-solvers share and which computes every membership: the start's through
-``scoring.e_step``, EM's E-step, and each later one in the pass its
-likelihood makes over the same log-densities.
+residual, the dual step, the fit loop's likelihood and the next
+iteration's Z-update. Like EM's, the per-iteration arrays (fitted values,
+memberships, Z and the duals) are component-major, K x N, so y
+broadcasts along each component's row. ``fit_admm`` hands the iteration
+to the loop in ``mlrfit.fit``, which both solvers share: each iteration
+yields one ``fit.Iterate`` record of the plain d x K coefficients, their
+fitted values and the primal residual, and the loop checks and scores it
+and computes every membership: the start's through ``scoring.e_step``,
+EM's E-step, and each later one in the pass its likelihood makes over
+the same log-densities.
 """
 
 import math
@@ -30,7 +33,7 @@ import numpy as np
 from . import fit, lad
 from .errors import NonFiniteInput
 from .fit import FitTrace
-from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig
+from .model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
 
 def gram_projection(data: Dataset) -> np.ndarray:
@@ -57,10 +60,16 @@ def z_update_gaussian(
 
     z_ki = (y_i w_ki + s^2 rho <x_i, b_k> + s^2 lam_ki) / (w_ki + s^2 rho),
     with K x N ``fits`` = (X b)^T and memberships ``w``; the denominator is
-    always positive.
+    always positive. Computed in its output and one scratch array, in the
+    order the formula reads.
     """
     s2 = nm.sigma**2
-    return (y * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
+    z = np.multiply(y, w)
+    scratch = np.multiply(s2 * rho, fits)
+    z += scratch
+    z += np.multiply(s2, lam, out=scratch)
+    z /= np.add(w, s2 * rho, out=scratch)
+    return z
 
 
 def z_update_laplacian(
@@ -82,13 +91,14 @@ def z_update_laplacian(
     return np.clip(y, centre - reach, centre + reach)
 
 
-def beta_update(z: np.ndarray, lam: np.ndarray, rho: float, proj: np.ndarray) -> MlrParams:
-    """Least-squares coefficient refit b = P (Z - lam / rho)^T.
+def beta_update(z: np.ndarray, lam: np.ndarray, rho: float, proj: np.ndarray) -> np.ndarray:
+    """Least-squares coefficient refit b = P (Z - lam / rho)^T, a d x K array.
 
-    ``z`` and ``lam`` are K x N and ``proj`` is ``gram_projection``'s P; a
-    non-finite result raises NonFiniteInput in ``MlrParams``.
+    ``z`` and ``lam`` are K x N and ``proj`` is ``gram_projection``'s P. The
+    refit is a bare matmul: a non-finite result raises NonFiniteInput in
+    the fit loop, which checks every iterate.
     """
-    return MlrParams(proj @ (z - lam / rho).T)
+    return proj @ (z - lam / rho).T
 
 
 def fit_admm(
@@ -113,18 +123,19 @@ def fit_admm(
     proj = gram_projection(data)
     xt, y, rho = data.x.T, data.y, cfg.rho
 
-    def steps(params, fits, w):
+    def steps(start, fits, w):
         lam = np.zeros_like(fits)
         while True:
             if nm.kind is NoiseKind.GAUSSIAN:
                 z = z_update_gaussian(fits, lam, rho, w, y, nm)
             else:
                 z = z_update_laplacian(fits, lam, rho, w, y, nm)
-            params = beta_update(z, lam, rho, proj)
-            fits = params.beta.T @ xt
+            beta = beta_update(z, lam, rho, proj)
+            fits = beta.T @ xt
             consensus_gap = fits - z
             lam += rho * consensus_gap
             # ||gap||_F without BLAS, whose threaded dot products round by thread count
-            w = yield params, math.sqrt(np.einsum("kn,kn->", consensus_gap, consensus_gap))
+            residual = math.sqrt(np.einsum("kn,kn->", consensus_gap, consensus_gap))
+            w = yield fit.Iterate(beta, fits, residual)
 
     return fit.run(steps, data, k, nm, cfg, stop_tol=stop_tol, started=started)

@@ -9,8 +9,9 @@ memberships are K x N, one contiguous row per component, and each column
 of the memberships is a probability vector. Every reduction over
 components is then an elementwise pass over K rows of length N. ``fit_em``
 hands the iteration to the loop in ``mlrfit.fit``, which both solvers
-share and which computes every E-step through ``scoring``, whose
-``e_step`` is bound here as EM's.
+share: each M-step's coefficients go to it with their fitted values, in
+one ``fit.Iterate``, and it computes every E-step through ``scoring``,
+whose ``e_step`` is bound here as EM's.
 """
 
 import numpy as np
@@ -152,14 +153,16 @@ def fit_em(
     ADMM solver through the config) matters.
     """
     path = resolve_lad_path(lad_path, nm, data.n_samples)
+    xt = data.x.T
 
     def steps(params, fits, w):
-        del fits  # EM needs only the memberships; no K x N array outlives the start
+        del fits  # EM needs only the memberships, so the start's K x N fits can go
         while True:
             if nm.kind is NoiseKind.GAUSSIAN:
                 params = m_step_gaussian(w, data, previous=params)
             else:
                 params = m_step_laplacian(w, data, path=path, previous=params)
-            w = yield params, None
+            # the fitted values, for the fit loop's likelihood and E-step
+            w = yield fit.Iterate(params.beta, params.beta.T @ xt)
 
     return fit.run(steps, data, k, nm, cfg, lad_path=path)

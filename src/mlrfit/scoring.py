@@ -1,7 +1,9 @@
 """Model scoring: memberships, mixture log-likelihood, recovery error, paired t-test.
 
 Both solvers' posterior memberships come from here: from ``e_step`` at
-the start, and from the pass of ``log_likelihood`` that scores an iterate.
+the start, and from the pass of ``log_likelihood`` that scores an iterate
+on the fitted values X b its solver formed, so no iteration forms X b
+twice. Both write the log-densities over the residuals they allocate.
 """
 
 import math
@@ -18,30 +20,46 @@ from .model import Dataset, MlrParams, NoiseModel, validate_problem
 
 
 def log_likelihood(
-    params: MlrParams, data: Dataset, nm: NoiseModel, *, memberships: np.ndarray | None = None
+    params: MlrParams | None,
+    data: Dataset,
+    nm: NoiseModel,
+    *,
+    fits: np.ndarray | None = None,
+    memberships: np.ndarray | None = None,
 ) -> float:
     """Uniform-mixture log-likelihood sum_i log(sum_k f(y_i - <x_i, b_k>) / K).
 
     Computed through log-sum-exp so far-off components cannot underflow
     a sample's whole mixture: each sample's largest log-density is taken
     out before exponentiating. The K x N log-densities make that a pass
-    over K contiguous rows. As in ``scipy.special.logsumexp``, a sample
-    with no mass in any component (every log-density -inf) scores -inf,
-    without a warning.
+    over K contiguous rows, written over the residuals y - X b. As in
+    ``scipy.special.logsumexp``, a sample with no mass in any component
+    (every log-density -inf) scores -inf, without a warning.
+
+    ``fits``, the K x N fitted values (X b)^T of ``params``, are read
+    instead of formed again; the fit loop passes those its solver formed
+    for its own step, with ``params`` None. A ``fits`` array of another
+    shape than K x N raises DimensionMismatch.
 
     ``memberships``, a K x N array, receives the posterior memberships at
-    ``params`` from the same pass, bit for bit those ``e_step`` returns
-    for the fitted values (X b)^T; the returned value does not change.
+    the fitted values from the same pass, bit for bit those ``e_step``
+    returns for them; the returned value does not change.
     With it a sample with no mass raises DegenerateRow, as in ``e_step``.
     """
-    validate_problem(params, data)
-    logd = noise.log_density(nm, data.y - params.beta.T @ data.x.T)
+    if fits is None:
+        validate_problem(params, data)
+        fits = params.beta.T @ data.x.T
+    else:
+        rows = fits.shape[:1] if params is None else (params.k_components,)
+        if fits.shape != (*rows, data.n_samples):
+            raise DimensionMismatch(f"fits must be K x N, got {fits.shape}")
+    logd = noise.log_density_in_place(nm, data.y - fits)
     if memberships is not None and memberships.shape != logd.shape:
         raise DimensionMismatch(f"memberships must be {logd.shape}, got {memberships.shape}")
     peak, total = _softmax(logd, memberships)
     with np.errstate(divide="ignore"):
         per_sample = np.log(total) + peak
-    return float(per_sample.sum()) + data.n_samples * math.log(1.0 / params.k_components)
+    return float(per_sample.sum()) + data.n_samples * math.log(1.0 / logd.shape[0])
 
 
 def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
@@ -52,7 +70,7 @@ def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
     memberships. Returns K x N memberships; a sample with no mass in any
     component raises DegenerateRow.
     """
-    logd = noise.log_density(nm, y - fits)
+    logd = noise.log_density_in_place(nm, y - fits)
     w = np.empty_like(logd)
     _softmax(logd, w)
     return w

@@ -94,6 +94,19 @@ class TestZUpdateGaussian:
             assert z[k, i] == pytest.approx(expected, abs=1e-8)
 
 
+    def test_equals_the_formula_as_one_expression(self):
+        """Computed in its output, the update keeps the formula's rounding."""
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            nm = NoiseModel(NoiseKind.GAUSSIAN, float(rng.uniform(0.1, 10.0)))
+            state, w, data = random_state(rng, n=300, k=3)
+            fits, _, lam, rho = state
+            z = admm.z_update_gaussian(fits, lam, rho, w, data.y, nm)
+            s2 = nm.sigma**2
+            expected = (data.y * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
+            assert np.array_equal(z, expected)
+
+
 class TestZUpdateLaplacian:
     def test_zero_weight_zero_dual_is_quadratic_minimum(self):
         x = np.array([[1.0], [1.0]])
@@ -215,7 +228,7 @@ class TestBetaAndDualUpdates:
         beta0 = rng.standard_normal((3, 2))
         z = (data.x @ beta0).T
         fitted = admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))
-        assert np.allclose(fitted.beta, beta0, atol=1e-10)
+        assert np.allclose(fitted, beta0, atol=1e-10)
 
     def test_scalar_normal_equation(self):
         rng = np.random.default_rng(5)
@@ -226,7 +239,7 @@ class TestBetaAndDualUpdates:
         fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
         x = data.x[:, 0]
         expected = np.sum(x * (z[0] - lam[0] / rho)) / np.sum(x * x)
-        assert fitted.beta[0, 0] == pytest.approx(expected, rel=1e-9)
+        assert fitted[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_matches_independent_solve(self):
         rng = np.random.default_rng(6)
@@ -239,16 +252,18 @@ class TestBetaAndDualUpdates:
         fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
         gram = lad.ridge_gram(data.x.T @ data.x)
         expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho).T)
-        assert np.allclose(fitted.beta, expected, atol=1e-10)
+        assert np.allclose(fitted, expected, atol=1e-10)
 
-    def test_non_finite_right_hand_side_raises(self):
-        # the refit is a bare matmul; MlrParams is the gate
+    def test_non_finite_right_hand_side_raises(self, monkeypatch):
+        # the refit is a bare matmul; the fit loop's check of each iterate is the gate
         rng = np.random.default_rng(8)
         data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
         z = rng.standard_normal((2, 20))
         z[1, 3] = np.nan
-        with pytest.raises(NonFiniteInput):
-            admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))
+        assert np.isnan(admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))).any()
+        monkeypatch.setattr(admm, "z_update_gaussian", lambda *args: z)
+        with pytest.raises(NonFiniteInput, match="iterate 1 "):
+            admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=8))
 
     def test_beta_update_stationarity(self):
         rng = np.random.default_rng(7)
@@ -257,7 +272,7 @@ class TestBetaAndDualUpdates:
         lam = rng.standard_normal((80, 2)).T
         rho = 0.7
         fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
-        residual = data.x.T @ data.x @ fitted.beta - data.x.T @ (z - lam / rho).T
+        residual = data.x.T @ data.x @ fitted - data.x.T @ (z - lam / rho).T
         assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(z))
 
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
@@ -266,23 +281,23 @@ class TestBetaAndDualUpdates:
         data = synth.generate(3, 2, 300, nm, seed=31)
         cfg = SolverConfig(n_iterations=3, seed=31)
         trace = admm.fit_admm(data, 3, nm, cfg)
-        params = initial_params(cfg, 2, 3)
+        beta = initial_params(cfg, 2, 3).beta
         proj = admm.gram_projection(data)
         lam = np.zeros((3, data.n_samples))
         log_liks, residuals = [], []
         for _ in range(3):
-            fits = params.beta.T @ data.x.T
+            fits = beta.T @ data.x.T
             w = em.e_step(fits, data.y, nm)
             if nm is GAUSS:
                 z = admm.z_update_gaussian(fits, lam, cfg.rho, w, data.y, nm)
             else:
                 z = admm.z_update_laplacian(fits, lam, cfg.rho, w, data.y, nm)
-            params = admm.beta_update(z, lam, cfg.rho, proj)
-            gap = params.beta.T @ data.x.T - z
+            beta = admm.beta_update(z, lam, cfg.rho, proj)
+            gap = beta.T @ data.x.T - z
             lam = lam + cfg.rho * gap
-            log_liks.append(scoring.log_likelihood(params, data, nm))
+            log_liks.append(scoring.log_likelihood(MlrParams(beta), data, nm))
             residuals.append(math.sqrt(np.einsum("kn,kn->", gap, gap)))
-        assert np.array_equal(trace.params.beta, params.beta)
+        assert np.array_equal(trace.params.beta, beta)
         assert np.array_equal(trace.log_liks, log_liks)
         assert np.array_equal(trace.primal_residuals, residuals)
 
@@ -353,6 +368,21 @@ class TestFitAdmm:
         with pytest.raises(NonFiniteInput, match="sigma"):
             admm.fit_admm(scaled, 2, nm, cfg)
         assert np.isfinite(em.fit_em(scaled, 2, nm, cfg).log_liks).all()
+
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_non_finite_projection_raises_non_finite_input(self, nm, monkeypatch):
+        # a NaN in P makes the first refit's coefficients NaN; the fit loop stops it
+        project = admm.gram_projection
+
+        def poisoned(data):
+            proj = project(data)
+            proj[0, 3] = np.nan
+            return proj
+
+        monkeypatch.setattr(admm, "gram_projection", poisoned)
+        data = synth.generate(2, 2, 100, nm, seed=6)
+        with pytest.raises(NonFiniteInput, match="iterate 1 "):
+            admm.fit_admm(data, 2, nm, SolverConfig(n_iterations=3, seed=6))
 
     def test_wall_seconds_counts_the_projection(self, monkeypatch):
         data = synth.generate(2, 2, 100, GAUSS, seed=5)

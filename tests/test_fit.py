@@ -1,12 +1,13 @@
 """The shared iteration loop: memberships handed to the solver, and their lifetime."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mlrfit import admm, em, fit, scoring, synth
-from mlrfit.errors import DegenerateRow
+from mlrfit.errors import DegenerateRow, NonFiniteInput
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, initial_params
 
 GAUSS = NoiseModel(NoiseKind.GAUSSIAN, 1.0)
@@ -25,14 +26,17 @@ FAR = MlrParams(np.array([[1e160, 1e160], [0.0, 0.0]]))
 def stub(iterates, received, started=None):
     """Steps that yield ``iterates`` in turn, appending what each yield receives.
 
-    ``started``, if given, receives the start, its fits and its memberships.
+    Each of ``iterates`` is a pair of coefficients (anything with a d x K
+    ``beta``) and a primal residual, yielded as a ``fit.Iterate`` with the
+    fitted values on DATA. ``started``, if given, receives the start, its
+    fits and its memberships.
     """
 
     def steps(start, fits, w):
         if started is not None:
             started.append((start, fits, w))
-        for iterate in iterates:
-            received.append((yield iterate))
+        for params, residual in iterates:
+            received.append((yield fit.Iterate(params.beta, params.beta.T @ DATA.x.T, residual)))
 
     return steps
 
@@ -87,6 +91,27 @@ def test_massless_iterate_that_meets_stop_tol_scores_minus_infinity():
     assert len(received) == 1
     assert trace.log_liks[-1] == -math.inf
     assert list(trace.primal_residuals) == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", ["mid-fit", "final"])
+def test_non_finite_iterate_raises_non_finite_input_unscored(bad, position, monkeypatch):
+    """The loop's own check, not MlrParams or the likelihood, stops the fit."""
+    scored = []
+    log_likelihood = scoring.log_likelihood
+
+    def counting(*args, **kwargs):
+        scored.append(kwargs["fits"])
+        return log_likelihood(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "log_likelihood", counting)
+    beta = NEAR.beta.copy()
+    beta[1, 0] = bad
+    iterates = [(NEAR, None), (SimpleNamespace(beta=beta), None), (NEAR, None)]
+    # the stub's own X b of an infinite coefficient may be NaN, with a warning
+    with pytest.raises(NonFiniteInput, match="iterate 2 "), np.errstate(invalid="ignore"):
+        run_stub(iterates, 3 if position == "mid-fit" else 2)
+    assert len(scored) == 1  # the first iterate's; no likelihood of the second
 
 
 SOLVERS = {
@@ -145,3 +170,56 @@ def test_one_e_step_per_fit_the_start(name, monkeypatch):
     nm, solve = SOLVERS[name]
     solve(synth.generate(3, 2, 200, nm, seed=41), SolverConfig(n_iterations=6, seed=41))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_one_x_b_per_iteration_scored_and_reused(name, monkeypatch):
+    """The loop scores the fitted values its solver formed, once per iteration.
+
+    Every scorer call gets the ``fits`` of the iterate just yielded, equal
+    to beta^T X^T; in ADMM the next Z-update reads that same array.
+    """
+    yielded, scored, z_read = [], [], []
+    run = fit.run
+
+    def recording_run(steps, *args, **kwargs):
+        def recorded(*start):
+            iterates = steps(*start)
+            it = next(iterates)
+            while True:
+                yielded.append(it)
+                it = iterates.send((yield it))
+
+        return run(recorded, *args, **kwargs)
+
+    log_likelihood = scoring.log_likelihood
+
+    def scoring_spy(*args, **kwargs):
+        scored.append((len(yielded), kwargs["fits"]))
+        return log_likelihood(*args, **kwargs)
+
+    monkeypatch.setattr(fit, "run", recording_run)
+    monkeypatch.setattr(scoring, "log_likelihood", scoring_spy)
+    for attr in ("z_update_gaussian", "z_update_laplacian"):
+        z_update = getattr(admm, attr)
+
+        def z_spy(*args, z_update=z_update):
+            z_read.append(args[0])
+            return z_update(*args)
+
+        monkeypatch.setattr(admm, attr, z_spy)
+    nm, solve = SOLVERS[name]
+    data = synth.generate(3, 2, 200, nm, seed=43)
+    trace = solve(data, SolverConfig(n_iterations=6, seed=43))
+    assert len(scored) == len(yielded) == trace.n_iterations == 6
+    for t, (n_yielded, fits) in enumerate(scored):
+        assert n_yielded == t + 1  # scored right after its yield
+        assert fits is yielded[t].fits
+        assert np.array_equal(fits, yielded[t].beta.T @ data.x.T)
+    assert np.array_equal(trace.params.beta, yielded[-1].beta)
+    if name.startswith("admm"):
+        assert len(z_read) == 6
+        for t in range(5):
+            assert z_read[t + 1] is scored[t][1]
+    else:
+        assert z_read == []

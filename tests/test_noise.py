@@ -49,6 +49,31 @@ def test_density_positive_log_density_finite():
         assert np.isfinite(noise.log_density(nm, np.concatenate([moderate, extreme]))).all()
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.3, 2.7])
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_log_density_in_place_is_log_density(kind, sigma):
+    """The in-place form writes log_density's array bit for bit over its argument.
+
+    Half the residuals are odd 27-bit mantissas, whose squares are ties
+    in double precision, and half span forty orders of magnitude.
+    """
+    nm = NoiseModel(kind, sigma)
+    rng = np.random.default_rng(5)
+    ties = (rng.integers(2**26, 2**27, 500) | 1) * 2.0**-26
+    spread = rng.standard_normal(500) * np.exp(rng.uniform(-46.0, 46.0, 500))
+    eps = np.concatenate([ties, -ties, spread]).reshape(2, -1)
+    before = eps.copy()
+    expected = noise.log_density(nm, eps)
+    assert np.array_equal(eps, before)  # log_density leaves its argument alone
+    work = eps.copy()
+    assert noise.log_density_in_place(nm, work) is work
+    assert np.array_equal(work, expected)
+    for value in (0.0, 1.5, -2.5):  # exact squares: a scalar is the array's entry
+        scalar = noise.log_density(nm, value)
+        assert type(scalar) is float
+        assert scalar == noise.log_density(nm, np.array([value]))[0]
+
+
 def test_gaussian_sample_moments():
     draws = noise.sample(GAUSS, stream(7), size=100000)
     assert abs(draws.mean()) < 0.02

@@ -96,6 +96,38 @@ class TestLogLikelihood:
             scoring.log_likelihood(params, data, GAUSS, memberships=np.empty((4, 2)))
 
 
+    @pytest.mark.parametrize("n", [1, 2000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_given_fits_score_as_the_three_argument_call(self, nm, k, n):
+        """``fits`` = (X b)^T gives the same value and memberships, bit for bit."""
+        rng = np.random.default_rng(100 * k + n)
+        data = Dataset(x=rng.standard_normal((n, 2)), y=rng.standard_normal(n))
+        params = MlrParams(rng.standard_normal((2, k)))
+        plain = scoring.log_likelihood(params, data, nm)
+        expected = np.full((k, n), np.nan)
+        filled = scoring.log_likelihood(params, data, nm, memberships=expected)
+        assert filled == plain
+        fits = params.beta.T @ data.x.T
+        for given in (params, None):
+            w = np.full((k, n), np.nan)
+            value = scoring.log_likelihood(given, data, nm, fits=fits, memberships=w)
+            assert value == plain
+            assert np.array_equal(w, expected)
+            assert scoring.log_likelihood(given, data, nm, fits=fits) == plain
+        assert np.array_equal(fits, params.beta.T @ data.x.T)  # read, not written
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (5, 2), (5,), (1, 2, 5), ()])
+    def test_fits_must_be_k_by_n(self, shape):
+        data = Dataset(x=np.ones((5, 1)), y=np.zeros(5))
+        params = MlrParams(np.array([[0.0, 1.0]]))
+        for given in (params, None):
+            if given is None and shape == (3, 5):
+                continue  # without params any K x N is a mixture's fits
+            with pytest.raises(DimensionMismatch, match="fits must be K x N"):
+                scoring.log_likelihood(given, data, GAUSS, fits=np.zeros(shape))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
