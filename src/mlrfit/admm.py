@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import fit, lad
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, SingularGram
 from .fit import FitTrace
 from .model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
@@ -39,13 +39,17 @@ from .model import Dataset, NoiseKind, NoiseModel, SolverConfig
 def gram_projection(data: Dataset) -> np.ndarray:
     """The d x N least-squares projection P = ridge_gram(X^T X)^-1 X^T.
 
-    Raises NonFiniteInput if X^T X overflows and SingularGram if its
-    ridge-stabilized form is not positive definite, the checks of
-    ``lad.gated_gram``. The d x d inverse then costs less than solving
-    against the N columns of X^T.
+    Raises NonFiniteInput if X^T X overflows, the check of
+    ``lad.gated_gram``, and SingularGram if its ridge-stabilized form is
+    singular, which the LU factorization of the inverse finds. The d x d
+    inverse then costs less than solving against the N columns of X^T.
     """
     xt = data.x.T
-    return np.linalg.inv(lad.gated_gram(xt, data.x)) @ xt
+    try:
+        inverse = np.linalg.inv(lad.gated_gram(xt, data.x))
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix singular: {exc}") from exc
+    return inverse @ xt
 
 
 def z_update_gaussian(
@@ -84,11 +88,16 @@ def z_update_laplacian(
 
     The surrogate w |y_i - z| / b - lam z + rho/2 (f - z)^2 is minimized by
     y_i clipped to [c - w/(b rho), c + w/(b rho)], c = f + lam/rho, the
-    proximal operator of |.|; all arrays are K x N.
+    proximal operator of |.|; all arrays are K x N. Computed in three
+    arrays besides the inputs: c, the reach w/(b rho) and the upper bound,
+    which the clip overwrites with its result.
     """
-    centre = fits + lam / rho
+    centre = lam / rho
+    centre += fits
     reach = w / (nm.b * rho)
-    return np.clip(y, centre - reach, centre + reach)
+    hi = centre + reach
+    centre -= reach
+    return np.clip(y, centre, hi, out=hi)
 
 
 def beta_update(z: np.ndarray, lam: np.ndarray, rho: float, proj: np.ndarray) -> np.ndarray:

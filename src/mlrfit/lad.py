@@ -38,17 +38,21 @@ at import: ``_solve_dual``, which ``dual_lp`` hands each working-set LP,
 is ``_highs_dual``, or ``_linprog_dual`` on an older scipy, where that
 private module does not exist.
 
-Every weighted least-squares system of EM goes through one kernel,
-``_weighted_lstsq``: the Gaussian M-step solves all K components in one
-call, each IRLS pass solves its single component in one, and ``dual_lp``
-takes its starting fit from it. The kernel reads X through ``x.T``, the
+Every weighted least-squares system of EM goes through one kernel body,
+``_solve_weighted``: ``_weighted_lstsq`` hands it freshly weighted
+covariates, the Gaussian M-step solving all K components in one call and
+``dual_lp`` taking its starting fit from it, while ``irls`` hands it the
+buffer of weighted covariates that its passes overwrite, one per call.
+The kernel reads X through ``x.T``, the
 d x N layout, which is contiguous for the column-major x that
 ``model.Dataset`` stores, so weighting the covariates is d passes over
 contiguous rows of length N per component instead of N short rows of
 length d, and no routine copies X to get there. A row-major x gives the
 same results, only more slowly. The K Gram matrices and right-hand
 sides come from two stacked matmuls, ``gated_gram`` checks the Gram
-matrices, and one stacked solve returns the d x K coefficients. ADMM
+matrices for overflow, and one stacked LU solve, the only factorization
+of each Gram matrix, returns the d x K coefficients or finds a singular
+matrix (SingularGram). ADMM
 forms its one Gram matrix's projection in ``admm.gram_projection`` and
 takes only ``gated_gram`` from here. ``dual_lp``'s working-set LPs are
 the one sample-major reader: HiGHS takes X_S^T column by column, that
@@ -99,30 +103,50 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
 # at less cost than a ``with np.errstate`` block.
 @np.errstate(over="raise", invalid="raise")
 def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ridge_gram(xw @ x), checked: finite and positive definite.
+    """ridge_gram(xw @ x), checked to be finite.
 
     ``xw`` is d x N, or a K x d x N stack that gives one Gram matrix per
     row. Raises NonFiniteInput if the product overflows, without letting
-    numpy's RuntimeWarning escape, and SingularGram if a ridge-stabilized
-    Gram matrix is not positive definite, by one stacked Cholesky
-    factorization, whose factor is not kept. The Gram matrices of EM's
-    kernel ``_weighted_lstsq`` and of ADMM's projection both pass here.
+    numpy's RuntimeWarning escape. Whether a Gram matrix is singular is
+    left to the caller's one LU factorization, ``np.linalg.solve`` in
+    ``_weighted_lstsq`` and ``np.linalg.inv`` in ``admm.gram_projection``,
+    whose LinAlgError each raises as SingularGram: the ridge, RIDGE_SCALE
+    times trace / d, is far above the rounding of a finite positive
+    semi-definite matrix, so the ridged matrix is numerically positive
+    definite exactly when its trace is positive, and a zero trace means a
+    zero matrix, which LU rejects.
     """
     try:
-        gram = _ridge_gram(xw @ x)
+        return _ridge_gram(xw @ x)
     except FloatingPointError as exc:
         raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
-    return gram
 
 
 # ``ridge_gram`` and ``gated_gram`` under private names for the kernels: like
-# ``_weighted_lstsq``, they then add no tracer span to every IRLS pass.
+# ``_solve_weighted``, they then add no tracer span to every IRLS pass.
 _ridge_gram = ridge_gram
 _gated_gram = gated_gram
+
+
+def _solve_weighted(xw: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The d x K solution of ridge_gram(xw_k @ x) b = xw_k @ y for each row k.
+
+    ``xw`` is the K x d x N stack of weighted covariates, w_k * x.T. The
+    body of both ``_weighted_lstsq`` and ``irls``: ``gated_gram`` checks
+    the K Gram matrices for overflow (NonFiniteInput), and one stacked LU
+    solve gives all K columns, raising SingularGram where a Gram matrix is
+    singular. A right-hand side that overflowed gives a non-finite
+    solution, which raises NonFiniteInput rather than reach the caller.
+    """
+    # Private, so perfbench's tracer adds no span to every IRLS pass.
+    gram = _gated_gram(xw, x)
+    try:
+        beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix singular: {exc}") from exc
+    if not np.isfinite(beta).all():
+        raise NonFiniteInput("weighted least-squares solution overflowed")
+    return beta
 
 
 def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -131,19 +155,11 @@ def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     Column k of the d x K result solves the ridge-stabilized normal
     equations ridge_gram(X^T W_k X) b = X^T W_k y, with W_k = diag(w[k]).
     The weighting reads ``x.T``, K x d passes over contiguous rows when
-    x is column-major as in ``model.Dataset``, and both products are
-    single stacked matmuls. ``gated_gram`` checks the K Gram matrices
-    (NonFiniteInput, SingularGram); a stacked solve then gives all K
-    columns. A right-hand side that overflowed gives a non-finite
-    solution, which raises NonFiniteInput rather than reach the caller.
+    x is column-major as in ``model.Dataset``, into a fresh K x d x N
+    stack that ``_solve_weighted`` solves with one factorization per Gram
+    matrix (NonFiniteInput, SingularGram).
     """
-    # Private, so perfbench's tracer adds no span to every IRLS pass.
-    xw = w[:, None, :] * x.T
-    gram = _gated_gram(xw, x)
-    beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
-    if not np.isfinite(beta).all():
-        raise NonFiniteInput("weighted least-squares solution overflowed")
-    return beta
+    return _solve_weighted(w[:, None, :] * x.T, x, y)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -189,32 +205,47 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     Starts from the weighted least-squares solution and stops once the
     relative objective decrease falls below IRLS_TOLERANCE. Raises
     SolverStall if IRLS_MAX_ITERATIONS passes run out while still making
-    larger steps.
+    larger steps, and NonFiniteInput, with no RuntimeWarning, if a
+    residual squares past the largest float or the objective overflows.
 
     Every pass, the first included, solves its weighted least-squares
-    system through ``_weighted_lstsq``; it and the residuals read x.T in
-    place, a contiguous array for a ``model.Dataset``'s x.
+    system through ``_solve_weighted``, the body of ``_weighted_lstsq``.
+    The passes compute in a workspace allocated once per call: the
+    smoothed residuals, a scratch vector (the reweighting w / s, then the
+    objective's terms w s) and the 1 x d x N weighted covariates, so a
+    pass allocates only its d x d system. The weighting and the residuals
+    read x.T in place, a contiguous array for a ``model.Dataset``'s x.
 
     Returns (coefficients, iterations_used).
     """
+    xt = x.T
+    s = np.empty(xt.shape[1])  # the smoothed residuals sqrt(r^2 + delta^2)
+    scratch = np.empty_like(s)
 
-    def smoothed_residuals(beta):
-        r = y - beta @ x.T
-        return np.sqrt(r * r + delta * delta)
+    def objective(beta):
+        np.matmul(beta, xt, out=s)
+        np.subtract(y, s, out=s)
+        np.multiply(s, s, out=s)
+        np.add(s, delta * delta, out=s)
+        np.sqrt(s, out=s)
+        return float(np.sum(np.multiply(weights, s, out=scratch)))
 
-    def reweighted_solve(q):
-        return _weighted_lstsq(x, y, q[None])[:, 0]
-
-    beta = reweighted_solve(weights)
-    s = smoothed_residuals(beta)
-    prev = float(np.sum(weights * s))
-    for iteration in range(1, IRLS_MAX_ITERATIONS + 1):
-        beta = reweighted_solve(weights / s)
-        s = smoothed_residuals(beta)
-        current = float(np.sum(weights * s))
-        if prev - current < IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
-            return beta, iteration
-        prev = current
+    try:
+        with np.errstate(over="raise"):
+            # The first pass's weighted covariates, by _weighted_lstsq's own
+            # product, so the buffer the later passes overwrite has its layout.
+            xw = weights[None, None, :] * xt
+            beta = _solve_weighted(xw, x, y)[:, 0]
+            prev = objective(beta)
+            for iteration in range(1, IRLS_MAX_ITERATIONS + 1):
+                np.multiply(np.divide(weights, s, out=scratch), xt, out=xw[0])
+                beta = _solve_weighted(xw, x, y)[:, 0]
+                current = objective(beta)
+                if prev - current < IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
+                    return beta, iteration
+                prev = current
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"IRLS pass overflowed: {exc}") from None
     raise SolverStall(
         f"IRLS still decreasing after {IRLS_MAX_ITERATIONS} iterations "
         f"(last objective {prev:.6g})"

@@ -9,8 +9,8 @@ import scipy.optimize
 import scipy.sparse
 from scipy.special import logsumexp
 
-from mlrfit import noise, synth
-from mlrfit.errors import IterationLimit, MlrError
+from mlrfit import lad, noise, synth
+from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import NoiseKind, NoiseModel
 from mlrfit.rng import stable_hash
 
@@ -353,3 +353,58 @@ def brute_force_weighted_median(values: np.ndarray, weights: np.ndarray) -> floa
     objectives = [float(np.sum(weights * np.abs(values - c))) for c in values]
     best = min(objectives)
     return min(c for c, objective in zip(values, objectives) if objective == best)
+
+
+def cholesky_gated_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``lad._weighted_lstsq`` with a separate Cholesky gate, as a reference.
+
+    Each ridge-stabilized Gram matrix is Cholesky-factorized only to test
+    that it is positive definite (SingularGram otherwise), the factor is
+    dropped, and ``np.linalg.solve`` then factorizes it again by LU. The
+    kernel's one LU solve must raise SingularGram on the same stacks and
+    return the same coefficients on the rest.
+    """
+    xw = w[:, None, :] * x.T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            gram = lad.ridge_gram(xw @ x)
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Gram matrix not positive definite: {exc}") from exc
+    beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
+    if not np.isfinite(beta).all():
+        raise NonFiniteInput("weighted least-squares solution overflowed")
+    return beta
+
+
+def allocating_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
+    """``lad.irls`` with fresh arrays every pass, as a reference.
+
+    Each pass solves through ``cholesky_gated_lstsq`` and recomputes the
+    smoothed residuals and the objective into new arrays; ``lad.irls``
+    computes the same operations in the same order in a per-call workspace,
+    so it must return the same coefficients, bit for bit, after as many
+    passes.
+    """
+
+    def smoothed_residuals(beta):
+        r = y - beta @ x.T
+        return np.sqrt(r * r + delta * delta)
+
+    def reweighted_solve(q):
+        return cholesky_gated_lstsq(x, y, q[None])[:, 0]
+
+    beta = reweighted_solve(weights)
+    s = smoothed_residuals(beta)
+    prev = float(np.sum(weights * s))
+    for iteration in range(1, lad.IRLS_MAX_ITERATIONS + 1):
+        beta = reweighted_solve(weights / s)
+        s = smoothed_residuals(beta)
+        current = float(np.sum(weights * s))
+        if prev - current < lad.IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
+            return beta, iteration
+        prev = current
+    raise SolverStall(f"IRLS still decreasing after {lad.IRLS_MAX_ITERATIONS} iterations")

@@ -220,6 +220,21 @@ class TestZUpdateLaplacian:
         tie = np.abs(y - centre) == reach
         assert tie.any() and np.array_equal(z[tie], y[tie])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_clip_on_fresh_arrays(self, seed):
+        # computed in three arrays, the clip of y to c -+ w / (b rho) is the
+        # one its allocating form gives, bit for bit
+        rng = np.random.default_rng(seed)
+        nm = NoiseModel(NoiseKind.LAPLACIAN, rng.uniform(0.1, 3.0))
+        rho, shape = rng.uniform(0.1, 10.0), (3, 500)
+        fits = rng.standard_normal(shape) * 3.0
+        lam = rng.standard_normal(shape)
+        w = rng.dirichlet(np.ones(3), 500).T
+        y = rng.standard_normal(500) * 3.0
+        centre, reach = fits + lam / rho, w / (nm.b * rho)
+        expected = np.clip(y, centre - reach, centre + reach)
+        assert np.array_equal(admm.z_update_laplacian(fits, lam, rho, w, y, nm), expected)
+
 
 class TestBetaAndDualUpdates:
     def test_consistent_system_recovers_coefficients(self):

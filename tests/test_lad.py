@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    allocating_irls,
     brute_force_weighted_median,
+    cholesky_gated_lstsq,
     ipm_lad,
     simplex,
     stable_solve_1d,
@@ -20,7 +23,7 @@ from helpers import (
 import mlrfit
 from mlrfit import em, lad, synth
 from mlrfit.errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
-from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
+from mlrfit.model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 # dual_lp as imported: some tests patch the module's name, and the reference
@@ -548,7 +551,7 @@ def test_weighted_lstsq_zero_weight_row_raises():
     x = rng.standard_normal((40, 2))
     y = rng.standard_normal(40)
     w = rng.uniform(0.05, 1.0, (3, 40))
-    w[1] = 0.0  # a zero Gram matrix has a zero ridge: no Cholesky factor
+    w[1] = 0.0  # a zero Gram matrix has a zero ridge: LU finds it singular
     with pytest.raises(SingularGram):
         lad._weighted_lstsq(x, y, w)
 
@@ -586,6 +589,101 @@ def test_kernels_agree_on_either_layout(d):
         )
         assert_close(beta_c, beta_r)
         assert abs(objective_c - objective_r) <= 1e-12 * objective_r
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [300, 20000])
+def test_irls_matches_allocating_oracle(n, d, order):
+    # the workspace passes compute what fresh arrays did, bit for bit, in
+    # the Dataset's column-major layout and in the row-major one alike
+    rng = np.random.default_rng(n + 10 * d)
+    x = np.asarray(rng.standard_normal((n, d)), order=order)
+    y = x @ rng.standard_normal(d) + rng.laplace(size=n)
+    w = rng.uniform(0.0, 1.0, n) ** 4  # membership-like, many rows near zero
+    delta = em.irls_delta(y)
+    beta, passes = lad.irls(x, y, w, delta)
+    expected, expected_passes = allocating_irls(x, y, w, delta)
+    assert np.array_equal(beta, expected)
+    assert passes == expected_passes
+
+
+def test_irls_result_outlives_the_workspace():
+    rng = np.random.default_rng(15)
+    x, y, w = random_instance(rng, n=200, d=2)
+    first, _ = lad.irls(x, y, w, 1e-6)
+    kept = first.copy()
+    second, _ = lad.irls(x, -2.0 * y, w[::-1].copy(), 1e-6)
+    assert not np.array_equal(second, kept)
+    assert np.array_equal(first, kept)
+
+
+def singular_gate_cases():
+    """(x, y, w) stacks on and around the singular-Gram boundary."""
+    rng = np.random.default_rng(17)
+    n = 40
+    x = rng.standard_normal((n, 3))
+    y = rng.standard_normal(n)
+    w = rng.uniform(0.05, 1.0, (3, n))
+    zero_row = w.copy()
+    zero_row[1] = 0.0
+    zero_column = x.copy()
+    zero_column[:, 1] = 0.0
+    collinear = x.copy()
+    collinear[:, 2] = 2.0 * x[:, 0]
+    duplicated = np.repeat(x[:, :1], 3, axis=1)
+    one_sample = np.zeros((3, n))
+    one_sample[:, 5] = 1.0  # a rank-one Gram matrix
+    tiny_row = w.copy()
+    tiny_row[2] = 1e-300
+    return {
+        "regular": (x, y, w),
+        "zero-weight row": (x, y, zero_row),
+        "zero covariate column": (zero_column, y, w),
+        "zero covariates": (np.zeros_like(x), y, w),
+        "collinear columns": (collinear, y, w),
+        "duplicated column": (duplicated, y, w),
+        "one sample weighted": (x, y, one_sample),
+        "weights of 1e-300": (x, y, np.full_like(w, 1e-300)),
+        "one row of 1e-300": (x, y, tiny_row),
+        "1e-300 on a zero column": (zero_column, y, np.full_like(w, 1e-300)),
+        "1e-300 on collinear columns": (collinear, y, np.full_like(w, 1e-300)),
+    }
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("case", sorted(singular_gate_cases()))
+def test_lu_gate_agrees_with_cholesky_gate(case, order):
+    # one LU factorization per solve raises SingularGram exactly where the
+    # Cholesky-gated reference does, and solves the rest to the same coefficients
+    x, y, w = singular_gate_cases()[case]
+    x = np.asarray(x, order=order)
+
+    def outcome(solve):
+        try:
+            return solve(x, y, w)
+        except SingularGram:
+            return None
+
+    got, expected = outcome(lad._weighted_lstsq), outcome(cholesky_gated_lstsq)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert np.array_equal(got, expected)
+
+
+def test_irls_residual_overflow_raises_non_finite():
+    # irls_delta's spread is finite, but the residuals of y near 1e155
+    # square past the largest float: a typed error, no RuntimeWarning
+    x = np.random.default_rng(9).standard_normal((20, 2))
+    y = 1e155 + 1e150 * np.random.default_rng(9).standard_normal(20)
+    delta = em.irls_delta(y)
+    cfg = SolverConfig(n_iterations=3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            lad.irls(x, y, np.ones(20), delta)
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            em.fit_em(Dataset(x, y), 2, LAPLACE, cfg, lad_path=em.LAD_PATH_IRLS)
 
 
 def test_ridge_gram_stack_matches_each_matrix():
