@@ -7,6 +7,7 @@ indices are 1-based in every file and converted at this boundary.
 
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import typing
@@ -57,13 +58,19 @@ _SETTINGS: Dict[str, Tuple[Callable, Callable]] = {
 }
 # The keys of a dataset file's header, beside its beta_true[j] lines.
 _DATASET_KEYS = ("format", *_SETTINGS, "columns")
+# Rows per formatting pass of write_dataset: one Python call per block
+# instead of one per row, while a block's text stays under about 200 kB.
+_BLOCK_ROWS = 2048
 
 
 def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int):
     """Write a dataset in the header-plus-CSV layout; return its settings' (key, text) pairs.
 
     Each value passes its rule before the file is opened, so a value the
-    reader would reject raises the reader's error and writes nothing.
+    reader would reject raises the reader's error and writes nothing. The
+    rows are formatted _BLOCK_ROWS at a time, each block by one ``%``
+    over the row format repeated once per row, with the conversions that
+    ``np.savetxt`` applies row by row, so the bytes are savetxt's.
     """
     if data.labels is None:
         raise ValueError("dataset files carry generating labels")
@@ -79,13 +86,15 @@ def write_dataset(path, data: Dataset, noise: NoiseKind, sigma: float, seed: int
             coeffs = " ".join(fmt(v) for v in data.true_params.beta[:, j])
             lines.append(f"# beta_true[{j + 1}] = {coeffs}")
     lines.append(f"# columns = {_columns(data.dim)}")
+    # '%.17g' % v is fmt(v), and the labels are small integers, exact as
+    # floats, so '%d' prints them whole.
+    table = np.column_stack([data.labels + 1, data.y, data.x])
+    row = "%d" + ",%.17g" * (data.dim + 1) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
-        # '%.17g' % v is fmt(v), and the labels are small integers, exact as
-        # floats. The rows stream into the file: a StringIO body left about
-        # 1 MB of heap behind per 20000-row file.
-        np.savetxt(handle, np.column_stack([data.labels + 1, data.y, data.x]),
-                   fmt=["%d"] + ["%.17g"] * (data.dim + 1), delimiter=",")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
     return settings
 
 
@@ -118,56 +127,72 @@ def _coefficients(key: str, d: int, text: str) -> List[float]:
     return values
 
 
+def _read_header(handle, path) -> Tuple[Dict[str, Tuple[str, int]], Optional[str]]:
+    """The header of an open dataset file, read up to its first row.
+
+    Returns key -> (value, line number) and the first row, None if the
+    file ends first; an unknown or repeated key names the file and line.
+    """
+    header: Dict[str, Tuple[str, int]] = {}
+    for line_no, raw in enumerate(handle, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if not line.startswith("# "):
+            return header, raw
+        if line == "# mlrfit dataset":
+            continue
+        key, value = _parse_kv_line(line[2:], str(path), line_no)
+        if key.startswith("beta_true["):  # so beta_true[01] repeats beta_true[1]
+            index = key[len("beta_true[") : -1]
+            index = _at_line(path, line_no, check_int, "beta_true index", index)
+            key = f"beta_true[{index}]"
+        elif key not in _DATASET_KEYS:
+            raise ValueError(f"{path}:{line_no}: unknown dataset header key {key!r}")
+        if key in header:
+            raise ValueError(f"{path}:{line_no}: duplicate dataset header key {key!r}")
+        header[key] = (value, line_no)
+    return header, None
+
+
 def read_dataset(path) -> Tuple[Dataset, Dict]:
     """Parse a dataset file back into a Dataset plus its header metadata.
 
+    The ``# `` header lines come first, blank lines aside. The first other
+    line starts the rows, which go with the rest of the file to one
+    ``np.loadtxt`` call, so a header line below a row is read as a row,
+    and the file is rejected.
     A header error names the file and the line: a repeated or unknown
     key, a ``format`` other than FORMAT_VERSION, ``columns`` other than
-    label,y,x1..xd, or a value outside its ``model`` rule; a label outside
-    1..k names the file.
+    label,y,x1..xd, or a value outside its ``model`` rule. A bad row, a
+    row count other than the header's n and a label outside 1..k name the
+    file.
     """
-    header: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
-    rows = []
     with open(path, "r") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                if line == "# mlrfit dataset":
-                    continue
-                key, value = _parse_kv_line(line[2:], str(path), line_no)
-                if key.startswith("beta_true["):  # so beta_true[01] repeats beta_true[1]
-                    index = key[len("beta_true[") : -1]
-                    index = _at_line(path, line_no, check_int, "beta_true index", index)
-                    key = f"beta_true[{index}]"
-                elif key not in _DATASET_KEYS:
-                    raise ValueError(f"{path}:{line_no}: unknown dataset header key {key!r}")
-                if key in header:
-                    raise ValueError(f"{path}:{line_no}: duplicate dataset header key {key!r}")
-                header[key] = (value, line_no)
-                continue
-            rows.append(line)
-    for required in _DATASET_KEYS:
-        if required not in header:
-            raise ValueError(f"{path}: missing dataset header key {required!r}")
+        header, first_row = _read_header(handle, path)
+        for required in _DATASET_KEYS:
+            if required not in header:
+                raise ValueError(f"{path}: missing dataset header key {required!r}")
 
-    def parse(key, rule, *args):
-        value, line_no = header[key]
-        return _at_line(path, line_no, rule, *args, value)
+        def parse(key, rule, *args):
+            value, line_no = header[key]
+            return _at_line(path, line_no, rule, *args, value)
 
-    parse("format", _exactly, "format", FORMAT_VERSION)
-    meta = {key: parse(key, read, key) for key, (read, _) in _SETTINGS.items()}
-    k, d, n = meta["k"], meta["d"], meta["n"]
-    parse("columns", _exactly, "columns", _columns(d))
-    if len(rows) != n:
-        raise ValueError(f"{path}: header says n = {n} but found {len(rows)} rows")
-    # comments=None: a '#' line that is not a '# ' header line is a bad row
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
-                           dtype=[("label", np.int64), ("y", float), ("x", float, (d,))])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        parse("format", _exactly, "format", FORMAT_VERSION)
+        meta = {key: parse(key, read, key) for key, (read, _) in _SETTINGS.items()}
+        k, d, n = meta["k"], meta["d"], meta["n"]
+        parse("columns", _exactly, "columns", _columns(d))
+        dtype = [("label", np.int64), ("y", float), ("x", float, (d,))]
+        table = np.empty(0, dtype=dtype)
+        if first_row is not None:
+            # comments=None: a '#' line among the rows, a header line too, is a bad row
+            try:
+                table = np.loadtxt(itertools.chain([first_row], handle), delimiter=",",
+                                   comments=None, ndmin=1, dtype=dtype)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if len(table) != n:
+        raise ValueError(f"{path}: header says n = {n} but found {len(table)} rows")
     true_params: Optional[MlrParams] = None
     beta_keys = {key for key in header if key.startswith("beta_true[")}
     if beta_keys:

@@ -49,10 +49,10 @@ d x N layout, which is contiguous for the column-major x that
 contiguous rows of length N per component instead of N short rows of
 length d, and no routine copies X to get there. A row-major x gives the
 same results, only more slowly. The K Gram matrices and right-hand
-sides come from two stacked matmuls, ``gated_gram`` checks the Gram
-matrices for overflow, and one stacked LU solve, the only factorization
-of each Gram matrix, returns the d x K coefficients or finds a singular
-matrix (SingularGram). ADMM
+sides come from two stacked matmuls under one error state, which turns
+an overflow in either into NonFiniteInput, and one stacked LU solve,
+the only factorization of each Gram matrix, returns the d x K
+coefficients or finds a singular matrix (SingularGram). ADMM
 forms its one Gram matrix's projection in ``admm.gram_projection`` and
 takes only ``gated_gram`` from here. ``dual_lp``'s working-set LPs are
 the one sample-major reader: HiGHS takes X_S^T column by column, that
@@ -107,10 +107,12 @@ def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``xw`` is d x N, or a K x d x N stack that gives one Gram matrix per
     row. Raises NonFiniteInput if the product overflows, without letting
-    numpy's RuntimeWarning escape. Whether a Gram matrix is singular is
-    left to the caller's one LU factorization, ``np.linalg.solve`` in
-    ``_weighted_lstsq`` and ``np.linalg.inv`` in ``admm.gram_projection``,
-    whose LinAlgError each raises as SingularGram: the ridge, RIDGE_SCALE
+    numpy's RuntimeWarning escape; ``_solve_weighted`` forms its Gram
+    matrices by the same body, under the same error state. Whether a Gram
+    matrix is singular is left to the one LU factorization that follows,
+    ``np.linalg.solve`` in ``_solve_weighted`` and ``np.linalg.inv`` in
+    ``admm.gram_projection``, whose LinAlgError each raises as
+    SingularGram: the ridge, RIDGE_SCALE
     times trace / d, is far above the rounding of a finite positive
     semi-definite matrix, so the ridged matrix is numerically positive
     definite exactly when its trace is positive, and a zero trace means a
@@ -122,26 +124,32 @@ def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
 
 
-# ``ridge_gram`` and ``gated_gram`` under private names for the kernels: like
-# ``_solve_weighted``, they then add no tracer span to every IRLS pass.
+# ``ridge_gram`` under a private name for the kernels: like ``_solve_weighted``,
+# it then adds no tracer span to every IRLS pass.
 _ridge_gram = ridge_gram
-_gated_gram = gated_gram
 
 
+@np.errstate(over="raise", invalid="raise")
 def _solve_weighted(xw: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The d x K solution of ridge_gram(xw_k @ x) b = xw_k @ y for each row k.
 
     ``xw`` is the K x d x N stack of weighted covariates, w_k * x.T. The
-    body of both ``_weighted_lstsq`` and ``irls``: ``gated_gram`` checks
-    the K Gram matrices for overflow (NonFiniteInput), and one stacked LU
-    solve gives all K columns, raising SingularGram where a Gram matrix is
-    singular. A right-hand side that overflowed gives a non-finite
-    solution, which raises NonFiniteInput rather than reach the caller.
+    body of both ``_weighted_lstsq`` and ``irls``: the K Gram matrices and
+    right-hand sides are formed under one error state, gated_gram's, so an
+    overflow in either raises NonFiniteInput without a RuntimeWarning,
+    and one stacked LU solve gives all K columns, raising SingularGram
+    where a Gram matrix is singular. A solution that overflowed raises
+    NonFiniteInput rather than reach the caller.
     """
-    # Private, so perfbench's tracer adds no span to every IRLS pass.
-    gram = _gated_gram(xw, x)
+    # Private, so perfbench's tracer adds no span to every IRLS pass; the
+    # body of gated_gram inline, so a call sets the error state once.
     try:
-        beta = np.linalg.solve(gram, (xw @ y)[..., None])[..., 0].T
+        gram = _ridge_gram(xw @ x)
+        rhs = xw @ y
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"weighted least-squares system overflowed: {exc}") from None
+    try:
+        beta = np.linalg.solve(gram, rhs[..., None])[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix singular: {exc}") from exc
     if not np.isfinite(beta).all():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from io import StringIO
 from typing import NamedTuple
 
 import numpy as np
@@ -9,9 +10,9 @@ import scipy.optimize
 import scipy.sparse
 from scipy.special import logsumexp
 
-from mlrfit import lad, noise, synth
+from mlrfit import io, lad, noise, synth
 from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
-from mlrfit.model import NoiseKind, NoiseModel
+from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, check_int
 from mlrfit.rng import stable_hash
 
 
@@ -408,3 +409,78 @@ def allocating_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: fl
             return beta, iteration
         prev = current
     raise SolverStall(f"IRLS still decreasing after {lad.IRLS_MAX_ITERATIONS} iterations")
+
+
+def savetxt_rows(data: Dataset) -> str:
+    """A dataset file's rows as ``np.savetxt`` renders them, one call per row.
+
+    ``io.write_dataset`` formats the rows a block at a time; the text
+    below its ``# columns`` line must equal this, byte for byte.
+    """
+    out = StringIO()
+    np.savetxt(out, np.column_stack([data.labels + 1, data.y, data.x]),
+               fmt=["%d"] + ["%.17g"] * (data.dim + 1), delimiter=",")
+    return out.getvalue()
+
+
+def line_by_line_read_dataset(path):
+    """``io.read_dataset`` with one Python pass over every line, as a reference.
+
+    Header lines are read wherever they stand, every other non-blank line
+    is collected as a row, and ``np.loadtxt`` parses the list of rows. On
+    a file whose header lines all come first it must give the same
+    Dataset and meta as ``io.read_dataset``, or the same error.
+    """
+    header = {}  # key -> (value, line number)
+    rows = []
+    with open(path, "r") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("# "):
+                if line == "# mlrfit dataset":
+                    continue
+                key, value = io._parse_kv_line(line[2:], str(path), line_no)
+                if key.startswith("beta_true["):
+                    index = key[len("beta_true[") : -1]
+                    index = io._at_line(path, line_no, check_int, "beta_true index", index)
+                    key = f"beta_true[{index}]"
+                elif key not in io._DATASET_KEYS:
+                    raise ValueError(f"{path}:{line_no}: unknown dataset header key {key!r}")
+                if key in header:
+                    raise ValueError(f"{path}:{line_no}: duplicate dataset header key {key!r}")
+                header[key] = (value, line_no)
+                continue
+            rows.append(line)
+    for required in io._DATASET_KEYS:
+        if required not in header:
+            raise ValueError(f"{path}: missing dataset header key {required!r}")
+
+    def parse(key, rule, *args):
+        value, line_no = header[key]
+        return io._at_line(path, line_no, rule, *args, value)
+
+    parse("format", io._exactly, "format", io.FORMAT_VERSION)
+    meta = {key: parse(key, read, key) for key, (read, _) in io._SETTINGS.items()}
+    k, d, n = meta["k"], meta["d"], meta["n"]
+    parse("columns", io._exactly, "columns", io._columns(d))
+    if len(rows) != n:
+        raise ValueError(f"{path}: header says n = {n} but found {len(rows)} rows")
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("label", np.int64), ("y", float), ("x", float, (d,))])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    true_params = None
+    beta_keys = {key for key in header if key.startswith("beta_true[")}
+    if beta_keys:
+        wanted = [f"beta_true[{j}]" for j in range(1, k + 1)]
+        if beta_keys != set(wanted):
+            raise ValueError(f"{path}: beta_true lines must cover components 1..{k}")
+        columns = [parse(key, io._coefficients, key, d) for key in wanted]
+        true_params = MlrParams(np.column_stack(columns))
+    labels = table["label"] - 1
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"{path}: labels must be in 1..{k}")
+    return Dataset(x=table["x"], y=table["y"], labels=labels, true_params=true_params), meta

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import line_by_line_read_dataset, savetxt_rows
 from mlrfit import bench, io, synth
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
 
@@ -177,3 +179,200 @@ def test_labels_above_the_header_k_are_rejected(tmp_path):
     (tmp_path / "bad.txt").write_text(text.replace("\n# k = 3\n", "\n# k = 1\n"))
     with pytest.raises(ValueError, match=r"bad\.txt: labels must be in 1\.\.1$"):
         io.read_dataset(tmp_path / "bad.txt")
+
+
+# The block writer and the header-first reader against the row-by-row
+# oracles in helpers: the np.savetxt rendering and the reader that
+# walked every line.
+
+BLOCK = io._BLOCK_ROWS
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0, -2.5e-300,
+           1.7976931348623157e308, 123456789.123456789, 1e16]
+
+
+def _drawn_dataset(n, d, k, special, draw, truth=False):
+    """n rows of drawn values over many magnitudes, with the special values placed."""
+    rng = np.random.default_rng(draw)
+    table = rng.standard_normal((n, d + 1)) * 10.0 ** rng.integers(-300, 300, (n, d + 1))
+    for at, value in special:
+        table.flat[at % table.size] = value
+    true_params = MlrParams(rng.standard_normal((d, k))) if truth else None
+    return Dataset(x=table[:, 1:], y=table[:, 0], labels=rng.integers(0, k, n),
+                   true_params=true_params)
+
+
+def _rows_bytes(path):
+    """The bytes of a dataset file below its ``# columns`` line."""
+    text = path.read_bytes()
+    return text[text.index(b"\n", text.index(b"\n# columns = ") + 1) + 1 :]
+
+
+def _assert_same_read(got, want):
+    (data, meta), (expected, expected_meta) = got, want
+    assert meta == expected_meta
+    assert np.array_equal(data.labels, expected.labels)
+    for a, b in ((data.x, expected.x), (data.y, expected.y)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    if expected.true_params is None:
+        assert data.true_params is None
+    else:
+        assert np.array_equal(data.true_params.beta, expected.true_params.beta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]) | st.integers(1, 5),
+    d=st.integers(1, 3),
+    k=st.integers(1, 4),
+    special=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL)),
+                     max_size=12),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_block_writer_bytes_equal_savetxt_rows(n, d, k, special, draw):
+    data = _drawn_dataset(n, d, k, special, draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.txt")
+        io.write_dataset(path, data, NoiseKind.LAPLACIAN, 1.0, 5)
+        assert _rows_bytes(path) == savetxt_rows(data).encode()
+        back = io.read_dataset(path)
+        _assert_same_read(back, line_by_line_read_dataset(path))
+    _assert_same_read(back, (data, back[1]))
+
+
+def test_block_writer_covers_every_block_boundary(tmp_path):
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        data = _drawn_dataset(n, 2, 3, list(enumerate(SPECIAL)), n)
+        path = tmp_path / f"{n}.txt"
+        io.write_dataset(path, data, NoiseKind.GAUSSIAN, 1.0, 5)
+        assert _rows_bytes(path) == savetxt_rows(data).encode()
+        assert _rows_bytes(path).count(b"\n") == n
+
+
+def _variants(text):
+    """The same dataset file laid out in each way the reader accepts."""
+    head, rows = text.split("\n# columns = ")
+    columns, *rows = rows.splitlines()
+    head += "\n# columns = " + columns + "\n"
+    return {
+        "as-written": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "no-final-newline": text[:-1],
+        "blank-lines": head.replace("\n", "\n\n") + "\n\n".join(rows) + "\n\n",
+        "padded": head + "\n".join(",".join(f" {v}\t" for v in row.split(",")) for row in rows),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 3),
+    k=st.integers(1, 4),
+    special=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL)),
+                     max_size=8),
+    truth=st.booleans(),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_reader_equals_line_by_line_oracle(n, d, k, special, truth, draw):
+    data = _drawn_dataset(n, d, k, special, draw, truth)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.txt")
+        io.write_dataset(path, data, NoiseKind.LAPLACIAN, 0.5, 7)
+        for name, text in _variants(path.read_text()).items():
+            variant = Path(tmp, f"{name}.txt")
+            variant.write_bytes(text.encode())
+            back = io.read_dataset(variant)
+            _assert_same_read(back, line_by_line_read_dataset(variant))
+            _assert_same_read(back, (data, back[1]))
+
+
+@pytest.mark.parametrize("name", ["crlf", "no-final-newline"])
+def test_dataset_reads_crlf_and_a_missing_final_newline(tmp_path, name):
+    data = _tricky_dataset()
+    io.write_dataset(tmp_path / "data.txt", data, NoiseKind.LAPLACIAN, 1.0, 5)
+    text = _variants((tmp_path / "data.txt").read_text())[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(text.encode())
+    assert text.endswith("\r\n") if name == "crlf" else not text.endswith("\n")
+    back, meta = io.read_dataset(path)
+    assert meta["seed"] == 5 and meta["n"] == 3
+    _assert_same_read((back, meta), (data, meta))
+
+
+@pytest.mark.parametrize("below", [1, 3])
+def test_header_line_below_a_row_is_rejected(tmp_path, below):
+    # header lines come first; the line-by-line reader took this one in
+    data = _tricky_dataset()
+    io.write_dataset(tmp_path / "data.txt", data, NoiseKind.LAPLACIAN, 1.0, 5)
+    lines = (tmp_path / "data.txt").read_text().splitlines()
+    lines.remove("# seed = 5")
+    lines.insert(len(lines) - 3 + below, "# seed = 5")
+    path = tmp_path / "moved.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert line_by_line_read_dataset(path)[1]["seed"] == 5
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        io.read_dataset(path)
+
+
+def _with_first_row(text, *fields):
+    head, rows = text.split("x1,x2\n")
+    return head + "x1,x2\n" + "\n".join([",".join(fields)] + rows.splitlines()[1:]) + "\n"
+
+
+def _first_row(text):
+    return text.split("x1,x2\n")[1].splitlines()[0].split(",")
+
+
+# Each bad file as a change to a good one with n = 4, k = 2, d = 2 and
+# beta_true lines; the reader must raise what the line-by-line reader raised.
+BAD_FILES = {
+    "key-unknown": lambda t: t.replace("# sigma = 1\n", "# sigma = 1\n# sigmaa = 7\n"),
+    "key-repeated": lambda t: t.replace("# n = 4\n", "# n = 4\n# n = 4\n"),
+    "key-missing": lambda t: t.replace("# seed = 3\n", ""),
+    "not-key-value": lambda t: t.replace("# seed = 3\n", "# seed: 3\n"),
+    "beta-index-repeated": lambda t: t.replace("# beta_true[2]", "# beta_true[01]"),
+    "beta-index-text": lambda t: t.replace("# beta_true[1]", "# beta_true[one]"),
+    "beta-missing": lambda t: t.replace("# beta_true[2] = -1 2\n", ""),
+    "beta-coefficient-text": lambda t: t.replace("= 1 0.5\n", "= 1 abc\n"),
+    "beta-coefficient-count": lambda t: t.replace("= 1 0.5\n", "= 1\n"),
+    "format-other": lambda t: t.replace("# format = 1\n", "# format = 9\n"),
+    "columns-other": lambda t: t.replace("# columns = label,y,x1,x2\n", "# columns = a,b\n"),
+    "k-zero": lambda t: t.replace("# k = 2\n", "# k = 0\n"),
+    "d-fractional": lambda t: t.replace("# d = 2\n", "# d = 1.5\n"),
+    "noise-unknown": lambda t: t.replace("# noise = gaussian\n", "# noise = gauss\n"),
+    "sigma-zero": lambda t: t.replace("# sigma = 1\n", "# sigma = 0\n"),
+    "sigma-nan": lambda t: t.replace("# sigma = 1\n", "# sigma = nan\n"),
+    "seed-negative": lambda t: t.replace("# seed = 3\n", "# seed = -1\n"),
+    "seed-fractional": lambda t: t.replace("# seed = 3\n", "# seed = 3.7\n"),
+    "n-above-rows": lambda t: t.replace("# n = 4\n", "# n = 5\n"),
+    "n-below-rows": lambda t: t.replace("# n = 4\n", "# n = 3\n"),
+    "no-rows": lambda t: t[: t.index("\n", t.index("# columns = ")) + 1],
+    "short-row": lambda t: _with_first_row(t, *_first_row(t)[:-1]),
+    "long-row": lambda t: _with_first_row(t, *_first_row(t), "1"),
+    "float-label": lambda t: _with_first_row(t, "1.5", *_first_row(t)[1:]),
+    "text-field": lambda t: _with_first_row(t, "1", "abc", *_first_row(t)[2:]),
+    "blank-field": lambda t: _with_first_row(t, "1", "", *_first_row(t)[2:]),
+    "hash-row": lambda t: _with_first_row(t, "#1", *_first_row(t)[1:]),
+    "whitespace-row": lambda t: _with_first_row(t, "  "),
+    "bad-last-row": lambda t: t[: t.rindex("\n", 0, -1) + 1] + "2,1,x,3\n",
+    "label-zero": lambda t: _with_first_row(t, "0", *_first_row(t)[1:]),
+    "label-above-k": lambda t: _with_first_row(t, "3", *_first_row(t)[1:]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FILES)
+def test_bad_file_raises_what_the_line_by_line_reader_raised(tmp_path, name):
+    data = synth.generate(2, 2, 4, NoiseModel(NoiseKind.GAUSSIAN, 1.0), seed=3)
+    truth = MlrParams(np.array([[1.0, -1.0], [0.5, 2.0]]))
+    data = Dataset(x=data.x, y=data.y, labels=data.labels, true_params=truth)
+    io.write_dataset(tmp_path / "good.txt", data, NoiseKind.GAUSSIAN, 1.0, 3)
+    text = (tmp_path / "good.txt").read_text()
+    path = tmp_path / "bad.txt"
+    path.write_text(BAD_FILES[name](text))
+    assert path.read_text() != text
+    with pytest.raises(Exception) as expected:
+        line_by_line_read_dataset(path)
+    with pytest.raises(type(expected.value)) as got:
+        io.read_dataset(path)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert str(path) in str(got.value)

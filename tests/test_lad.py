@@ -22,7 +22,7 @@ from helpers import (
 )
 import mlrfit
 from mlrfit import em, lad, synth
-from mlrfit.errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
+from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -684,6 +684,24 @@ def test_irls_residual_overflow_raises_non_finite():
             lad.irls(x, y, np.ones(20), delta)
         with pytest.raises(NonFiniteInput, match="overflowed"):
             em.fit_em(Dataset(x, y), 2, LAPLACE, cfg, lad_path=em.LAD_PATH_IRLS)
+
+
+def test_overflowing_right_hand_side_raises_non_finite():
+    # X^T W X is finite but X^T W y overflows: the right-hand side is formed
+    # under the Gram product's error state, so a typed error, no RuntimeWarning
+    x = abs(np.random.default_rng(3).standard_normal((200, 2))) + 0.5
+    y = 1e307 * np.ones(200)
+    cfg = SolverConfig(n_iterations=3, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="system overflowed"):
+            lad._weighted_lstsq(x, y, np.ones((1, 200)))
+        with pytest.raises(NonFiniteInput, match="system overflowed"):
+            lad.irls(x, y, np.ones(200), delta=1e-6)
+        # dual_lp falls back from the failed start to the LP on all samples,
+        # which the LP solver refuses, as in test_em's overflowing Gram case
+        with pytest.raises(MlrError):
+            em.fit_em(Dataset(x, y), 2, LAPLACE, cfg, lad_path=em.LAD_PATH_LP)
 
 
 def test_ridge_gram_stack_matches_each_matrix():
