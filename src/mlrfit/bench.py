@@ -9,7 +9,6 @@ count or completion order.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -147,6 +146,8 @@ def run_grid(grid: ExperimentGrid, workers: Optional[int] = None) -> List[CellRe
     specs = [(grid, kind, k, d, rep) for kind, k, d, rep in grid.cells()]
     if workers <= 1 or len(specs) <= 1:
         return [_run_cell_spec(spec) for spec in specs]
+    from concurrent.futures import ProcessPoolExecutor  # loaded for a pool, not at import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_spec, specs))
 

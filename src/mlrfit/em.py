@@ -150,9 +150,13 @@ def fit_em(
 
     The fit loop's start E-step overwrites any notion of initial
     memberships, so only the coefficient initialization (shared with the
-    ADMM solver through the config) matters.
+    ADMM solver through the config) matters. Where the route is ``lp`` at
+    d >= 2, the LP backend is bound before the loop's clock starts, so
+    the first such fit of a process does not time scipy's import.
     """
     path = resolve_lad_path(lad_path, nm, data.n_samples)
+    if path == LAD_PATH_LP and data.dim > 1:  # at d = 1 dual_lp solves no LP
+        lad._lp_backend()
     xt = data.x.T
 
     def steps(params, fits, w):

@@ -33,10 +33,13 @@ loop over all columns on every call and cost about twice the solve
 itself. Each thread keeps one HiGHS instance, made with the options on
 its first LP and cleared of its model before every LP: each solve still
 starts cold, but the 0.1 to 0.2 ms that making an instance costs is
-paid once per thread instead of once per LP. The backend is picked once,
-at import: ``_solve_dual``, which ``dual_lp`` hands each working-set LP,
-is ``_highs_dual``, or ``_linprog_dual`` on an older scipy, where that
-private module does not exist.
+paid once per thread instead of once per LP. The backend is picked once
+per process, at the first LP and not at import, so importing this module
+loads numpy alone: ``_lp_backend`` imports scipy's LP solver and binds
+``_solve_dual``, which ``dual_lp`` hands each working-set LP, to
+``_highs_dual``, or to ``_linprog_dual`` on an older scipy, where that
+private module does not exist. ``em.fit_em`` calls it before its clock
+starts, so no fit's wall time pays for that import.
 
 Every weighted least-squares system of EM goes through one kernel body,
 ``_solve_weighted``: ``_weighted_lstsq`` hands it freshly weighted
@@ -64,14 +67,8 @@ import math
 import threading
 
 import numpy as np
-import scipy.optimize
 
 from .errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # scipy < 1.15 reaches HiGHS only through linprog
-    _highs = None
 
 RIDGE_SCALE = 1e-10
 # EM hands IRLS nearly degenerate subproblems (responsibilities collapse to
@@ -318,6 +315,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     rows = np.empty((n, d))
     for j in range(d):
         rows[:, j] = x[:, j]
+    solve = _lp_backend()
     inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
     fixed = np.zeros(n)  # the dual value s_i of each sample outside S
     size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
@@ -338,7 +336,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         # np.take gathers rows several times faster than rows[index], same values
         fixed_out = fixed[outside]
         rhs = -fixed_out @ np.take(rows, outside, axis=0)
-        beta = _solve_dual(np.take(rows, inside, axis=0), y[inside], weights[inside], rhs)
+        beta = solve(np.take(rows, inside, axis=0), y[inside], weights[inside], rhs)
         if beta is None:
             if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
                 raise SolverStall("HiGHS found the LAD dual LP infeasible")
@@ -354,6 +352,43 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
 
 
+# The backend of dual_lp: _solve_dual(x_s, y_s, w_s, rhs) solves the bounded
+# dual restricted to the samples S, max y_S.s subject to X_S^T s = rhs and
+# -w_S <= s <= w_S, and returns minus its equality multipliers, or None if
+# that LP is infeasible. None until the first LP binds it (_lp_backend).
+_solve_dual = None
+_highs = None  # scipy.optimize._highspy._core, where _lp_backend found it
+_BACKEND_LOCK = threading.Lock()
+_THREAD_STATE = threading.local()  # .solver: the thread's _Highs, once made
+
+
+def _lp_backend():
+    """``_solve_dual``, bound first if this process has run no LP yet.
+
+    Binding imports scipy's LP solver, about a quarter of a second in a
+    fresh interpreter, so it waits until an LP is needed, and ``em.fit_em``
+    calls this before its clock starts. Under the lock, the first LPs of
+    several threads bind once: one thread imports and binds, the others
+    wait for it and get its backend. ``_highs`` is set before
+    ``_solve_dual``, so a thread that finds the backend bound finds the
+    module too.
+    """
+    global _solve_dual, _highs
+    if _solve_dual is None:
+        with _BACKEND_LOCK:
+            if _solve_dual is None:
+                try:
+                    from scipy.optimize._highspy import _core as highs
+                except ImportError:
+                    # scipy < 1.15 reaches HiGHS only through linprog, whose
+                    # module the failed import has loaded as its parent
+                    _solve_dual = _linprog_dual
+                else:
+                    _highs = highs
+                    _solve_dual = _highs_dual
+    return _solve_dual
+
+
 def _thread_solver():
     """The calling thread's HiGHS instance, made with the options on its first LP.
 
@@ -363,8 +398,16 @@ def _thread_solver():
     try:
         return _THREAD_STATE.solver
     except AttributeError:
+        options = _highs.HighsOptions()
+        # Presolve costs ~10x the actual solve on this problem shape.
+        options.presolve = "off"
+        options.solver = "simplex"
+        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+        options.output_flag = False
+        options.log_to_console = False
         solver = _highs._Highs()
-        if solver.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
+        if solver.passOptions(options) == _highs.HighsStatus.kError:
             raise SolverStall("HiGHS rejected the LAD dual LP options") from None
         _THREAD_STATE.solver = solver
         return solver
@@ -416,7 +459,9 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
     ``_highs_dual``; the tests use it as the reference that route must
     match bit for bit.
     """
-    res = scipy.optimize.linprog(
+    from scipy.optimize import linprog  # loaded by _lp_backend, or at the first call
+
+    res = linprog(
         -y,
         A_eq=x.T,
         b_eq=rhs,
@@ -431,25 +476,3 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
     if res.status != 0:
         raise SolverStall(f"LP solve failed: {res.message}")
     return -np.asarray(res.eqlin.marginals, dtype=float)
-
-
-# The backend of dual_lp: _solve_dual(x_s, y_s, w_s, rhs) solves the bounded
-# dual restricted to the samples S, max y_S.s subject to X_S^T s = rhs and
-# -w_S <= s <= w_S, and returns minus its equality multipliers, or None if
-# that LP is infeasible.
-if _highs is None:
-    _solve_dual = _linprog_dual
-else:
-    _solve_dual = _highs_dual
-    _THREAD_STATE = threading.local()  # .solver: the thread's _Highs, once made
-    # Built once and passed to each thread's solver when it is made.
-    _HIGHS_OPTIONS = _highs.HighsOptions()
-    # Presolve costs ~10x the actual solve on this problem shape.
-    _HIGHS_OPTIONS.presolve = "off"
-    _HIGHS_OPTIONS.solver = "simplex"
-    _HIGHS_OPTIONS.simplex_strategy = (
-        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    )
-    _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    _HIGHS_OPTIONS.output_flag = False
-    _HIGHS_OPTIONS.log_to_console = False

@@ -4,6 +4,8 @@ Both solvers' posterior memberships come from here: from ``e_step`` at
 the start, and from the pass of ``log_likelihood`` that scores an iterate
 on the fitted values X b its solver formed, so no iteration forms X b
 twice. Both write the log-densities over the residuals they allocate.
+``recovery_error`` and ``paired_t_test`` import their scipy routines at
+their first call, not at import, so scoring a fit needs numpy alone.
 """
 
 import math
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
 from . import noise
 from .errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
@@ -53,11 +53,13 @@ def log_likelihood(
         rows = fits.shape[:1] if params is None else (params.k_components,)
         if fits.shape != (*rows, data.n_samples):
             raise DimensionMismatch(f"fits must be K x N, got {fits.shape}")
-    logd = noise.log_density_in_place(nm, data.y - fits)
-    if memberships is not None and memberships.shape != logd.shape:
-        raise DimensionMismatch(f"memberships must be {logd.shape}, got {memberships.shape}")
-    peak, total = _softmax(logd, memberships)
-    with np.errstate(divide="ignore"):
+    if memberships is not None and memberships.shape != fits.shape:
+        raise DimensionMismatch(f"memberships must be {fits.shape}, got {memberships.shape}")
+    # A residual past the largest float overflows to a log-density of -inf,
+    # the density's value to working precision; a total of 0 logs to -inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        logd = noise.log_density_in_place(nm, data.y - fits)
+        peak, total = _softmax(logd, memberships)
         per_sample = np.log(total) + peak
     return float(per_sample.sum()) + data.n_samples * math.log(1.0 / logd.shape[0])
 
@@ -68,9 +70,11 @@ def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
     Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
     subtracted first so one huge residual cannot underflow all of its
     memberships. Returns K x N memberships; a sample with no mass in any
-    component raises DegenerateRow.
+    component, a residual that overflows in every one included, raises
+    DegenerateRow.
     """
-    logd = noise.log_density_in_place(nm, y - fits)
+    with np.errstate(over="ignore"):  # as in log_likelihood: -inf past the largest float
+        logd = noise.log_density_in_place(nm, y - fits)
     w = np.empty_like(logd)
     _softmax(logd, w)
     return w
@@ -134,7 +138,9 @@ def recovery_error(estimated: MlrParams, truth: MlrParams) -> RecoveryReport:
         raise DimensionMismatch("estimated and true parameters differ in shape")
     diff = truth.beta.T[:, None, :] - estimated.beta.T[None, :, :]
     cost = np.sqrt((diff * diff).sum(axis=2))  # cost[true k, estimated j]
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    from scipy.optimize import linear_sum_assignment  # scipy loads here, not at import
+
+    rows, cols = linear_sum_assignment(cost)
     return RecoveryReport(
         error=float(cost[rows, cols].sum()), assignment=tuple(int(j) for j in cols)
     )
@@ -162,5 +168,7 @@ def paired_t_test(diffs) -> TTestResult:
     if std == 0.0:
         raise ZeroVariance("paired t-test undefined for constant differences")
     t = float(diffs.mean() / (std / np.sqrt(n)))
-    critical = float(scipy.special.stdtrit(n - 1, 0.95)) if n <= 200 else 1.645
+    from scipy.special import stdtrit  # scipy loads at the first test, not at import
+
+    critical = float(stdtrit(n - 1, 0.95)) if n <= 200 else 1.645
     return TTestResult(t, t > critical, critical, n)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from io import StringIO
 from typing import NamedTuple
 
@@ -10,10 +13,26 @@ import scipy.optimize
 import scipy.sparse
 from scipy.special import logsumexp
 
+import mlrfit
 from mlrfit import io, lad, noise, synth
 from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, check_int
 from mlrfit.rng import stable_hash
+
+
+def run_fresh(code: str, *args: str, env=None) -> str:
+    """The standard output of ``python -c code *args`` in a fresh interpreter.
+
+    The package under test comes first on the child's path, and ``env``
+    adds variables to this process's environment. A child that exits
+    non-zero fails the calling test, with the child's stderr as the message.
+    """
+    src = os.path.dirname(os.path.dirname(mlrfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def density(nm, eps):

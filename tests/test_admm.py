@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import time
 from typing import NamedTuple
 
@@ -12,11 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     minimize_lhat,
+    run_fresh,
     separated_seed,
     surrogate_value,
     three_branch_z_update_laplacian,
 )
-import mlrfit
 from mlrfit import admm, em, scoring, synth
 from mlrfit.errors import NonFiniteInput, SingularGram
 from mlrfit.model import (
@@ -486,16 +483,11 @@ for values in (trace.primal_residuals, trace.log_liks, trace.params.beta):
 
 
 def test_trace_does_not_depend_on_the_blas_thread_count():
-    # the package under test comes first on the child's path
-    src = os.path.dirname(os.path.dirname(mlrfit.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", THREADED_FIT], env=env,
-                              capture_output=True, text=True, check=True)
-        outputs.append(done.stdout.split())
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        outputs.append(run_fresh(THREADED_FIT, env=env).split())
     residuals = np.frombuffer(bytes.fromhex(outputs[0][0]))
     assert residuals.shape == (20,) and np.isfinite(residuals).all()
     assert outputs[0] == outputs[1]

@@ -356,13 +356,29 @@ def test_component_count_must_be_positive(fit):
 
 @pytest.mark.parametrize("fit", [em.fit_em, admm.fit_admm], ids=["em", "admm"])
 def test_degenerate_row_names_the_sample(fit):
-    # squaring a residual of 1e160 overflows, so sample 0 has no mass anywhere
+    # squaring a residual of 1e160 overflows, so sample 0 has no mass
+    # anywhere: a typed error, and no RuntimeWarning under the tests' gate
     data = synth.generate(2, 2, 200, GAUSS, seed=1)
     y = data.y.copy()
     y[0] = 1e160
     far = Dataset(x=data.x, y=y, labels=data.labels, true_params=data.true_params)
-    with np.errstate(over="ignore"), pytest.raises(DegenerateRow, match="sample 0 "):
+    with pytest.raises(DegenerateRow, match="sample 0 "):
         fit(far, 2, GAUSS, SolverConfig(n_iterations=5, seed=1))
+
+
+@pytest.mark.parametrize(
+    "fit, route",
+    [(em.fit_em, {"lad_path": "lp"}), (em.fit_em, {"lad_path": "irls"}), (admm.fit_admm, {})],
+    ids=["em-lp", "em-irls", "admm"],
+)
+def test_laplacian_residual_past_the_largest_float_ends_in_degenerate_row(fit, route):
+    # |y_0| / b overflows for y_0 = 1.7e308 and b = 1 / sqrt(2): the start's
+    # log-density is -inf in every component, with no RuntimeWarning
+    x = np.random.default_rng(9).standard_normal((20, 2))
+    y = np.random.default_rng(9).standard_normal(20)
+    y[0] = 1.7e308
+    with pytest.raises(DegenerateRow, match="sample 0 "):
+        fit(Dataset(x=x, y=y), 2, LAPLACE, SolverConfig(n_iterations=3, seed=1), **route)
 
 
 @pytest.mark.parametrize(

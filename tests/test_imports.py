@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+from helpers import run_fresh
 import mlrfit
 
 # The scipy subpackages mlrfit may import; README's dependency paragraph
@@ -94,3 +95,63 @@ def test_sibling_guard_reads_every_import_form():
     assert list(sibling_imports(source)) == [
         "em", "lad", "em", "fit", "em", "scoring", "model",
     ]
+
+
+# Prepares, writes and reads a dataset of each noise family in argv[1], and
+# fits them with every solver route that needs numpy alone; prints the scipy
+# modules and the process pool module loaded after all that.
+NUMPY_ALONE = """
+import sys
+import mlrfit, mlrfit.bench, mlrfit.cli, mlrfit.io
+from mlrfit import admm, em, io, synth
+from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
+
+gauss, laplace = NoiseModel(NoiseKind.GAUSSIAN, 1.0), NoiseModel(NoiseKind.LAPLACIAN, 1.0)
+cfg = SolverConfig(n_iterations=5, seed=1)
+data = {}
+for nm in (gauss, laplace):
+    io.write_dataset(sys.argv[1], synth.generate(2, 2, 300, nm, 1), nm.kind, nm.sigma, 1)
+    data[nm.kind], _ = io.read_dataset(sys.argv[1])
+em.fit_em(data[NoiseKind.GAUSSIAN], 2, gauss, cfg)
+admm.fit_admm(data[NoiseKind.GAUSSIAN], 2, gauss, cfg)
+admm.fit_admm(data[NoiseKind.LAPLACIAN], 2, laplace, cfg)
+assert em.fit_em(data[NoiseKind.LAPLACIAN], 2, laplace, cfg, lad_path="irls").lad_path == "irls"
+# at d = 1 the lp route is the weighted median, with no LP to solve
+one = synth.generate(2, 1, 300, laplace, 1)
+assert em.fit_em(one, 2, laplace, cfg, lad_path="lp").lad_path == "lp"
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_preparing_data_and_numpy_fits_leave_scipy_unloaded(tmp_path):
+    out = run_fresh(NUMPY_ALONE, str(tmp_path / "data.txt")).splitlines()
+    assert out == ["[]", "False"]
+
+
+# Runs the first EM fit on the exact LP route in a fresh interpreter, with a
+# spy that records the LP backend as the fit loop is entered.
+FIRST_LP_FIT = """
+from mlrfit import em, fit, lad, synth
+from mlrfit.model import NoiseKind, NoiseModel, SolverConfig
+
+laplace = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
+data = synth.generate(2, 2, 300, laplace, 1)
+assert lad._solve_dual is None, "the LP backend was bound before any LP"
+backends = []
+run = fit.run
+
+def spy(*args, **kwargs):
+    backends.append(lad._solve_dual)
+    return run(*args, **kwargs)
+
+fit.run = spy
+trace = em.fit_em(data, 2, laplace, SolverConfig(n_iterations=5, seed=1), lad_path="lp")
+assert trace.lad_path == "lp"
+print(*(backend.__name__ for backend in backends))
+"""
+
+
+def test_lp_backend_is_bound_before_the_fit_loop_starts():
+    # fit.run starts the fit's clock, so an import there would be timed
+    assert run_fresh(FIRST_LP_FIT).split() in (["_highs_dual"], ["_linprog_dual"])

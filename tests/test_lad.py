@@ -1,7 +1,5 @@
 import inspect
 import math
-import os
-import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +14,11 @@ from helpers import (
     brute_force_weighted_median,
     cholesky_gated_lstsq,
     ipm_lad,
+    run_fresh,
     simplex,
     stable_solve_1d,
     stable_weighted_median,
 )
-import mlrfit
 from mlrfit import em, lad, synth
 from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import Dataset, NoiseKind, NoiseModel, SolverConfig
@@ -172,7 +170,7 @@ def lp_solves(monkeypatch):
     """
     solves = []
 
-    def spy(x, y, w, rhs, solve=lad._solve_dual):
+    def spy(x, y, w, rhs, solve=lad._lp_backend()):
         beta = solve(x, y, w, rhs)
         solves.append((y.size, bool(np.any(rhs)), beta is not None))
         return beta
@@ -393,9 +391,10 @@ def test_reused_solver_matches_stateless_route_on_mixed_calls(monkeypatch):
     assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
 
 
-# Imports mlrfit.lad as it imports on scipy < 1.15, where scipy.optimize has
-# no _highspy module, solves the calls saved in argv[1] and saves the results
-# to argv[2]. scipy.optimize is imported first: linprog itself runs on _highspy.
+# Runs mlrfit.lad as it runs on scipy < 1.15, where scipy.optimize has no
+# _highspy module: solves the calls saved in argv[1], the first LP binding the
+# backend, and saves the results to argv[2]. scipy.optimize is imported first:
+# linprog itself runs on _highspy.
 WITHOUT_HIGHSPY = """
 import builtins, inspect, sys
 import numpy as np
@@ -410,10 +409,8 @@ def import_without_highspy(name, *args, **kwargs):
 
 builtins.__import__ = import_without_highspy
 from mlrfit import lad
-builtins.__import__ = real_import
 
-assert lad._highs is None
-assert lad._solve_dual is lad._linprog_dual
+assert lad._solve_dual is None, "the LP backend was bound at import"
 assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
 calls = np.load(sys.argv[1])
 results = {}
@@ -421,6 +418,9 @@ for i, scale in enumerate(calls["scales"]):
     lad.WORKING_SET_SCALE = float(scale)
     results[f"beta{i}"], results[f"objective{i}"] = lad.dual_lp(
         calls[f"x{i}"], calls[f"y{i}"], calls[f"w{i}"])
+builtins.__import__ = real_import
+assert lad._highs is None
+assert lad._solve_dual is lad._linprog_dual
 np.savez(sys.argv[2], **results)
 """
 
@@ -435,21 +435,14 @@ def test_linprog_backend_bound_when_highspy_is_missing(tmp_path, monkeypatch):
     for i, (x, y, w, _) in enumerate(calls):
         arrays.update({f"x{i}": x, f"y{i}": y, f"w{i}": w})
     np.savez(tmp_path / "calls.npz", **arrays)
-    # the package under test comes first on the child's path
-    src = os.path.dirname(os.path.dirname(mlrfit.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", WITHOUT_HIGHSPY, str(tmp_path / "calls.npz"),
-         str(tmp_path / "results.npz")],
-        check=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    run_fresh(WITHOUT_HIGHSPY, str(tmp_path / "calls.npz"), str(tmp_path / "results.npz"))
     with np.load(tmp_path / "results.npz") as saved:
         fallback = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
                     for i in range(len(calls))]
     assert_same_results(fallback, solve_each(calls, monkeypatch, DUAL_LP))
 
 
-@pytest.mark.skipif(lad._highs is None, reason="no direct HiGHS route")
+@pytest.mark.skipif(lad._lp_backend() is not lad._highs_dual, reason="no direct HiGHS route")
 def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
     # the infeasible first set: the second LP of the call reports the limit
     # and leaves its model, basis and solution on the thread's solver
@@ -499,6 +492,52 @@ def test_dual_lp_from_four_threads_equals_serial():
     finally:
         sys.setswitchinterval(interval)
     assert_same_results(threaded, serial)
+
+
+# Solves the calls saved in argv[1] from four threads in a fresh interpreter,
+# whose first four calls, one per thread, bind the LP backend together, and
+# saves the results to argv[2].
+THREADS_BIND = """
+import sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from mlrfit import lad
+
+assert lad._solve_dual is None, "the LP backend was bound at import"
+calls = np.load(sys.argv[1])
+count = len(calls.files) // 3
+together = threading.Barrier(4)
+
+def solve(i):
+    if i < 4:  # every thread's first call, none of them with a backend yet
+        together.wait(timeout=60)
+    return lad.dual_lp(calls[f"x{i}"], calls[f"y{i}"], calls[f"w{i}"])
+
+sys.setswitchinterval(1e-5)
+with ThreadPoolExecutor(max_workers=4) as pool:
+    solved = list(pool.map(solve, range(count), timeout=300))
+assert lad._solve_dual in (lad._highs_dual, lad._linprog_dual)
+results = {}
+for i, (beta, objective) in enumerate(solved):
+    results[f"beta{i}"], results[f"objective{i}"] = beta, objective
+np.savez(sys.argv[2], **results)
+"""
+
+
+def test_first_lps_of_a_process_from_four_threads_equal_serial(tmp_path):
+    # d >= 2, so every call solves at least one LP
+    calls = [call[:3] for call in solver_reuse_calls()
+             if call[3] == lad.WORKING_SET_SCALE and call[0].shape[1] > 1]
+    assert len(calls) > 4
+    arrays = {}
+    for i, (x, y, w) in enumerate(calls):
+        arrays.update({f"x{i}": x, f"y{i}": y, f"w{i}": w})
+    np.savez(tmp_path / "calls.npz", **arrays)
+    run_fresh(THREADS_BIND, str(tmp_path / "calls.npz"), str(tmp_path / "results.npz"))
+    with np.load(tmp_path / "results.npz") as saved:
+        threaded = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
+                    for i in range(len(calls))]
+    assert_same_results(threaded, [DUAL_LP(*call) for call in calls])
 
 
 def test_irls_reaches_lp_optimum():

