@@ -30,7 +30,10 @@ def log_density_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
 
     The same numpy operations in the same order as ``log_density``'s
     array path, each writing into ``eps``, so the result is bit for bit
-    the same without its four or five temporaries. Returns ``eps``.
+    the same without its four or five temporaries. The Laplacian's
+    -|eps| / b is one division, |eps| / (-b): rounding to nearest is
+    symmetric in sign, so every value, signed zeros and infinities
+    included, is the same. Returns ``eps``.
     """
     if nm.kind is NoiseKind.GAUSSIAN:
         np.divide(eps, nm.sigma, out=eps)
@@ -40,8 +43,7 @@ def log_density_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
         np.subtract(eps, math.log(nm.sigma), out=eps)
     else:
         np.abs(eps, out=eps)
-        np.negative(eps, out=eps)
-        np.divide(eps, nm.b, out=eps)
+        np.divide(eps, -nm.b, out=eps)  # IEEE division is sign-symmetric: -|e| / b
         np.subtract(eps, math.log(2.0 * nm.b), out=eps)
     return eps
 

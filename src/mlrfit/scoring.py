@@ -43,7 +43,9 @@ def log_likelihood(
 
     ``memberships``, a K x N array, receives the posterior memberships at
     the fitted values from the same pass, bit for bit those ``e_step``
-    returns for them; the returned value does not change.
+    returns for them; the returned value does not change. The residuals
+    and their log-densities are computed in it too, so the pass allocates
+    no K x N array of its own.
     With it a sample with no mass raises DegenerateRow, as in ``e_step``.
     """
     if fits is None:
@@ -58,7 +60,7 @@ def log_likelihood(
     # A residual past the largest float overflows to a log-density of -inf,
     # the density's value to working precision; a total of 0 logs to -inf.
     with np.errstate(over="ignore", divide="ignore"):
-        logd = noise.log_density_in_place(nm, data.y - fits)
+        logd = noise.log_density_in_place(nm, np.subtract(data.y, fits, out=memberships))
         peak, total = _softmax(logd, memberships)
         per_sample = np.log(total) + peak
     return float(per_sample.sum()) + data.n_samples * math.log(1.0 / logd.shape[0])

@@ -14,9 +14,9 @@ import scipy.sparse
 from scipy.special import logsumexp
 
 import mlrfit
-from mlrfit import io, lad, noise, synth
+from mlrfit import admm, io, lad, noise, scoring, synth
 from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
-from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, check_int
+from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, check_int, initial_params
 from mlrfit.rng import stable_hash
 
 
@@ -155,6 +155,54 @@ def three_branch_z_update_laplacian(fits, lam, rho, w, y, nm):
     zbar = fits + (lam * b + w) / (b * rho)
     ztil = fits - (w - lam * b) / (b * rho)
     return np.where(zbar < y, zbar, np.where(ztil > y, ztil, y))
+
+
+def lam_form_z_update_gaussian(fits, lam, rho, w, y, nm):
+    """ADMM's Gaussian Z-update in the unscaled duals lam, as a reference.
+
+    z = (y w + s^2 rho f + s^2 lam) / (w + s^2 rho), the form the solver
+    computed before it kept the scaled duals u = lam / rho.
+    """
+    s2 = nm.sigma**2
+    return (y * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
+
+
+def lam_form_z_update_laplacian(fits, lam, rho, w, y, nm):
+    """ADMM's Laplacian Z-update in the unscaled duals lam, as a reference:
+    y_i clipped to c -+ w / (b rho), c = lam / rho + f."""
+    centre = lam / rho + fits
+    reach = w / (nm.b * rho)
+    return np.clip(y, centre - reach, centre + reach)
+
+
+def lam_form_beta_update(z, lam, rho, proj):
+    """ADMM's coefficient refit in the unscaled duals, P (Z - lam / rho)^T."""
+    return proj @ (z - lam / rho).T
+
+
+def lam_form_admm(data, k, nm, cfg):
+    """ADMM with unscaled duals lam, composed from the steps above.
+
+    The same start, memberships, projection and scorer as ``admm.fit_admm``,
+    with the dual step lam + rho (X b - Z). Returns every iterate's d x K
+    coefficients, stacked, and the log-likelihoods.
+    """
+    proj = admm.gram_projection(data)
+    fits = initial_params(cfg, data.dim, k).beta.T @ data.x.T
+    w = scoring.e_step(fits, data.y, nm)
+    lam = np.zeros_like(fits)
+    z_update = (lam_form_z_update_gaussian if nm.kind is NoiseKind.GAUSSIAN
+                else lam_form_z_update_laplacian)
+    betas, log_liks = [], []
+    for _ in range(cfg.n_iterations):
+        z = z_update(fits, lam, cfg.rho, w, data.y, nm)
+        beta = lam_form_beta_update(z, lam, cfg.rho, proj)
+        fits = beta.T @ data.x.T
+        lam += cfg.rho * (fits - z)
+        w = np.empty_like(fits)
+        log_liks.append(scoring.log_likelihood(None, data, nm, fits=fits, memberships=w))
+        betas.append(beta)
+    return np.array(betas), np.array(log_liks)
 
 
 def brute_force_assignment(cost: np.ndarray):

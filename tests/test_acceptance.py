@@ -99,10 +99,11 @@ def test_criterion_2_z_update_exactness():
             while coords < 1000:
                 nm = NoiseModel(kind, float(rng.uniform(0.5, 2.0)))
                 (fits, _, lam, rho), w, data = random_config(rng, nm)
+                u = lam / rho  # the steps take the scaled duals; the oracle, lam
                 if kind is NoiseKind.GAUSSIAN:
-                    z = admm.z_update_gaussian(fits, lam, rho, w, data.y, nm)
+                    z = admm.z_update_gaussian(fits, u, rho, w, data.y, nm)
                 else:
-                    z = admm.z_update_laplacian(fits, lam, rho, w, data.y, nm)
+                    z = admm.z_update_laplacian(fits, u, rho, w, data.y, nm)
                 k, n = z.shape
                 for i in range(n):
                     for j in range(k):

@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    lam_form_admm,
+    lam_form_beta_update,
+    lam_form_z_update_gaussian,
+    lam_form_z_update_laplacian,
     minimize_lhat,
     run_fresh,
     separated_seed,
     surrogate_value,
     three_branch_z_update_laplacian,
 )
-from mlrfit import admm, em, scoring, synth
+from mlrfit import admm, em, fit, scoring, synth
 from mlrfit.errors import NonFiniteInput, SingularGram
 from mlrfit.model import (
     Dataset,
@@ -30,7 +34,11 @@ LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 
 
 class Iterate(NamedTuple):
-    """ADMM variables at one point: fitted values X b, Z, duals, penalty (K x N)."""
+    """ADMM variables at one point: fitted values X b, Z, unscaled duals, penalty (K x N).
+
+    The steps take the scaled duals u = lam / rho; the surrogate and the
+    numerical oracle are written in lam.
+    """
 
     fits: np.ndarray
     z: np.ndarray
@@ -83,7 +91,8 @@ class TestZUpdateGaussian:
             sigma = float(rng.uniform(0.5, 2.0))
             nm = NoiseModel(NoiseKind.GAUSSIAN, sigma)
             state, w, data = random_state(rng)
-            z = admm.z_update_gaussian(state.fits, state.lam, state.rho, w, data.y, nm)
+            u = state.lam / state.rho
+            z = admm.z_update_gaussian(state.fits, u, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
                 w[k, i], state.lam[k, i], state.rho, state.fits[k, i], data.y[i], nm
@@ -98,10 +107,23 @@ class TestZUpdateGaussian:
             nm = NoiseModel(NoiseKind.GAUSSIAN, float(rng.uniform(0.1, 10.0)))
             state, w, data = random_state(rng, n=300, k=3)
             fits, _, lam, rho = state
-            z = admm.z_update_gaussian(fits, lam, rho, w, data.y, nm)
-            s2 = nm.sigma**2
-            expected = (data.y * w + s2 * rho * fits + s2 * lam) / (w + s2 * rho)
+            u = lam / rho
+            z = admm.z_update_gaussian(fits, u, rho, w, data.y, nm)
+            s2rho = nm.sigma * nm.sigma * rho
+            expected = (data.y * w + s2rho * (fits + u)) / (w + s2rho)
             assert np.array_equal(z, expected)
+
+    def test_matches_the_unscaled_form(self):
+        """u = lam / rho gives lam's update up to rounding."""
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            nm = NoiseModel(NoiseKind.GAUSSIAN, float(rng.uniform(0.1, 10.0)))
+            state, w, data = random_state(rng, n=300, k=3)
+            fits, _, lam, rho = state
+            z = admm.z_update_gaussian(fits, lam / rho, rho, w, data.y, nm)
+            expected = lam_form_z_update_gaussian(fits, lam, rho, w, data.y, nm)
+            size = np.abs(fits) + np.abs(lam) / rho + np.abs(data.y)
+            assert (np.abs(z - expected) <= 8 * np.spacing(size)).all()
 
 
 class TestZUpdateLaplacian:
@@ -127,7 +149,8 @@ class TestZUpdateLaplacian:
             sigma = float(rng.uniform(0.5, 2.0))
             nm = NoiseModel(NoiseKind.LAPLACIAN, sigma)
             state, w, data = random_state(rng)
-            z = admm.z_update_laplacian(state.fits, state.lam, state.rho, w, data.y, nm)
+            u = state.lam / state.rho
+            z = admm.z_update_laplacian(state.fits, u, state.rho, w, data.y, nm)
             i, k = rng.integers(0, data.n_samples), rng.integers(0, 2)
             expected = minimize_lhat(
                 w[k, i], state.lam[k, i], state.rho, state.fits[k, i], data.y[i], nm
@@ -143,7 +166,7 @@ class TestZUpdateLaplacian:
         fits = np.vstack([[-3.0, 3.0, 0.25, 0.5, 1.5], [-3.0, 3.0, 0.25, 0.5, 1.5]])
         lam = np.vstack([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 1.0, -0.5]])
         w = np.vstack([np.ones(5), np.zeros(5)])
-        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        z = admm.z_update_laplacian(fits, lam / rho, rho, w, y, nm)
         # below the kink (zbar = -2), above it (ztil = 2.5), between the
         # thresholds (zbar = 0.75, ztil = -0.25), zbar on y, ztil on y
         assert z[0].tolist() == [-2.0, 2.5, 0.0, 1.0, 1.0]
@@ -180,7 +203,7 @@ class TestZUpdateLaplacian:
              centre + reach * rng.uniform(-2.0, 2.0, shape)],
             centre + reach * rng.choice([-1.0, 1.0], shape),
         )
-        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        z = admm.z_update_laplacian(fits, lam / rho, rho, w, y, nm)
         expected = three_branch_z_update_laplacian(fits, lam, rho, w, y, nm)
         size = np.abs(fits) + np.abs(lam) / rho + reach + np.abs(y)
         assert (np.abs(z - expected) <= 4 * np.spacing(size)).all()
@@ -211,7 +234,7 @@ class TestZUpdateLaplacian:
         centre, reach = fits + lam / rho, w / (nm.b * rho)
         ends = [centre, centre - reach, centre + reach, rng.integers(-2**18, 2**18, shape) / 2**8]
         y = np.choose(rng.integers(0, 4, shape), ends)
-        z = admm.z_update_laplacian(fits, lam, rho, w, y, nm)
+        z = admm.z_update_laplacian(fits, lam / rho, rho, w, y, nm)
         expected = three_branch_z_update_laplacian(fits, lam, rho, w, y, nm)
         assert np.array_equal(z, expected)
         tie = np.abs(y - centre) == reach
@@ -219,8 +242,9 @@ class TestZUpdateLaplacian:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_clip_on_fresh_arrays(self, seed):
-        # computed in three arrays, the clip of y to c -+ w / (b rho) is the
-        # one its allocating form gives, bit for bit
+        # computed in three arrays, the clip of y to c -+ w / (b rho),
+        # c = f + u, is the one its allocating form gives, bit for bit, and
+        # lam's update up to the rounding of u = lam / rho
         rng = np.random.default_rng(seed)
         nm = NoiseModel(NoiseKind.LAPLACIAN, rng.uniform(0.1, 3.0))
         rho, shape = rng.uniform(0.1, 10.0), (3, 500)
@@ -228,9 +252,13 @@ class TestZUpdateLaplacian:
         lam = rng.standard_normal(shape)
         w = rng.dirichlet(np.ones(3), 500).T
         y = rng.standard_normal(500) * 3.0
-        centre, reach = fits + lam / rho, w / (nm.b * rho)
+        u = lam / rho
+        centre, reach = fits + u, w / (nm.b * rho)
         expected = np.clip(y, centre - reach, centre + reach)
-        assert np.array_equal(admm.z_update_laplacian(fits, lam, rho, w, y, nm), expected)
+        z = admm.z_update_laplacian(fits, u, rho, w, y, nm)
+        assert np.array_equal(z, expected)
+        unscaled = lam_form_z_update_laplacian(fits, lam, rho, w, y, nm)
+        assert np.array_equal(unscaled, expected)  # c = lam / rho + f, the same sum
 
 
 class TestBetaAndDualUpdates:
@@ -239,18 +267,17 @@ class TestBetaAndDualUpdates:
         data = Dataset(x=rng.standard_normal((40, 3)), y=rng.standard_normal(40))
         beta0 = rng.standard_normal((3, 2))
         z = (data.x @ beta0).T
-        fitted = admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))
+        fitted = admm.beta_update(z, np.zeros_like(z), admm.gram_projection(data))
         assert np.allclose(fitted, beta0, atol=1e-10)
 
     def test_scalar_normal_equation(self):
         rng = np.random.default_rng(5)
         data = Dataset(x=rng.standard_normal((30, 1)), y=rng.standard_normal(30))
         z = rng.standard_normal((30, 1)).T
-        lam = rng.standard_normal((30, 1)).T
-        rho = 2.5
-        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
+        u = rng.standard_normal((30, 1)).T
+        fitted = admm.beta_update(z, u, admm.gram_projection(data))
         x = data.x[:, 0]
-        expected = np.sum(x * (z[0] - lam[0] / rho)) / np.sum(x * x)
+        expected = np.sum(x * (z[0] - u[0])) / np.sum(x * x)
         assert fitted[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_matches_independent_solve(self):
@@ -261,10 +288,13 @@ class TestBetaAndDualUpdates:
         rho = 1.7
         from mlrfit import lad
 
-        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
+        proj = admm.gram_projection(data)
+        fitted = admm.beta_update(z, lam / rho, proj)
         gram = lad.ridge_gram(data.x.T @ data.x)
         expected = np.linalg.solve(gram, data.x.T @ (z - lam / rho).T)
         assert np.allclose(fitted, expected, atol=1e-10)
+        # lam / rho is the unscaled refit's own first step, so it is the same bit for bit
+        assert np.array_equal(fitted, lam_form_beta_update(z, lam, rho, proj))
 
     def test_non_finite_right_hand_side_raises(self, monkeypatch):
         # the refit is a bare matmul; the fit loop's check of each iterate is the gate
@@ -272,7 +302,7 @@ class TestBetaAndDualUpdates:
         data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
         z = rng.standard_normal((2, 20))
         z[1, 3] = np.nan
-        assert np.isnan(admm.beta_update(z, np.zeros_like(z), 1.0, admm.gram_projection(data))).any()
+        assert np.isnan(admm.beta_update(z, np.zeros_like(z), admm.gram_projection(data))).any()
         monkeypatch.setattr(admm, "z_update_gaussian", lambda *args: z)
         with pytest.raises(NonFiniteInput, match="iterate 1 "):
             admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=8))
@@ -281,37 +311,145 @@ class TestBetaAndDualUpdates:
         rng = np.random.default_rng(7)
         data = Dataset(x=rng.standard_normal((80, 3)), y=rng.standard_normal(80))
         z = rng.standard_normal((80, 2)).T
-        lam = rng.standard_normal((80, 2)).T
-        rho = 0.7
-        fitted = admm.beta_update(z, lam, rho, admm.gram_projection(data))
-        residual = data.x.T @ data.x @ fitted - data.x.T @ (z - lam / rho).T
+        u = rng.standard_normal((80, 2)).T
+        fitted = admm.beta_update(z, u, admm.gram_projection(data))
+        residual = data.x.T @ data.x @ fitted - data.x.T @ (z - u).T
         assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(z))
 
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
     def test_hand_composed_iterations_match_fit(self, nm):
-        """E-step, Z-update, coefficient solve and dual step, composed by hand."""
+        """E-step, Z-update, coefficient solve and scaled dual step, composed by hand."""
         data = synth.generate(3, 2, 300, nm, seed=31)
         cfg = SolverConfig(n_iterations=3, seed=31)
         trace = admm.fit_admm(data, 3, nm, cfg)
         beta = initial_params(cfg, 2, 3).beta
         proj = admm.gram_projection(data)
-        lam = np.zeros((3, data.n_samples))
+        u = np.zeros((3, data.n_samples))
         log_liks, residuals = [], []
         for _ in range(3):
             fits = beta.T @ data.x.T
             w = em.e_step(fits, data.y, nm)
             if nm is GAUSS:
-                z = admm.z_update_gaussian(fits, lam, cfg.rho, w, data.y, nm)
+                z = admm.z_update_gaussian(fits, u, cfg.rho, w, data.y, nm)
             else:
-                z = admm.z_update_laplacian(fits, lam, cfg.rho, w, data.y, nm)
-            beta = admm.beta_update(z, lam, cfg.rho, proj)
+                z = admm.z_update_laplacian(fits, u, cfg.rho, w, data.y, nm)
+            beta = admm.beta_update(z, u, proj)
             gap = beta.T @ data.x.T - z
-            lam = lam + cfg.rho * gap
+            u = u + gap
             log_liks.append(scoring.log_likelihood(MlrParams(beta), data, nm))
             residuals.append(math.sqrt(np.einsum("kn,kn->", gap, gap)))
         assert np.array_equal(trace.params.beta, beta)
         assert np.array_equal(trace.log_liks, log_liks)
         assert np.array_equal(trace.primal_residuals, residuals)
+
+
+def recorded_iterates(data, k, nm, cfg, monkeypatch):
+    """``admm.fit_admm``'s trace and every iterate's d x K coefficients, stacked."""
+    betas = []
+    run = fit.run
+
+    def recording_run(steps, *args, **kwargs):
+        def recorded(*start):
+            iterates = steps(*start)
+            it = next(iterates)
+            while True:
+                betas.append(it.beta)
+                it = iterates.send((yield it))
+
+        return run(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(fit, "run", recording_run)
+    trace = admm.fit_admm(data, k, nm, cfg)
+    monkeypatch.setattr(fit, "run", run)
+    return trace, np.array(betas)
+
+
+# The scaled duals' drift from the unscaled oracle, relative to the largest
+# coefficient of each iterate and to |ll|: at most 1.3e-15 and 3.8e-16 on
+# these 18 cells; it grows with the iterations (1.8e-13 in beta after 500).
+BETA_DRIFT = 1e-12
+LL_DRIFT = 1e-13
+
+
+class TestScaledDualsAndWorkspace:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_tracks_the_unscaled_oracle(self, nm, k, d, monkeypatch):
+        """Keeping u = lam / rho moves the trajectory by rounding only."""
+        data = synth.generate(k, d, 300, nm, seed=10 * k + d)
+        cfg = SolverConfig(n_iterations=60, seed=k + d)
+        trace, betas = recorded_iterates(data, k, nm, cfg, monkeypatch)
+        oracle_betas, oracle_lls = lam_form_admm(data, k, nm, cfg)
+        assert betas.shape == oracle_betas.shape == (60, d, k)
+        scale = np.abs(oracle_betas).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(betas - oracle_betas) <= BETA_DRIFT * scale).all()
+        assert (np.abs(trace.log_liks - oracle_lls) <= LL_DRIFT * np.abs(oracle_lls)).all()
+        assert np.array_equal(trace.params.beta, betas[-1])
+
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_steps_write_into_the_buffers_given(self, nm):
+        """Each step computes in the buffers it is handed, every entry of
+        them, and returns what it returns without them, bit for bit."""
+        rng = np.random.default_rng(14)
+        state, w, data = random_state(rng, n=200, k=3)
+        u = state.lam / state.rho
+        args = (state.fits, u, state.rho, w, data.y, nm)
+        buffers = np.full((4, *state.fits.shape), np.nan)
+        if nm is GAUSS:
+            given = tuple(buffers[:2])
+            z = admm.z_update_gaussian(*args, *given)
+            expected = admm.z_update_gaussian(*args)
+        else:
+            given = tuple(buffers[:3])
+            z = admm.z_update_laplacian(*args, *given)
+            expected = admm.z_update_laplacian(*args)
+        assert z is given[0] and np.array_equal(z, expected)
+        for buffer in given:
+            assert not np.isnan(buffer).any()
+        proj = admm.gram_projection(data)
+        work = buffers[3]
+        beta = admm.beta_update(state.z, u, proj, work)
+        assert np.array_equal(work, state.z - u)  # Z - u, written in place
+        assert np.array_equal(beta, admm.beta_update(state.z, u, proj))
+        for arg in (state.fits, u, w, state.z):
+            assert not np.shares_memory(arg, buffers)  # the inputs are read, not written
+
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_one_workspace_per_fit(self, nm, monkeypatch):
+        """Every iteration's steps compute in the same buffers: the duals, Z,
+        the Z-update's scratch and the refit's work array, apart from each
+        other and from the iteration's fresh fits and memberships."""
+        z_attr = "z_update_gaussian" if nm is GAUSS else "z_update_laplacian"
+        z_update, beta_update = getattr(admm, z_attr), admm.beta_update
+        z_calls, beta_calls = [], []
+
+        def z_spy(*args):
+            z_calls.append(args)
+            return z_update(*args)
+
+        def beta_spy(*args):
+            beta_calls.append(args)
+            return beta_update(*args)
+
+        monkeypatch.setattr(admm, z_attr, z_spy)
+        monkeypatch.setattr(admm, "beta_update", beta_spy)
+        data = synth.generate(3, 2, 200, nm, seed=44)
+        admm.fit_admm(data, 3, nm, SolverConfig(n_iterations=5, seed=44))
+        assert len(z_calls) == len(beta_calls) == 5
+        u, z_buffers, work = z_calls[0][1], z_calls[0][6:], beta_calls[0][3]
+        assert len(z_buffers) == (2 if nm is GAUSS else 3)
+        for z_args, beta_args in zip(z_calls, beta_calls):
+            assert z_args[1] is u and beta_args[1] is u
+            assert all(a is b for a, b in zip(z_args[6:], z_buffers, strict=True))
+            assert beta_args[0] is z_buffers[0] and beta_args[3] is work
+            for fresh in (z_args[0], z_args[3]):  # the iteration's fits and memberships
+                assert not any(np.shares_memory(fresh, b) for b in (u, *z_buffers, work))
+        # four arrays in all: the Laplacian's upper bound goes in the refit's work array
+        distinct = list({id(b): b for b in (u, *z_buffers, work)}.values())
+        assert len(distinct) == 4
+        for i, a in enumerate(distinct):
+            assert not any(np.shares_memory(a, b) for b in distinct[i + 1:])
 
 
 class TestSurrogate:
@@ -380,6 +518,28 @@ class TestFitAdmm:
         with pytest.raises(NonFiniteInput, match="sigma"):
             admm.fit_admm(scaled, 2, nm, cfg)
         assert np.isfinite(em.fit_em(scaled, 2, nm, cfg).log_liks).all()
+
+    @pytest.mark.parametrize(
+        "kind,sigma,rho,name",
+        [
+            (NoiseKind.GAUSSIAN, 1e150, 1e10, "sigma"),  # sigma^2 rho overflows
+            (NoiseKind.LAPLACIAN, 1e-200, 1e-200, "b"),  # b rho underflows to 0
+        ],
+        ids=["gaussian-overflow", "laplacian-underflow"],
+    )
+    def test_step_constant_must_be_finite_and_positive(self, kind, sigma, rho, name):
+        # sigma^2 and b are finite and positive on their own; only the product
+        # with rho leaves the floats. No RuntimeWarning escapes (tier-1 turns
+        # one into an error), and the check runs before the fit's first step.
+        data = synth.generate(2, 2, 50, GAUSS, seed=3)
+        scaled = Dataset(x=data.x, y=sigma * data.y)
+        nm = NoiseModel(kind, sigma)
+        cfg = SolverConfig(n_iterations=5, seed=1, rho=rho)
+        with pytest.raises(NonFiniteInput, match=rf"{name}\W.*rho = .* step constant"):
+            admm.fit_admm(scaled, 2, nm, cfg)
+        # the same sigma with the default rho fits
+        fitted = admm.fit_admm(scaled, 2, nm, SolverConfig(n_iterations=5, seed=1))
+        assert np.isfinite(fitted.log_liks).all()
 
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
     def test_non_finite_projection_raises_non_finite_input(self, nm, monkeypatch):

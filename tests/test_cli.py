@@ -225,6 +225,19 @@ class TestFit:
         assert (settings["lad_path"], settings["d"]) == ("irls", "1")
         assert "config.irls_" not in read(tmp_path / "irls.txt.manifest.txt")
 
+    def test_admm_step_constant_that_overflows_exits_two(self, tmp_path, capsys):
+        # sigma = 1e150 squares to a finite 1e300; times rho = 1e10 it overflows
+        data = tmp_path / "wide.txt"
+        assert run(["generate", "--k", "2", "--d", "2", "--n", "50", "--noise", "gaussian",
+                    "--sigma", "1e150", "--seed", "3", "--out", data]) == 0
+        out = tmp_path / "admm.txt"
+        argv = ["fit", "--algo", "admm", "--noise", "gaussian", "--k", "2", "--iters", "5",
+                "--seed", "1", "--data", data, "--out", out]
+        assert run([*argv, "--rho", "1e10"]) == 2
+        assert "NonFiniteInput: sigma**2 * rho = inf" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv) == 0  # the default rho fits the same file
+
     def test_stop_tol_with_em_is_a_usage_error(self, tmp_path, dataset, capsys):
         out = tmp_path / "em_stop.txt"
         assert run([

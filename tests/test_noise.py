@@ -74,6 +74,31 @@ def test_log_density_in_place_is_log_density(kind, sigma):
         assert scalar == noise.log_density(nm, np.array([value]))[0]
 
 
+# sqrt(2) / 2 gives b = 0.5 and log(2b) = 0, so the log-density is the
+# quotient itself, signed zeros included
+@pytest.mark.parametrize("sigma", [math.sqrt(2.0) / 2.0, 1.0, 0.3, 2.7, 1e-300, 1e300, 5e-324])
+def test_laplacian_in_place_is_the_negated_quotient(sigma):
+    """|eps| / (-b) in one division is -|eps| / b, bit for bit, and
+    ``log_density``'s array path keeps that formula.
+
+    Rounding to nearest is symmetric in sign, so the quotient of a negated
+    divisor is the negated quotient, for signed zeros, infinities, the
+    largest floats and subnormals too.
+    """
+    nm = NoiseModel(NoiseKind.LAPLACIAN, sigma)
+    rng = np.random.default_rng(6)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308,
+                        5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0])
+    spread = rng.standard_normal(400) * np.exp(rng.uniform(-700.0, 700.0, 400))
+    eps = np.concatenate([special, spread])
+    with np.errstate(over="ignore", under="ignore"):
+        expected = -np.abs(eps) / nm.b - math.log(2.0 * nm.b)
+        assert np.array_equal(noise.log_density(nm, eps), expected)
+        work = noise.log_density_in_place(nm, eps.copy())
+    assert np.array_equal(work, expected)
+    assert np.array_equal(np.signbit(work), np.signbit(expected))
+
+
 def test_gaussian_sample_moments():
     draws = noise.sample(GAUSS, stream(7), size=100000)
     assert abs(draws.mean()) < 0.02

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,27 @@ class TestLogLikelihood:
             assert np.array_equal(w, expected)
             assert scoring.log_likelihood(given, data, nm, fits=fits) == plain
         assert np.array_equal(fits, params.beta.T @ data.x.T)  # read, not written
+
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_given_memberships_hold_the_whole_pass(self, nm):
+        """With ``memberships`` the pass computes the residuals and their
+        log-densities in that buffer: its largest allocation is a length-N
+        row, not a K x N array."""
+        k, n = 8, 5000
+        rng = np.random.default_rng(17)
+        data = Dataset(x=rng.standard_normal((n, 2)), y=rng.standard_normal(n))
+        fits = rng.standard_normal((2, k)).T @ data.x.T
+        w = np.empty((k, n))
+        expected = scoring.log_likelihood(None, data, nm, fits=fits)
+        tracemalloc.start()
+        try:
+            value = scoring.log_likelihood(None, data, nm, fits=fits, memberships=w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert np.array_equal(w, em.e_step(fits, data.y, nm))
+        assert peak < k * n * w.itemsize  # about four rows of N
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (5, 2), (5,), (1, 2, 5), ()])
     def test_fits_must_be_k_by_n(self, shape):
