@@ -4,11 +4,13 @@ Routes with different exactness/speed trade-offs:
 
 * ``weighted_median`` / ``solve_1d``: exact for one-dimensional problems.
 * ``irls``: iteratively reweighted least squares on the smoothed
-  objective sum_i w_i sqrt(r_i^2 + delta^2); production route for d >= 2.
+  objective sum_i w_i sqrt(r_i^2 + delta^2); the ``auto`` route of EM
+  at d >= 2 above ``em.DEFAULT_LP_CAP`` samples.
 * ``dual_lp``: exact solve of the bounded dual LP (HiGHS dual simplex)
   on a working set of the samples nearest the fit; fast enough to run
-  once per component per iteration at benchmark scale. At d = 1 it is
-  the weighted median of ``solve_1d``.
+  once per component per iteration at benchmark scale, and the ``auto``
+  route up to ``em.DEFAULT_LP_CAP`` samples. At d = 1 it is the
+  weighted median of ``solve_1d``.
 
 ``dual_lp`` follows Portnoy & Koenker (1997, "The Gaussian hare and the
 Laplacian tortoise"): an LAD fit interpolates d samples and leaves every
@@ -46,21 +48,21 @@ Every weighted least-squares system of EM goes through one kernel body,
 covariates, the Gaussian M-step solving all K components in one call and
 ``dual_lp`` taking its starting fit from it, while ``irls`` hands it the
 buffer of weighted covariates that its passes overwrite, one per call.
-The kernel reads X through ``x.T``, the
-d x N layout, which is contiguous for the column-major x that
-``model.Dataset`` stores, so weighting the covariates is d passes over
-contiguous rows of length N per component instead of N short rows of
-length d, and no routine copies X to get there. A row-major x gives the
-same results, only more slowly. The K Gram matrices and right-hand
-sides come from two stacked matmuls under one error state, which turns
-an overflow in either into NonFiniteInput, and one stacked LU solve,
-the only factorization of each Gram matrix, returns the d x K
-coefficients or finds a singular matrix (SingularGram). ADMM
-forms its one Gram matrix's projection in ``admm.gram_projection`` and
-takes only ``gated_gram`` from here. ``dual_lp``'s working-set LPs are
-the one sample-major reader: HiGHS takes X_S^T column by column, that
-is, rows of X, so ``dual_lp`` gathers them from one row-major copy of x
-per call.
+The K Gram matrices and right-hand sides come from two stacked matmuls
+under one error state, which turns an overflow in either into
+NonFiniteInput, and one stacked LU solve, the only factorization of each
+Gram matrix, returns the d x K coefficients or finds a singular matrix
+(SingularGram). ADMM forms its one Gram matrix's projection in
+``admm.gram_projection`` and takes only ``gated_gram`` from here.
+
+Every routine here reads X through ``x.T``, the d x N layout, which is
+contiguous for the column-major x that ``model.Dataset`` stores, and none
+copies X. Weighting the covariates is d passes over contiguous rows of
+length N per component instead of N short rows of length d, and
+``dual_lp`` gathers each working set's X_S^T, a C-contiguous d x |S|
+array, straight from ``x.T``; HiGHS takes it row by row, one row of the
+LP per covariate. A row-major x gives the same coefficients, only more
+slowly.
 """
 
 import math
@@ -291,16 +293,19 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     cold, with the options of
     ``linprog(method="highs-ds", options={"presolve": False})``: presolve
     off, dual simplex, no output. It is passed as plain arrays, which
-    HiGHS copies in bulk, with X_S^T column-wise straight from the rows of
-    x, exact zeros included where linprog drops them; the route-parity
-    tests show the results are bit-identical either way. Those rows come
-    from one row-major copy of x per call (a ``model.Dataset`` stores x
-    column-major); the least-squares start reads x as given. On scipy < 1.15 each LP goes
-    through ``linprog`` instead (``_solve_dual``, see the module
-    docstring).
+    HiGHS copies in bulk, with X_S^T row-wise, one row per covariate,
+    exact zeros included where linprog drops them; the route-parity tests
+    show the results are bit-identical either way. X_S^T is gathered from
+    ``x.T`` in place, which the start's residuals and the KKT check read
+    too, so no call copies x. On scipy < 1.15 each LP goes through
+    ``linprog`` instead (``_solve_dual``, see the module docstring).
+
+    A working-set LP that HiGHS ends without a verdict (model status
+    Unknown, ``linprog`` status 4) grows S as an infeasible one does.
 
     Returns (coefficients, objective over all N at those coefficients).
-    Raises IterationLimit or SolverStall when HiGHS stops short of optimal.
+    Raises IterationLimit when HiGHS reaches its iteration limit, and
+    SolverStall when it finds no optimum of the LP on all N samples.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -309,12 +314,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     if d == 1:
         beta = np.array([solve_1d(x[:, 0], y, weights)])
         return beta, float(np.sum(weights * np.abs(y - x @ beta)))
-    # The samples as rows, for the gathers. Filled a column at a time: numpy
-    # copies a narrow column-major x to row-major in short inner loops of
-    # length d, about three times as slowly (N = 2000, d = 2).
-    rows = np.empty((n, d))
-    for j in range(d):
-        rows[:, j] = x[:, j]
+    xt = x.T
     solve = _lp_backend()
     inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
     fixed = np.zeros(n)  # the dual value s_i of each sample outside S
@@ -325,7 +325,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         except (SingularGram, NonFiniteInput):
             pass  # no start to rank the samples by: the LP on all of them
         else:
-            r = y - rows @ start
+            r = y - start @ xt
             distance = np.abs(r)
             fixed = np.where(r >= 0.0, weights, -weights)
             in_set = np.zeros(n, dtype=bool)
@@ -333,18 +333,19 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
             inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
     # in_set, the mask of S, exists whenever a sample is outside S
     while True:
-        # np.take gathers rows several times faster than rows[index], same values
+        # np.take gathers several times faster than xt[:, index], same values
         fixed_out = fixed[outside]
-        rhs = -fixed_out @ np.take(rows, outside, axis=0)
-        beta = solve(np.take(rows, inside, axis=0), y[inside], weights[inside], rhs)
+        rhs = -fixed_out @ np.take(xt, outside, axis=1).T
+        beta = solve(np.take(xt, inside, axis=1), y[inside], weights[inside], rhs)
         if beta is None:
             if outside.size == 0:  # s = 0 is feasible, so this is the solver's fault
-                raise SolverStall("HiGHS found the LAD dual LP infeasible")
-            # the fixed samples ask for more than S can balance: double S along |r|
+                raise SolverStall("HiGHS found no optimum of the LAD dual LP on all samples")
+            # the fixed samples ask for more than S can balance, or HiGHS could
+            # not tell whether they do: double S along |r|
             order = np.argsort(distance, kind="stable")
             in_set[order[~in_set[order]][: inside.size]] = True
         else:
-            residual = y - rows @ beta
+            residual = y - beta @ xt
             violated = outside[fixed_out * residual[outside] < 0.0]
             if violated.size == 0:
                 return beta, float(np.sum(weights * np.abs(residual)))
@@ -352,10 +353,11 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
 
 
-# The backend of dual_lp: _solve_dual(x_s, y_s, w_s, rhs) solves the bounded
-# dual restricted to the samples S, max y_S.s subject to X_S^T s = rhs and
-# -w_S <= s <= w_S, and returns minus its equality multipliers, or None if
-# that LP is infeasible. None until the first LP binds it (_lp_backend).
+# The backend of dual_lp: _solve_dual(xt_s, y_s, w_s, rhs) takes X_S^T, the
+# d x |S| array, solves the bounded dual restricted to the samples S,
+# max y_S.s subject to X_S^T s = rhs and -w_S <= s <= w_S, and returns minus
+# its equality multipliers, or None if HiGHS finds that LP infeasible or ends
+# it without a verdict. None until the first LP binds it (_lp_backend).
 _solve_dual = None
 _highs = None  # scipy.optimize._highspy._core, where _lp_backend found it
 _BACKEND_LOCK = threading.Lock()
@@ -415,7 +417,7 @@ def _thread_solver():
 
 def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
     """A working-set LP of ``dual_lp`` on this thread's HiGHS instance."""
-    n, d = x.shape
+    d, n = x.shape
     solver = _thread_solver()
     # no model, basis or solution survives from the thread's previous LP
     solver.clearModel()
@@ -424,7 +426,7 @@ def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarr
             n,
             d,
             n * d,
-            _highs.MatrixFormat.kColwise,
+            _highs.MatrixFormat.kRowwise,
             _highs.ObjSense.kMinimize,
             0.0,
             -y,
@@ -432,9 +434,9 @@ def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarr
             weights,
             rhs,
             rhs,
-            # Column i of X^T is row i of X: d entries each, read straight from x.
-            np.arange(0, n * d, d, dtype=np.int32),
-            np.tile(np.arange(d, dtype=np.int32), n),
+            # Row j of the LP is covariate j over S: n entries each, read from x.
+            np.arange(0, n * d, n, dtype=np.int32),
+            np.tile(np.arange(n, dtype=np.int32), d),
             x.ravel(),
             np.zeros(n, dtype=np.int32),  # every column continuous
         )
@@ -443,7 +445,7 @@ def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarr
         raise SolverStall("HiGHS rejected the LAD dual LP")
     solver.run()
     status = solver.getModelStatus()
-    if status == _highs.HighsModelStatus.kInfeasible:
+    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kUnknown):
         return None
     if status == _highs.HighsModelStatus.kIterationLimit:
         raise IterationLimit("LP iteration limit reached")
@@ -463,13 +465,13 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
 
     res = linprog(
         -y,
-        A_eq=x.T,
+        A_eq=x,
         b_eq=rhs,
         bounds=np.column_stack([-weights, weights]),
         method="highs-ds",
         options={"presolve": False},
     )
-    if res.status == 2:
+    if res.status in (2, 4):  # infeasible, or ended without a verdict
         return None
     if res.status == 1:
         raise IterationLimit("LP iteration limit reached")

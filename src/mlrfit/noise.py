@@ -9,31 +9,18 @@ from .model import NoiseKind, NoiseModel
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def log_density(nm: NoiseModel, eps):
-    """log f(eps), evaluated directly in log space.
+def log_density_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
+    """log f(eps) for a float array ``eps``, written over it.
 
     Gaussian: -eps^2 / (2 sigma^2) - log(2 pi sigma^2) / 2.
     Laplacian: -|eps| / b - log(2 b) with b = sigma / sqrt(2).
 
-    Accepts scalars or arrays and broadcasts elementwise.
-    """
-    eps = np.asarray(eps, dtype=float)
-    if nm.kind is NoiseKind.GAUSSIAN:
-        out = -0.5 * (eps / nm.sigma) ** 2 - 0.5 * _LOG_2PI - math.log(nm.sigma)
-    else:
-        out = -np.abs(eps) / nm.b - math.log(2.0 * nm.b)
-    return out if out.ndim else float(out)
-
-
-def log_density_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
-    """``log_density(nm, eps)`` for a float array, written over ``eps``.
-
-    The same numpy operations in the same order as ``log_density``'s
-    array path, each writing into ``eps``, so the result is bit for bit
-    the same without its four or five temporaries. The Laplacian's
-    -|eps| / b is one division, |eps| / (-b): rounding to nearest is
-    symmetric in sign, so every value, signed zeros and infinities
-    included, is the same. Returns ``eps``.
+    Each numpy operation writes into ``eps``, so the log-densities cost no
+    temporaries; the tests hold it bit for bit to the same operations, in
+    the same order, on fresh arrays. The Laplacian's -|eps| / b is one
+    division, |eps| / (-b): rounding to nearest is symmetric in sign, so
+    every value, signed zeros and infinities included, is the same.
+    Returns ``eps``.
     """
     if nm.kind is NoiseKind.GAUSSIAN:
         np.divide(eps, nm.sigma, out=eps)

@@ -14,7 +14,7 @@ import scipy.sparse
 from scipy.special import logsumexp
 
 import mlrfit
-from mlrfit import admm, io, lad, noise, scoring, synth
+from mlrfit import admm, io, lad, scoring, synth
 from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel, check_int, initial_params
 from mlrfit.rng import stable_hash
@@ -35,9 +35,26 @@ def run_fresh(code: str, *args: str, env=None) -> str:
     return done.stdout
 
 
+def log_density(nm, eps):
+    """log f(eps), evaluated directly in log space, on fresh arrays.
+
+    Gaussian: -eps^2 / (2 sigma^2) - log(2 pi sigma^2) / 2.
+    Laplacian: -|eps| / b - log(2 b) with b = sigma / sqrt(2).
+
+    Accepts scalars or arrays and broadcasts elementwise: the oracle of
+    ``noise.log_density_in_place``, which the package computes with.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if nm.kind is NoiseKind.GAUSSIAN:
+        out = -0.5 * (eps / nm.sigma) ** 2 - 0.5 * math.log(2.0 * math.pi) - math.log(nm.sigma)
+    else:
+        out = -np.abs(eps) / nm.b - math.log(2.0 * nm.b)
+    return out if out.ndim else float(out)
+
+
 def density(nm, eps):
     """f(eps) = exp(log f(eps)); the package works in log space only."""
-    return np.exp(noise.log_density(nm, eps))
+    return np.exp(log_density(nm, eps))
 
 
 def sample_major_e_step(fits, y, nm):
@@ -47,7 +64,7 @@ def sample_major_e_step(fits, y, nm):
     computation ``em.e_step`` makes on K x N arrays, laid out the other
     way, as a reference for it.
     """
-    logd = noise.log_density(nm, y[:, None] - fits)
+    logd = log_density(nm, y[:, None] - fits)
     w = np.exp(logd - logd.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -55,7 +72,7 @@ def sample_major_e_step(fits, y, nm):
 
 def logsumexp_log_likelihood(params, data, nm):
     """Mixture log-likelihood through ``scipy.special.logsumexp`` over N x K."""
-    logf = noise.log_density(nm, data.y[:, None] - data.x @ params.beta)
+    logf = log_density(nm, data.y[:, None] - data.x @ params.beta)
     return float(logsumexp(math.log(1.0 / params.k_components) + logf, axis=1).sum())
 
 
@@ -100,8 +117,8 @@ def surrogate_value(fits, anchor, lam, rho, w, y, nm, z=None) -> SurrogatePair:
     """
     z_eval = anchor if z is None else np.asarray(z, dtype=float)
     log_p = -math.log(fits.shape[0])  # uniform mixture
-    logf_eval = noise.log_density(nm, y - z_eval)
-    logf_anchor = noise.log_density(nm, y - anchor)
+    logf_eval = log_density(nm, y - z_eval)
+    logf_anchor = log_density(nm, y - anchor)
     constant = float((w * logf_anchor).sum()) - float(
         logsumexp(log_p + logf_anchor, axis=0).sum()
     )

@@ -179,6 +179,41 @@ def lp_solves(monkeypatch):
     return solves
 
 
+@pytest.fixture
+def lp_covariates(monkeypatch):
+    """(shape, C-contiguous, |S|) of the covariates of every working-set LP."""
+    seen = []
+
+    def spy(x, y, w, rhs, solve=lad._lp_backend()):
+        seen.append((x.shape, x.flags.c_contiguous, y.size))
+        return solve(x, y, w, rhs)
+
+    monkeypatch.setattr(lad, "_solve_dual", spy)
+    return seen
+
+
+def test_working_set_lps_take_x_s_transposed_from_any_layout(lp_covariates):
+    # the backend gets X_S^T, d x |S| and C-contiguous, gathered from x.T in
+    # place, whether x is column-major as in a Dataset, row-major or a
+    # strided view; the coefficients are the same bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n, d = int(rng.integers(50, 3001)), int(rng.integers(2, 4))
+        x, y, w = drawn_instance(int(rng.integers(2**32)), n, d, 0.0)
+        padded = np.zeros((2 * n, 3 * d), order="F")
+        padded[::2, ::3] = x
+        results = []
+        for view in (np.asfortranarray(x), np.ascontiguousarray(x), padded[::2, ::3]):
+            lp_covariates.clear()
+            results.append(lad.dual_lp(view, y, w))
+            assert lp_covariates
+            assert all(shape == (d, size) and contiguous
+                       for shape, contiguous, size in lp_covariates)
+        for beta, objective in results[1:]:
+            assert np.array_equal(beta, results[0][0])
+            assert objective == pytest.approx(results[0][1], rel=1e-12)
+
+
 def assert_matches_simplex(x, y, w):
     beta, objective = lad.dual_lp(x, y, w)
     _, optimum = simplex(x, y, w)
@@ -442,32 +477,46 @@ def test_linprog_backend_bound_when_highspy_is_missing(tmp_path, monkeypatch):
     assert_same_results(fallback, solve_each(calls, monkeypatch, DUAL_LP))
 
 
-@pytest.mark.skipif(lad._lp_backend() is not lad._highs_dual, reason="no direct HiGHS route")
+class StatusOnRuns:
+    """The thread's HiGHS instance, reporting ``status`` after the runs numbered in ``on``."""
+
+    def __init__(self, status, on):
+        self.solver, self.status, self.on, self.runs = lad._thread_solver(), status, on, 0
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+    def run(self):
+        self.runs += 1
+        return self.solver.run()
+
+    def getModelStatus(self):
+        return self.status if self.runs in self.on else self.solver.getModelStatus()
+
+
+def highs_reporting(monkeypatch, status, on):
+    """Patch ``dual_lp``'s HiGHS instance to report ``status`` after the LPs in ``on``.
+
+    ``on`` holds 1-based LP counts; the other LPs report their own status.
+    """
+    proxy = StatusOnRuns(getattr(lad._highs.HighsModelStatus, status), on)
+    monkeypatch.setattr(lad, "_thread_solver", lambda: proxy)
+    return proxy
+
+
+needs_highs = pytest.mark.skipif(
+    lad._lp_backend() is not lad._highs_dual, reason="no direct HiGHS route"
+)
+
+
+@needs_highs
 def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
     # the infeasible first set: the second LP of the call reports the limit
     # and leaves its model, basis and solution on the thread's solver
     x, y, w = infeasible_first_set_instance()
     monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    solver = lad._thread_solver()
-
-    class LimitOnSecondRun:
-        runs = 0
-
-        def __getattr__(self, name):
-            return getattr(solver, name)
-
-        def run(self):
-            self.runs += 1
-            return solver.run()
-
-        def getModelStatus(self):
-            if self.runs < 2:
-                return solver.getModelStatus()
-            return lad._highs.HighsModelStatus.kIterationLimit
-
-    proxy = LimitOnSecondRun()
     with monkeypatch.context() as patch:
-        patch.setattr(lad, "_thread_solver", lambda: proxy)
+        proxy = highs_reporting(patch, "kIterationLimit", on={2})
         with pytest.raises(IterationLimit):
             lad.dual_lp(x, y, w)
     assert proxy.runs == 2
@@ -477,6 +526,72 @@ def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
         solve_each(calls, monkeypatch, lad.dual_lp),
         solve_each(calls, monkeypatch, dual_lp_linprog),
     )
+
+
+def assert_optimum_of(result, x, y, w):
+    """``result`` is the optimum ``dual_lp`` finds on (x, y, w) unpatched."""
+    beta, objective = result
+    beta_ref, objective_ref = DUAL_LP(x, y, w)
+    np.testing.assert_allclose(beta, beta_ref, rtol=1e-9, atol=1e-12)
+    assert objective == pytest.approx(objective_ref, rel=1e-12)
+
+
+@needs_highs
+def test_working_set_lp_without_a_verdict_grows_the_set(monkeypatch, lp_solves):
+    # HiGHS can end a working-set LP with model status Unknown: like an
+    # infeasible one, it doubles S, and the call goes on to the optimum
+    x, y, w = infeasible_first_set_instance()
+    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
+    with monkeypatch.context() as patch:
+        highs_reporting(patch, "kUnknown", on={2})
+        result = lad.dual_lp(x, y, w)
+    assert [size for size, _, _ in lp_solves][:3] == [15, 30, 60]
+    assert [feasible for _, _, feasible in lp_solves][:3] == [False, False, True]
+    assert_optimum_of(result, x, y, w)
+
+
+@needs_highs
+def test_only_the_lp_on_all_samples_without_a_verdict_stalls(monkeypatch, lp_solves):
+    x, y, w = infeasible_first_set_instance()
+    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
+    highs_reporting(monkeypatch, "kUnknown", on=range(1, 6))
+    with pytest.raises(SolverStall, match="on all samples"):
+        lad.dual_lp(x, y, w)
+    assert [size for size, _, _ in lp_solves] == [15, 30, 60, 120, 200]
+
+
+def test_linprog_lp_without_a_verdict_grows_the_set(monkeypatch):
+    # linprog's status 4: the LP ended on numerical difficulties
+    import scipy.optimize
+
+    x, y, w = infeasible_first_set_instance()
+    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
+    monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
+    runs = []
+
+    def linprog(*args, real=scipy.optimize.linprog, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append(res.status)
+        if len(runs) == 2:
+            res.status = 4
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    result = lad.dual_lp(x, y, w)
+    assert runs[:2] == [2, 0] and len(runs) >= 3
+    assert_optimum_of(result, x, y, w)
+
+
+def test_em_lp_fit_goes_on_past_a_working_set_lp_without_a_verdict():
+    # laplace-large's cell K = 3, d = 2, rep 2 at seed 1: with some BLAS
+    # builds HiGHS ends one 1132-sample working-set LP of iteration 4 with
+    # model status Unknown, which used to stop the fit in SolverStall
+    seed = 18264043960806714598
+    data = synth.generate(3, 2, 20000, LAPLACE, seed)
+    trace = em.fit_em(data, 3, LAPLACE, SolverConfig(n_iterations=8, seed=seed), lad_path="lp")
+    assert len(trace.log_liks) == 8
+    # exact M-steps: EM's likelihood does not fall
+    assert np.diff(trace.log_liks).min() >= -1e-9 * abs(trace.log_liks[-1])
 
 
 def test_dual_lp_from_four_threads_equals_serial():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_assignment, density, logsumexp_log_likelihood
-from mlrfit import em, noise, scoring
+from helpers import brute_force_assignment, density, log_density, logsumexp_log_likelihood
+from mlrfit import em, scoring
 from mlrfit.errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
 
@@ -24,7 +24,7 @@ class TestLogLikelihood:
         params = MlrParams(rng.standard_normal((2, 1)))
         data = Dataset(x=x, y=y)
         value = scoring.log_likelihood(params, data, GAUSS)
-        expected = float(np.sum(noise.log_density(GAUSS, y - x @ params.beta[:, 0])))
+        expected = float(np.sum(log_density(GAUSS, y - x @ params.beta[:, 0])))
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_duplicated_components_collapse(self):
