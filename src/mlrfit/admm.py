@@ -47,14 +47,18 @@ from .model import Dataset, NoiseKind, NoiseModel, SolverConfig
 def gram_projection(data: Dataset) -> np.ndarray:
     """The d x N least-squares projection P = ridge_gram(X^T X)^-1 X^T.
 
-    Raises NonFiniteInput if X^T X overflows, the check of
-    ``lad.gated_gram``, and SingularGram if its ridge-stabilized form is
-    singular, which the LU factorization of the inverse finds. The d x d
-    inverse then costs less than solving against the N columns of X^T.
+    X^T X is formed under an error state that turns an overflow into
+    NonFiniteInput, with no RuntimeWarning, and the LU factorization of the
+    inverse raises SingularGram if the ridge-stabilized matrix is singular
+    (see ``lad.ridge_gram``). The d x d inverse then costs less than
+    solving against the N columns of X^T.
     """
     xt = data.x.T
     try:
-        inverse = np.linalg.inv(lad.gated_gram(xt, data.x))
+        with np.errstate(over="raise", invalid="raise"):
+            inverse = np.linalg.inv(lad.ridge_gram(xt @ data.x))
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"Gram matrix singular: {exc}") from exc
     return inverse @ xt

@@ -498,7 +498,13 @@ def write_derived_outputs(out_dir, results: List[bench.CellResult]) -> Dict[str,
 
 
 def histogram_svg(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
-    """Minimal standalone SVG bar chart of pre-binned histogram data."""
+    """Minimal standalone SVG bar chart of pre-binned histogram data.
+
+    ``title`` is plain text, escaped into the markup, so a title or file
+    name with ``&`` or ``<`` still gives well-formed XML.
+    """
+    import html  # loaded by a plot alone, not by every command's import of io
+
     width, height = 640, 400
     left, right, top, bottom = 60, 20, 40, 50
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -515,7 +521,7 @@ def histogram_svg(edges: np.ndarray, counts: np.ndarray, title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
+        f'font-family="monospace" font-size="14">{html.escape(title)}</text>',
     ]
     for i, count in enumerate(counts):
         x0, x1 = sx(edges[i]), sx(edges[i + 1])

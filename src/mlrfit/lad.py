@@ -24,7 +24,10 @@ grows and the LP is solved again. The cold dual simplex needs only a
 handful of iterations on this LP, but each one passes over every bounded
 column (Huangfu & Hall 2018), so its cost grows with the columns it is
 given: at N = 2000, d = 2 the working set cuts a call from about 3.0 to
-0.85 ms with the same optimum.
+0.85 ms with the same optimum. HiGHS's tolerances are absolute, so a y or
+w whose largest entry is far from unit scale (beyond 2^+-LP_EXPONENT_BAND)
+is multiplied by a power of two before the LPs, and the coefficients and
+objective are divided back, exactly.
 
 Each working-set LP goes straight to scipy's bundled HiGHS bindings
 (``scipy.optimize._highspy._core``, scipy >= 1.15) instead of going
@@ -52,8 +55,7 @@ The K Gram matrices and right-hand sides come from two stacked matmuls
 under one error state, which turns an overflow in either into
 NonFiniteInput, and one stacked LU solve, the only factorization of each
 Gram matrix, returns the d x K coefficients or finds a singular matrix
-(SingularGram). ADMM forms its one Gram matrix's projection in
-``admm.gram_projection`` and takes only ``gated_gram`` from here.
+(SingularGram).
 
 Every routine here reads X through ``x.T``, the d x N layout, which is
 contiguous for the column-major x that ``model.Dataset`` stores, and none
@@ -70,7 +72,7 @@ import threading
 
 import numpy as np
 
-from .errors import IterationLimit, NonFiniteInput, SingularGram, SolverStall
+from .errors import InsufficientData, IterationLimit, NonFiniteInput, SingularGram, SolverStall
 
 RIDGE_SCALE = 1e-10
 # EM hands IRLS nearly degenerate subproblems (responsibilities collapse to
@@ -84,43 +86,29 @@ IRLS_TOLERANCE = 1e-10
 # per call than 1, 2 or 8 at N = 2000, and within 10 % of 8, the cheapest, at
 # N = 20000: a smaller set needs more re-solves, a larger one costs more each.
 WORKING_SET_SCALE = 4.0
+# HiGHS's tolerances are absolute, so dual_lp solves in units where max|y| and
+# max w lie within 2^+-LP_EXPONENT_BAND. Scaling y or w by 2^m from unit scale
+# left the optimum exact for m in [-8, 24] and [-16, 60] on LPs at N = 200 and
+# 2000, d = 2; beyond them the optimum is missed by up to 7x or HiGHS fails.
+# Inside the band the factor is 1, so in-band calls solve the LPs as given.
+LP_EXPONENT_BAND = 8
 
 
 def ridge_gram(gram: np.ndarray) -> np.ndarray:
     """Gram matrix plus the stabilizing ridge RIDGE_SCALE * trace / d.
 
     ``gram`` is one d x d matrix or a (..., d, d) stack; each matrix gets
-    its own ridge.
+    its own ridge. Whether a ridged Gram matrix is singular is left to the
+    one LU factorization that follows, ``np.linalg.solve`` in
+    ``_solve_weighted`` and ``np.linalg.inv`` in ``admm.gram_projection``:
+    the ridge is far above the rounding of a finite positive semi-definite
+    matrix, so the ridged matrix is numerically positive definite exactly
+    when its trace is positive, and a zero trace means a zero matrix, which
+    LU rejects.
     """
     d = gram.shape[-1]
     ridge = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1) / d
     return gram + ridge[..., None, None] * np.eye(d)
-
-
-# An overflow raises FloatingPointError at once, so the finite path pays for
-# no finiteness check, only for the error state, which the decorator sets
-# at less cost than a ``with np.errstate`` block.
-@np.errstate(over="raise", invalid="raise")
-def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ridge_gram(xw @ x), checked to be finite.
-
-    ``xw`` is d x N, or a K x d x N stack that gives one Gram matrix per
-    row. Raises NonFiniteInput if the product overflows, without letting
-    numpy's RuntimeWarning escape; ``_solve_weighted`` forms its Gram
-    matrices by the same body, under the same error state. Whether a Gram
-    matrix is singular is left to the one LU factorization that follows,
-    ``np.linalg.solve`` in ``_solve_weighted`` and ``np.linalg.inv`` in
-    ``admm.gram_projection``, whose LinAlgError each raises as
-    SingularGram: the ridge, RIDGE_SCALE
-    times trace / d, is far above the rounding of a finite positive
-    semi-definite matrix, so the ridged matrix is numerically positive
-    definite exactly when its trace is positive, and a zero trace means a
-    zero matrix, which LU rejects.
-    """
-    try:
-        return _ridge_gram(xw @ x)
-    except FloatingPointError as exc:
-        raise NonFiniteInput(f"Gram matrix overflowed: {exc}") from None
 
 
 # ``ridge_gram`` under a private name for the kernels: like ``_solve_weighted``,
@@ -128,20 +116,22 @@ def gated_gram(xw: np.ndarray, x: np.ndarray) -> np.ndarray:
 _ridge_gram = ridge_gram
 
 
+# An overflow raises FloatingPointError at once, so the finite path pays for
+# no finiteness check, only for the error state, which the decorator sets
+# at less cost than a ``with np.errstate`` block.
 @np.errstate(over="raise", invalid="raise")
 def _solve_weighted(xw: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The d x K solution of ridge_gram(xw_k @ x) b = xw_k @ y for each row k.
 
     ``xw`` is the K x d x N stack of weighted covariates, w_k * x.T. The
     body of both ``_weighted_lstsq`` and ``irls``: the K Gram matrices and
-    right-hand sides are formed under one error state, gated_gram's, so an
-    overflow in either raises NonFiniteInput without a RuntimeWarning,
-    and one stacked LU solve gives all K columns, raising SingularGram
-    where a Gram matrix is singular. A solution that overflowed raises
+    right-hand sides are formed under one error state, so an overflow in
+    either raises NonFiniteInput without a RuntimeWarning, and one stacked
+    LU solve gives all K columns, raising SingularGram where a Gram matrix
+    is singular (see ``ridge_gram``). A solution that overflowed raises
     NonFiniteInput rather than reach the caller.
     """
-    # Private, so perfbench's tracer adds no span to every IRLS pass; the
-    # body of gated_gram inline, so a call sets the error state once.
+    # Private, so perfbench's tracer adds no span to every IRLS pass.
     try:
         gram = _ridge_gram(xw @ x)
         rhs = xw @ y
@@ -259,6 +249,7 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
     )
 
 
+@np.errstate(over="ignore")  # a coefficient or objective past the largest float is inf
 def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """Exact weighted LAD through the bounded dual LP, solved on a working set.
 
@@ -282,11 +273,23 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
        if the LP on S is infeasible, S doubles along |r|. S only grows,
        so the loop ends, at worst with the LP on all N samples.
 
-    When the start cannot be formed (``_weighted_lstsq`` raises) or S
-    would hold every sample, the LP is solved on all N at once. Nothing
-    is kept between calls, so a call's result depends only on its inputs.
-    For d = 1 the one-row dual is a fractional knapsack whose optimum is
-    the weighted median of ``solve_1d``, which is returned without an LP.
+    The set-up is one pass: S starts as the min(ceil(WORKING_SET_SCALE *
+    sqrt(N)), N) samples nearest the start, so at N <= 17 it holds every
+    sample; when the start cannot be formed (``_weighted_lstsq`` raises),
+    the start is b = 0 and S holds every sample, the LP on all N at once.
+    Nothing is kept between calls, so a call's result depends only on its
+    inputs. For d = 1 the one-row dual is a fractional knapsack whose
+    optimum is the weighted median of ``solve_1d``, which is returned
+    without an LP.
+
+    HiGHS's tolerances are absolute, so a y or w far from unit scale would
+    miss the optimum or fail the solve. Where the binary exponent of max|y|
+    or of max w lies beyond +-LP_EXPONENT_BAND, that vector is multiplied
+    by the power of two that brings its maximum into [0.5, 1) before the
+    start, the LPs and the KKT check; the coefficients are divided by y's
+    factor after, and the objective by both. Powers of two scale exactly,
+    so y * 2^m and w * 2^k out of the band give the same LPs for every m
+    and k, and inside it the factor is 1: the LPs are those given.
 
     Each LP goes to the calling thread's HiGHS instance, cleared of the
     previous LP's model, basis and solution first, so every solve starts
@@ -303,36 +306,36 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     A working-set LP that HiGHS ends without a verdict (model status
     Unknown, ``linprog`` status 4) grows S as an infeasible one does.
 
-    Returns (coefficients, objective over all N at those coefficients).
-    Raises IterationLimit when HiGHS reaches its iteration limit, and
+    Returns (coefficients, objective over all N at those coefficients),
+    an objective past the largest float being inf. Raises InsufficientData
+    at N = 0, IterationLimit when HiGHS reaches its iteration limit, and
     SolverStall when it finds no optimum of the LP on all N samples.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n, d = x.shape
+    if n == 0:
+        raise InsufficientData("weighted LAD needs at least one sample")
     if d == 1:
         beta = np.array([solve_1d(x[:, 0], y, weights)])
         return beta, float(np.sum(weights * np.abs(y - x @ beta)))
     xt = x.T
     solve = _lp_backend()
-    inside, outside = np.arange(n), np.arange(0)  # S and its complement, ascending
-    fixed = np.zeros(n)  # the dual value s_i of each sample outside S
-    size = math.ceil(WORKING_SET_SCALE * math.sqrt(n))
-    if size < n:
-        try:
-            start = _weighted_lstsq(x, y, weights[None])[:, 0]
-        except (SingularGram, NonFiniteInput):
-            pass  # no start to rank the samples by: the LP on all of them
-        else:
-            r = y - start @ xt
-            distance = np.abs(r)
-            fixed = np.where(r >= 0.0, weights, -weights)
-            in_set = np.zeros(n, dtype=bool)
-            in_set[np.argpartition(distance, size - 1)[:size]] = True
-            inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-    # in_set, the mask of S, exists whenever a sample is outside S
+    y_scale, w_scale = _band_scale(np.abs(y).max()), _band_scale(weights.max())
+    y, weights = y * y_scale, weights * w_scale
+    size = min(math.ceil(WORKING_SET_SCALE * math.sqrt(n)), n)
+    try:
+        start = _weighted_lstsq(x, y, weights[None])[:, 0]
+    except (SingularGram, NonFiniteInput):
+        start, size = np.zeros(d), n  # no start to rank the samples by: the LP on all of them
+    r = y - start @ xt
+    distance = np.abs(r)
+    fixed = np.where(r >= 0.0, weights, -weights)  # the dual value s_i of each sample outside S
+    in_set = np.zeros(n, dtype=bool)  # the mask of S
+    in_set[np.argpartition(distance, size - 1)[:size]] = True
     while True:
+        inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
         # np.take gathers several times faster than xt[:, index], same values
         fixed_out = fixed[outside]
         rhs = -fixed_out @ np.take(xt, outside, axis=1).T
@@ -348,9 +351,22 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
             residual = y - beta @ xt
             violated = outside[fixed_out * residual[outside] < 0.0]
             if violated.size == 0:
-                return beta, float(np.sum(weights * np.abs(residual)))
+                objective = float(np.sum(weights * np.abs(residual)))
+                return beta / y_scale, objective / y_scale / w_scale
             in_set[violated] = True
-        inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+
+
+def _band_scale(top: float) -> float:
+    """``dual_lp``'s factor for a vector whose largest entry is ``top``: a power of two.
+
+    1.0 where the binary exponent of ``top`` lies within +-LP_EXPONENT_BAND;
+    otherwise the power of two that puts ``top`` in [0.5, 1). A product with
+    it is exact short of the subnormal range, so ``dual_lp`` divides it back
+    out exactly.
+    """
+    exponent = math.frexp(top)[1]
+    # 2^1023 is the largest power of two a float holds
+    return 1.0 if abs(exponent) <= LP_EXPONENT_BAND else 2.0 ** -max(exponent, -1023)
 
 
 # The backend of dual_lp: _solve_dual(xt_s, y_s, w_s, rhs) takes X_S^T, the

@@ -58,12 +58,13 @@ def log_likelihood(
     if memberships is not None and memberships.shape != fits.shape:
         raise DimensionMismatch(f"memberships must be {fits.shape}, got {memberships.shape}")
     # A residual past the largest float overflows to a log-density of -inf,
-    # the density's value to working precision; a total of 0 logs to -inf.
+    # the density's value to working precision; a total of 0 logs to -inf,
+    # and so does a sum of finite log-likelihoods past the largest float.
     with np.errstate(over="ignore", divide="ignore"):
         logd = noise.log_density_in_place(nm, np.subtract(data.y, fits, out=memberships))
         peak, total = _softmax(logd, memberships)
-        per_sample = np.log(total) + peak
-    return float(per_sample.sum()) + data.n_samples * math.log(1.0 / logd.shape[0])
+        ll = float((np.log(total) + peak).sum())
+    return ll + data.n_samples * math.log(1.0 / logd.shape[0])
 
 
 def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:

@@ -509,6 +509,14 @@ class TestFitAdmm:
         with pytest.raises(NonFiniteInput, match="overflowed"):
             admm.fit_admm(data, 2, GAUSS, SolverConfig(n_iterations=3, seed=1))
 
+    def test_log_likelihood_past_the_largest_float_ends_the_fit_without_a_warning(self):
+        # the fit is finite, the scored total is not: -inf, no RuntimeWarning
+        x = abs(np.random.default_rng(3).standard_normal((200, 2))) + 0.5
+        data = Dataset(x=x, y=np.full(200, 1e307))
+        trace = admm.fit_admm(data, 2, LAPLACE, SolverConfig(n_iterations=3, seed=1))
+        assert np.isfinite(trace.params.beta).all()
+        assert (trace.log_liks == -math.inf).all()
+
     def test_overflowing_sigma_squared_raises_non_finite_input(self):
         # sigma**2 overflows as a Python float; EM fits the same data
         data = synth.generate(2, 2, 50, GAUSS, seed=3)

@@ -1,4 +1,5 @@
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestFit:
         assert run([*argv, "--lad-path", "irls", "--out", tmp_path / "irls.txt"]) == 2
         assert "NonFiniteInput: the spread of y overflowed" in capsys.readouterr().err
         assert not (tmp_path / "irls.txt").exists()
+
+    def test_lp_fit_of_a_wide_laplacian_dataset(self, tmp_path):
+        # sigma = 1e12 puts y far from unit scale, where HiGHS's absolute
+        # tolerances failed the LP until dual_lp solved in scaled units
+        data, out = tmp_path / "wide.txt", tmp_path / "fit.txt"
+        assert run(["generate", "--k", "3", "--d", "2", "--n", "2000", "--noise", "laplacian",
+                    "--sigma", "1e12", "--seed", "7", "--out", data]) == 0
+        assert run(["fit", "--algo", "em", "--noise", "laplacian", "--k", "3", "--iters", "5",
+                    "--seed", "11", "--lad-path", "lp", "--data", data, "--out", out]) == 0
+        assert assert_same_settings(out, "em")["lad_path"] == "lp"
 
     def test_d1_irls_fit_of_a_y_whose_spread_overflows(self, tmp_path):
         # at d = 1 the irls route is the weighted median, which needs no spread of y
@@ -547,6 +558,18 @@ class TestBenchmarkAndReport:
         body = read(first)
         assert body.startswith("<svg") and "<rect" in body
         assert body == read(second)
+
+    @pytest.mark.parametrize(
+        "name, flags, title",
+        [("hist.csv", ["--title", "a & b <c>"], "a & b <c>"), ("R&D.csv", [], "R&D.csv")],
+        ids=["flag", "file-name"],
+    )
+    def test_plot_title_is_escaped(self, tmp_path, bench_dir, name, flags, title):
+        hist, out = tmp_path / name, tmp_path / "plot.svg"
+        hist.write_text(read(bench_dir / "timing_hist_laplacian.csv"))
+        assert run(["plot", "--hist", hist, "--out", out, *flags]) == 0
+        texts = ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert next(texts).text == title
 
     @pytest.mark.parametrize(
         "text,message",

@@ -20,7 +20,13 @@ from helpers import (
     stable_weighted_median,
 )
 from mlrfit import em, lad, synth
-from mlrfit.errors import IterationLimit, MlrError, NonFiniteInput, SingularGram, SolverStall
+from mlrfit.errors import (
+    InsufficientData,
+    IterationLimit,
+    NonFiniteInput,
+    SingularGram,
+    SolverStall,
+)
 from mlrfit.model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
@@ -852,10 +858,82 @@ def test_overflowing_right_hand_side_raises_non_finite():
             lad._weighted_lstsq(x, y, np.ones((1, 200)))
         with pytest.raises(NonFiniteInput, match="system overflowed"):
             lad.irls(x, y, np.ones(200), delta=1e-6)
-        # dual_lp falls back from the failed start to the LP on all samples,
-        # which the LP solver refuses, as in test_em's overflowing Gram case
-        with pytest.raises(MlrError):
-            em.fit_em(Dataset(x, y), 2, LAPLACE, cfg, lad_path=em.LAD_PATH_LP)
+        # dual_lp solves in units where max|y| lies in [0.5, 1), so its start
+        # and its LPs stay finite, and the fit completes
+        trace = em.fit_em(Dataset(x, y), 2, LAPLACE, cfg, lad_path=em.LAD_PATH_LP)
+        assert np.isfinite(trace.params.beta).all()
+
+
+def far_scale_instance(seed, n, d):
+    """A draw whose y and w have largest entries near 1, inside dual_lp's band.
+
+    y is rounded to 6 decimals and the coefficients are bounded away from
+    0, so y * 2^m and the fitted coefficients stay normal floats for m down
+    to -1000, where every power-of-two scaling is exact.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    beta = rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2.0, d)
+    y = np.round(x @ beta + rng.laplace(size=n) / 4, 6)
+    return x, y, rng.uniform(0.05, 1.0, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(17, 600),
+    d=st.integers(2, 3),
+    m=st.integers(-1000, 1000),
+    k=st.integers(-1000, 1000),
+    far=st.lists(st.integers(-1000, -16) | st.integers(16, 1000), min_size=4, max_size=4),
+)
+def test_dual_lp_is_invariant_under_power_of_two_scaling(seed, n, d, m, k, far):
+    # y * 2^m and w * 2^k leave the LAD problem's minimizers b * 2^m: scaled
+    # back, dual_lp's coefficients reach the unit-scale optimum, and two
+    # scalings out of the band solve the same LPs, bit for bit
+    x, y, w = far_scale_instance(seed, n, d)
+    optimum = lad_objective(x, y, w, lad.dual_lp(x, y, w)[0])
+    beta, _ = lad.dual_lp(x, y * 2.0**m, w * 2.0**k)
+    assert abs(lad_objective(x, y, w, beta / 2.0**m) - optimum) <= 1e-12 * optimum
+    m1, k1, m2, k2 = far
+    first = lad.dual_lp(x, y * 2.0**m1, w * 2.0**k1)[0] / 2.0**m1
+    second = lad.dual_lp(x, y * 2.0**m2, w * 2.0**k2)[0] / 2.0**m2
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize(
+    "y_scale, w_scale",
+    [(1e-300, 1.0), (1e-16, 1.0), (1e-8, 1.0), (1e16, 1.0), (1e24, 1.0), (1e300, 1.0),
+     (1.0, 1e-12), (1.0, 1e20), (1e-200, 1e250)],
+)
+def test_dual_lp_is_exact_far_from_unit_scale(y_scale, w_scale):
+    # HiGHS's tolerances are absolute: handed any of these y or w as they
+    # are, it misses the optimum (small scales) or fails the solve (large)
+    rng = np.random.default_rng(3)
+    x = abs(rng.standard_normal((200, 2))) + 0.5
+    y = x @ [1.0, -1.0] + rng.laplace(size=200) / 10
+    w = rng.uniform(0.05, 1.0, 200)
+    optimum = lad_objective(x, y, w, lad.dual_lp(x, y, w)[0])
+    beta, objective = lad.dual_lp(x, y * y_scale, w * w_scale)
+    # y * y_scale rounds, so the scaled optimum is the unit one within rounding
+    assert lad_objective(x, y, w, beta / y_scale) == pytest.approx(optimum, rel=1e-12)
+    assert objective == pytest.approx(optimum * y_scale * w_scale, rel=1e-12)
+
+
+def test_dual_lp_objective_past_the_largest_float_is_inf():
+    # the coefficients are finite, the weighted sum of |r| is not: inf, with
+    # no RuntimeWarning (the tests' warning gate)
+    rng = np.random.default_rng(3)
+    x = abs(rng.standard_normal((200, 2))) + 0.5
+    y = 1e307 * (x @ [1.0, -1.0] + rng.laplace(size=200))
+    beta, objective = lad.dual_lp(x, y, np.ones(200))
+    assert np.isfinite(beta).all() and objective == math.inf
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dual_lp_without_samples_raises_insufficient_data(d):
+    with pytest.raises(InsufficientData, match="at least one sample"):
+        lad.dual_lp(np.empty((0, d)), np.empty(0), np.empty(0))
 
 
 def test_ridge_gram_stack_matches_each_matrix():

@@ -86,6 +86,20 @@ class TestLogLikelihood:
         assert math.isfinite(value)
         assert value == pytest.approx(logsumexp_log_likelihood(params, kept, GAUSS), rel=1e-12)
 
+    def test_total_past_the_largest_float_is_minus_infinity(self):
+        # every sample's log-likelihood is finite, near -1e307, and their sum
+        # overflows: -inf, with no RuntimeWarning (the tests' warning gate),
+        # from the parameters and from the fit loop's fits and memberships
+        x = abs(np.random.default_rng(3).standard_normal((200, 2))) + 0.5
+        data = Dataset(x=x, y=np.full(200, 1e307))
+        params = MlrParams(np.array([[1.0, -1.0], [2.0, 0.5]]))
+        assert scoring.log_likelihood(params, data, LAPLACE) == -math.inf
+        fits = params.beta.T @ x.T
+        memberships = np.empty_like(fits)
+        value = scoring.log_likelihood(None, data, LAPLACE, fits=fits, memberships=memberships)
+        assert value == -math.inf
+        assert np.array_equal(memberships, scoring.e_step(fits, data.y, LAPLACE))
+
     def test_memberships_must_be_k_by_n(self):
         data = Dataset(x=np.ones((4, 1)), y=np.zeros(4))
         params = MlrParams(np.array([[0.0, 1.0]]))
