@@ -277,7 +277,8 @@ class Unbounded(MlrError):
     """A linear program is unbounded below."""
 
 
-def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int = 50000):
+def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int = 50000,
+            tilt=None):
     """Dense primal simplex on the epigraph LP, for test-scale instances.
 
     Variables are (b+, b-, h, s1, s2), all non-negative, with equality
@@ -285,6 +286,10 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
     -x_i.(b+ - b-) + h_i - s2_i = -y_i. The all-zero coefficient point
     with h_i = |y_i| is a basic feasible start, so no phase-1 is needed.
     Bland's rule keeps the pivoting cycle-free.
+
+    ``tilt`` (a d-vector) adds tilt.b to the objective: the primal of a
+    working-set LP of ``lad.dual_lp``, whose right-hand side it is. A
+    tilted LP can be unbounded below, which raises Unbounded.
 
     Returns (coefficients, objective) at an optimal vertex.
     """
@@ -302,6 +307,8 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
     basis = np.empty(2 * n, dtype=np.int64)
     cost = np.zeros(n_var)
     cost[h0 : h0 + n] = weights
+    tilt = np.zeros(d) if tilt is None else np.asarray(tilt, dtype=float)
+    cost[:d], cost[d : 2 * d] = tilt, -tilt
     for i in range(n):
         r_h, r_s = 2 * i, 2 * i + 1
         xi, yi = x[i], y[i]
@@ -342,7 +349,7 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
         column = tableau[:, enter]
         rows = np.nonzero(column > tol)[0]
         if rows.size == 0:
-            raise Unbounded("LAD epigraph LP cannot be unbounded with w >= 0")
+            raise Unbounded("the tilted LAD epigraph LP is unbounded below")
         ratios = tableau[rows, -1] / column[rows]
         best = ratios.min()
         tied = rows[ratios <= best + tol * (1.0 + abs(best))]
@@ -358,7 +365,7 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
     solution = np.zeros(n_var)
     solution[basis] = tableau[:, -1]
     beta = solution[:d] - solution[d : 2 * d]
-    objective = float(np.dot(weights, solution[h0 : h0 + n]))
+    objective = float(np.dot(weights, solution[h0 : h0 + n]) + tilt @ beta)
     return beta, objective
 
 

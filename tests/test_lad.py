@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Unbounded,
     allocating_irls,
     brute_force_weighted_median,
     cholesky_gated_lstsq,
@@ -35,14 +36,24 @@ LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
 DUAL_LP = lad.dual_lp
 
 
-def dual_lp_linprog(x, y, w):
-    """``dual_lp`` with every working-set LP through ``linprog``: the reference."""
-    backend = lad._solve_dual
-    lad._solve_dual = lad._linprog_dual
-    try:
-        return DUAL_LP(x, y, w)
-    finally:
-        lad._solve_dual = backend
+def backend_route(solve):
+    """``dual_lp`` with the vertex descent off: every working-set LP goes to ``solve``."""
+
+    def route(x, y, w):
+        backend, cap = lad._solve_dual, lad.VERTEX_CAP
+        lad._solve_dual, lad.VERTEX_CAP = solve, 0
+        try:
+            return DUAL_LP(x, y, w)
+        finally:
+            lad._solve_dual, lad.VERTEX_CAP = backend, cap
+
+    return route
+
+
+# the backend routes: every working-set LP through linprog, the reference,
+# or through the backend bound here, HiGHS's own bindings on scipy >= 1.15
+dual_lp_linprog = backend_route(lad._linprog_dual)
+dual_lp_backend = backend_route(lad._lp_backend())
 
 
 def random_instance(rng, n=None, d=None):
@@ -172,16 +183,17 @@ def test_dual_lp_handles_zero_weights():
 def lp_solves(monkeypatch):
     """(columns, right-hand side non-zero, feasible) of every working-set LP.
 
-    Records the LPs of whichever backend ``dual_lp`` hands them to.
+    Records the LPs at ``dual_lp``'s one seam per LP, ``_working_set_lp``,
+    whichever solver answers them: the vertex descent or the backend.
     """
     solves = []
 
-    def spy(x, y, w, rhs, solve=lad._lp_backend()):
-        beta = solve(x, y, w, rhs)
+    def spy(x, y, w, rhs, start, solve=lad._working_set_lp):
+        beta = solve(x, y, w, rhs, start)
         solves.append((y.size, bool(np.any(rhs)), beta is not None))
         return beta
 
-    monkeypatch.setattr(lad, "_solve_dual", spy)
+    monkeypatch.setattr(lad, "_working_set_lp", spy)
     return solves
 
 
@@ -190,11 +202,11 @@ def lp_covariates(monkeypatch):
     """(shape, C-contiguous, |S|) of the covariates of every working-set LP."""
     seen = []
 
-    def spy(x, y, w, rhs, solve=lad._lp_backend()):
+    def spy(x, y, w, rhs, start, solve=lad._working_set_lp):
         seen.append((x.shape, x.flags.c_contiguous, y.size))
-        return solve(x, y, w, rhs)
+        return solve(x, y, w, rhs, start)
 
-    monkeypatch.setattr(lad, "_solve_dual", spy)
+    monkeypatch.setattr(lad, "_working_set_lp", spy)
     return seen
 
 
@@ -346,7 +358,8 @@ def test_routes_identical_on_working_sets(seed, n, d, zero_share):
 
 
 def assert_routes_identical(x, y, w):
-    beta, objective = lad.dual_lp(x, y, w)
+    # the pivots off, so both routes hand every LP to their backend
+    beta, objective = dual_lp_backend(x, y, w)
     beta_ref, objective_ref = dual_lp_linprog(x, y, w)
     assert np.array_equal(beta, beta_ref)
     assert objective == objective_ref
@@ -384,11 +397,185 @@ def test_dual_lp_matches_linprog_route_on_edge_inputs(d):
 def test_em_lp_trajectory_identical_through_linprog_route(monkeypatch):
     data = synth.generate(3, 2, 1000, LAPLACE, seed=23)
     cfg = SolverConfig(n_iterations=30, seed=24)
+    monkeypatch.setattr(lad, "VERTEX_CAP", 0)  # every LP to the backend
     direct = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
     monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
     reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
     assert np.array_equal(direct.params.beta, reference.params.beta)
     assert np.array_equal(direct.log_liks, reference.log_liks)
+
+
+def restricted_lp(seed, n, d, zero_share, tilt):
+    """A working-set LP as ``dual_lp`` hands it on: (X_S^T, y_S, w_S, rhs, start).
+
+    rhs = tilt * X_S^T (w_S sign(X_S theta)) for a random direction theta.
+    The right-hand sides the restricted dual can meet form the zonotope
+    {X_S^T s : |s| <= w_S}, whose support in direction theta that vector
+    attains at tilt 1: the LP is feasible at tilt <= 1 and, with any
+    positive weight, infeasible beyond.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = x @ rng.standard_normal(d) + rng.laplace(size=n)
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < zero_share] = 0.0
+    rhs = tilt * ((w * np.sign(x @ rng.standard_normal(d))) @ x)
+    return np.ascontiguousarray(x.T), y, w, rhs, rng.standard_normal(d)
+
+
+def vertex_or_backend(lp):
+    """``_working_set_lp`` on ``lp``: its result, and (arguments, answer) of each hand-off."""
+    handed = []
+    backend = lad._lp_backend()
+
+    def spy(*args):
+        handed.append((args, backend(*args)))
+        return handed[-1][1]
+
+    lad._solve_dual = spy
+    try:
+        return lad._working_set_lp(*lp), handed
+    finally:
+        lad._solve_dual = backend
+
+
+def restricted_objective(lp, beta):
+    xt, y, w, rhs, _ = lp
+    return float(np.sum(w * np.abs(y - beta @ xt)) + rhs @ beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 120),
+    d=st.integers(2, 3),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    tilt=st.sampled_from([0.0, 0.5, 0.95, 1.05, 2.0]),
+)
+def test_vertex_descent_matches_the_oracle_and_the_backend_verdict(seed, n, d, zero_share, tilt):
+    # tilted LPs, infeasible ones included: the descent's None is the
+    # backend's verdict and the dense simplex's unboundedness, and its
+    # optimum is the simplex's; it hands an LP on only without d + 1
+    # weighted samples
+    lp = restricted_lp(seed, n, d, zero_share, tilt)
+    xt, y, w, rhs, _ = lp
+    beta, handed = vertex_or_backend(lp)
+    assert not handed or np.count_nonzero(w) <= d
+    assert (beta is None) == (lad._lp_backend()(xt, y, w, rhs) is None)
+    try:
+        _, optimum = simplex(xt.T, y, w, tilt=rhs)
+    except Unbounded:
+        assert beta is None
+    else:
+        assert beta is not None
+        floor = 1e-12 * (1.0 + float(np.sum(w * np.abs(y)) + np.abs(rhs).sum()))
+        assert restricted_objective(lp, beta) == pytest.approx(optimum, rel=1e-9, abs=floor)
+
+
+def handoff_lp(kind):
+    """A working-set LP that the vertex descent cannot certify, for the reason ``kind``."""
+    rng = np.random.default_rng(len(kind))
+    x, y, w = random_instance(rng, n=60, d=2)
+    start = np.zeros(2)
+    if kind == "duplicated integer rows":
+        # each basic sample's copies fit too: a singular or degenerate basis
+        x = np.repeat(np.round(x[:20] * 2.0), 3, axis=0)
+        y = np.repeat(np.round(y[:20] * 2.0), 3)
+    elif kind == "three samples on the start's fit":
+        # no two of them parallel: the start's basis is regular, and a third
+        # residual is exactly zero, a degenerate vertex
+        x[:3], start = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.array([0.5, -0.25])
+        y[:3] = x[:3] @ start
+        y[3:] += np.where(y[3:] >= x[3:] @ start, 1.0, -1.0)  # every other residual >= 1
+    elif kind == "zero covariate column":  # every basis singular
+        x[:, 1] = 0.0
+    elif kind == "nearly parallel covariates":  # every basis ill-conditioned
+        x[:, 1] = x[:, 0] * (1.0 + 1e-10 * rng.standard_normal(60))
+    elif kind == "d weighted samples":
+        w[2:] = 0.0
+    return np.ascontiguousarray(x.T), y, w, np.zeros(2), start
+
+
+@pytest.mark.parametrize("kind", [
+    "duplicated integer rows", "three samples on the start's fit", "zero covariate column",
+    "nearly parallel covariates", "d weighted samples", "vertex cap 0",
+])
+def test_vertex_descent_hands_what_it_cannot_certify_to_the_backend(kind, monkeypatch):
+    if kind == "vertex cap 0":
+        monkeypatch.setattr(lad, "VERTEX_CAP", 0)
+        lp = restricted_lp(5, 60, 2, 0.0, 0.5)
+    else:
+        lp = handoff_lp(kind)
+    beta, handed = vertex_or_backend(lp)
+    # the LP as given, unchanged, and the backend's answer as the result
+    assert len(handed) == 1
+    (args, answer), = handed
+    assert all(a is b for a, b in zip(args, lp[:4]))
+    assert beta is answer
+
+
+def test_vertex_descent_answers_once_the_third_sample_leaves_the_fit():
+    # the degenerate LP above with its third sample moved off the start's
+    # fit: the descent answers it, so the degeneracy was the trigger
+    xt, y, w, rhs, start = handoff_lp("three samples on the start's fit")
+    y = y.copy()
+    y[2] += 0.25
+    beta, handed = vertex_or_backend((xt, y, w, rhs, start))
+    assert not handed
+    _, optimum = simplex(xt.T, y, w)
+    assert restricted_objective((xt, y, w, rhs, start), beta) == pytest.approx(optimum, rel=1e-9)
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Every working-set LP handed to the backend, as its arguments."""
+    lps = []
+    backend = lad._lp_backend()
+    monkeypatch.setattr(lad, "_solve_dual", lambda *lp: lps.append(lp) or backend(*lp))
+    return lps
+
+
+def test_duplicated_rows_reach_the_backend_whole(handed, lp_solves):
+    # every vertex of data whose rows come in copies is degenerate, so the
+    # backend solves each working-set LP and the result is the backend route's
+    rng = np.random.default_rng(len("duplicated rows and ties"))
+    calls = [edge_instance("duplicated rows and ties", rng) for _ in range(4)]
+    results = [lad.dual_lp(*call) for call in calls]
+    assert len(handed) == len(lp_solves) >= len(calls)
+    assert_same_results(results, [dual_lp_backend(*call) for call in calls])
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.4, 0.9])
+def test_vertex_descent_raises_no_warning(zero_share):
+    # zero weights leave the LP before the descent, and no step divides by a
+    # zero x_i.delta: every warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(6):
+            lp = restricted_lp(seed, 150, 2 + seed % 2, zero_share, (0.0, 0.5, 2.0)[seed % 3])
+            beta, handed = vertex_or_backend(lp)
+            assert not handed
+            x, y, w = drawn_instance(seed, 2000, 2 + seed % 2, zero_share)
+            x[::7, 0] = 0.0
+            beta, objective = lad.dual_lp(x, y, w)
+            assert lad_objective(x, y, w, beta) == objective
+            _, optimum = ipm_lad(x, y, w)
+            assert objective <= optimum * (1.0 + 1e-9) + 1e-12 * float(np.sum(w * np.abs(y)))
+
+
+def test_em_lp_fit_follows_the_backend_route(monkeypatch, handed):
+    # the descent answers every LP of an EM-LP fit, and the fit follows the
+    # backend-only route's to rounding
+    data = synth.generate(3, 2, 2000, LAPLACE, seed=25)
+    cfg = SolverConfig(n_iterations=30, seed=26)
+    vertex = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
+    assert handed == []
+    monkeypatch.setattr(lad, "VERTEX_CAP", 0)
+    reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
+    assert handed
+    top = np.abs(reference.params.beta).max()
+    assert np.abs(vertex.params.beta - reference.params.beta).max() <= 1e-12 * top
+    np.testing.assert_allclose(vertex.log_liks, reference.log_liks, rtol=1e-13, atol=0.0)
 
 
 def solver_reuse_calls():
@@ -427,15 +614,15 @@ def assert_same_results(results, reference):
 def test_reused_solver_matches_stateless_route_on_mixed_calls(monkeypatch):
     calls = solver_reuse_calls()
     reference = solve_each(calls, monkeypatch, dual_lp_linprog)
-    assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
+    assert_same_results(solve_each(calls, monkeypatch, dual_lp_backend), reference)
     # again, on a solver that has already seen every one of them
-    assert_same_results(solve_each(calls, monkeypatch, lad.dual_lp), reference)
+    assert_same_results(solve_each(calls, monkeypatch, dual_lp_backend), reference)
 
 
 # Runs mlrfit.lad as it runs on scipy < 1.15, where scipy.optimize has no
-# _highspy module: solves the calls saved in argv[1], the first LP binding the
-# backend, and saves the results to argv[2]. scipy.optimize is imported first:
-# linprog itself runs on _highspy.
+# _highspy module: solves the calls saved in argv[1] with every LP handed to
+# the backend, the first call binding it, and saves the results to argv[2].
+# scipy.optimize is imported first: linprog itself runs on _highspy.
 WITHOUT_HIGHSPY = """
 import builtins, inspect, sys
 import numpy as np
@@ -454,6 +641,7 @@ from mlrfit import lad
 assert lad._solve_dual is None, "the LP backend was bound at import"
 assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
 calls = np.load(sys.argv[1])
+lad.VERTEX_CAP = 0
 results = {}
 for i, scale in enumerate(calls["scales"]):
     lad.WORKING_SET_SCALE = float(scale)
@@ -480,7 +668,7 @@ def test_linprog_backend_bound_when_highspy_is_missing(tmp_path, monkeypatch):
     with np.load(tmp_path / "results.npz") as saved:
         fallback = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
                     for i in range(len(calls))]
-    assert_same_results(fallback, solve_each(calls, monkeypatch, DUAL_LP))
+    assert_same_results(fallback, solve_each(calls, monkeypatch, dual_lp_backend))
 
 
 class StatusOnRuns:
@@ -504,9 +692,11 @@ def highs_reporting(monkeypatch, status, on):
     """Patch ``dual_lp``'s HiGHS instance to report ``status`` after the LPs in ``on``.
 
     ``on`` holds 1-based LP counts; the other LPs report their own status.
+    The vertex descent is off, so every working-set LP reaches HiGHS.
     """
     proxy = StatusOnRuns(getattr(lad._highs.HighsModelStatus, status), on)
     monkeypatch.setattr(lad, "_thread_solver", lambda: proxy)
+    monkeypatch.setattr(lad, "VERTEX_CAP", 0)
     return proxy
 
 
@@ -526,10 +716,10 @@ def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
         with pytest.raises(IterationLimit):
             lad.dual_lp(x, y, w)
     assert proxy.runs == 2
-    assert_same_results([lad.dual_lp(x, y, w)], [dual_lp_linprog(x, y, w)])
+    assert_same_results([dual_lp_backend(x, y, w)], [dual_lp_linprog(x, y, w)])
     calls = solver_reuse_calls()
     assert_same_results(
-        solve_each(calls, monkeypatch, lad.dual_lp),
+        solve_each(calls, monkeypatch, dual_lp_backend),
         solve_each(calls, monkeypatch, dual_lp_linprog),
     )
 
@@ -573,6 +763,7 @@ def test_linprog_lp_without_a_verdict_grows_the_set(monkeypatch):
     x, y, w = infeasible_first_set_instance()
     monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
     monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
+    monkeypatch.setattr(lad, "VERTEX_CAP", 0)  # every LP to linprog
     runs = []
 
     def linprog(*args, real=scipy.optimize.linprog, **kwargs):
@@ -600,9 +791,10 @@ def test_em_lp_fit_goes_on_past_a_working_set_lp_without_a_verdict():
     assert np.diff(trace.log_liks).min() >= -1e-9 * abs(trace.log_liks[-1])
 
 
-def test_dual_lp_from_four_threads_equals_serial():
+def test_dual_lp_from_four_threads_equals_serial(monkeypatch):
     # more threads than cores, switching often: a solver shared between
-    # threads would mix their LPs
+    # threads would mix their LPs, so every LP goes to the backend
+    monkeypatch.setattr(lad, "VERTEX_CAP", 0)
     calls = [call[:3] for call in solver_reuse_calls() if call[3] == lad.WORKING_SET_SCALE] * 3
     serial = [lad.dual_lp(*call) for call in calls]
     interval = sys.getswitchinterval()
@@ -616,8 +808,8 @@ def test_dual_lp_from_four_threads_equals_serial():
 
 
 # Solves the calls saved in argv[1] from four threads in a fresh interpreter,
-# whose first four calls, one per thread, bind the LP backend together, and
-# saves the results to argv[2].
+# whose first four calls, one per thread, bind the LP backend together, with
+# every LP handed to the backend, and saves the results to argv[2].
 THREADS_BIND = """
 import sys, threading
 from concurrent.futures import ThreadPoolExecutor
@@ -625,6 +817,7 @@ import numpy as np
 from mlrfit import lad
 
 assert lad._solve_dual is None, "the LP backend was bound at import"
+lad.VERTEX_CAP = 0
 calls = np.load(sys.argv[1])
 count = len(calls.files) // 3
 together = threading.Barrier(4)
@@ -658,7 +851,7 @@ def test_first_lps_of_a_process_from_four_threads_equal_serial(tmp_path):
     with np.load(tmp_path / "results.npz") as saved:
         threaded = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
                     for i in range(len(calls))]
-    assert_same_results(threaded, [DUAL_LP(*call) for call in calls])
+    assert_same_results(threaded, [dual_lp_backend(*call) for call in calls])
 
 
 def test_irls_reaches_lp_optimum():
