@@ -41,7 +41,7 @@ import numpy as np
 from . import fit, lad
 from .errors import NonFiniteInput, SingularGram
 from .fit import FitTrace
-from .model import Dataset, NoiseKind, NoiseModel, SolverConfig
+from .model import Dataset, NoiseKind, NoiseModel, SolverConfig, fitted_values
 
 
 def gram_projection(data: Dataset) -> np.ndarray:
@@ -178,7 +178,7 @@ def fit_admm(
             else:
                 z = z_update_laplacian(fits, u, rho, w, y, nm, z, scratch, work)
             beta = beta_update(z, u, proj, work)
-            fits = beta.T @ xt
+            fits = fitted_values(beta, xt)
             consensus_gap = np.subtract(fits, z, out=work)
             u += consensus_gap
             # ||gap||_F without BLAS, whose threaded dot products round by thread count

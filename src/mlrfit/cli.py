@@ -110,7 +110,9 @@ def cmd_fit(args) -> int:
     if trace.lad_path == LAD_PATH_IRLS and data.dim > 1:  # d = 1 takes the weighted median
         config.update(irls_delta=em.irls_delta(data.y),
                       irls_max_iterations=lad.IRLS_MAX_ITERATIONS,
-                      irls_tolerance=lad.IRLS_TOLERANCE)
+                      irls_tolerance=lad.IRLS_TOLERANCE,
+                      irls_relax_growth=lad.IRLS_RELAX_GROWTH,
+                      irls_relax_cap=lad.IRLS_RELAX_CAP)
     manifest_name = os.path.basename(args.out) + ".manifest.txt"
     text = io.fit_result_text(
         settings=settings + [("data", args.data), ("manifest", manifest_name)],

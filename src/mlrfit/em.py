@@ -21,6 +21,7 @@ from .errors import CollapsedComponent, NonFiniteInput, SingularGram
 from .fit import LAD_PATH_NA, FitTrace
 from .model import LAD_PATH_AUTO, LAD_PATH_IRLS, LAD_PATH_LP
 from .model import Dataset, MlrParams, NoiseKind, NoiseModel, SolverConfig, check_lad_route
+from .model import fitted_values
 from .scoring import e_step  # noqa: F401  EM's E-step, run by the fit loop
 
 # lad_path 'auto' runs the exact LP up to this many samples and IRLS beyond.
@@ -167,6 +168,6 @@ def fit_em(
             else:
                 params = m_step_laplacian(w, data, path=path, previous=params)
             # the fitted values, for the fit loop's likelihood and E-step
-            w = yield fit.Iterate(params.beta, params.beta.T @ xt)
+            w = yield fit.Iterate(params.beta, fitted_values(params.beta, xt))
 
     return fit.run(steps, data, k, nm, cfg, lad_path=path)

@@ -29,7 +29,7 @@ import numpy as np
 from . import scoring
 from .errors import DimensionMismatch, NonFiniteInput
 from .model import Dataset, MlrParams, NoiseModel, SolverConfig, initial_params
-from .model import check_int, check_non_negative
+from .model import check_int, check_non_negative, fitted_values
 
 LAD_PATH_NA = "n/a"
 
@@ -111,7 +111,7 @@ def run(
     residuals = np.empty(cfg.n_iterations)
     if started is None:
         started = time.perf_counter()
-    fits = start.beta.T @ data.x.T
+    fits = fitted_values(start.beta, data.x.T)
     iterates = steps(start, fits, scoring.e_step(fits, data.y, nm))
     del fits  # the generator holds them alone, so it can drop them
     it = next(iterates)

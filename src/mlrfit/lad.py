@@ -4,8 +4,12 @@ Routes with different exactness/speed trade-offs:
 
 * ``weighted_median`` / ``solve_1d``: exact for one-dimensional problems.
 * ``irls``: iteratively reweighted least squares on the smoothed
-  objective sum_i w_i sqrt(r_i^2 + delta^2); the ``auto`` route of EM
-  at d >= 2 above ``em.DEFAULT_LP_CAP`` samples.
+  objective sum_i w_i sqrt(r_i^2 + delta^2), a bound optimization whose
+  steps are adaptively over-relaxed (Salakhutdinov & Roweis 2003); the
+  ``auto`` route of EM at d >= 2 above ``em.DEFAULT_LP_CAP`` samples. On
+  the IRLS calls of EM fits at N = 20000, d = 2 it takes about 22
+  reweighting passes a call where the plain loop took 78, and stops on
+  the plain loop's own test.
 * ``dual_lp``: exact solve of the bounded dual LP on a working set of
   the samples nearest the fit, each working-set LP by exact vertex
   pivots; fast enough to run once per component per iteration at
@@ -71,12 +75,15 @@ Gram matrix, returns the d x K coefficients or finds a singular matrix
 
 Every routine here reads X through ``x.T``, the d x N layout, which is
 contiguous for the column-major x that ``model.Dataset`` stores, and none
-copies X. Weighting the covariates is d passes over contiguous rows of
-length N per component instead of N short rows of length d, and
+copies a Dataset's X. Weighting the covariates is d passes over
+contiguous rows of length N per component instead of N short rows of
+length d, and
 ``dual_lp`` gathers each working set's X_S^T, a C-contiguous d x |S|
 array, straight from ``x.T``; HiGHS takes it row by row, one row of the
 LP per covariate. A row-major x gives the same coefficients, only more
-slowly.
+slowly. ``irls`` alone copies a row-major x, to the column-major layout
+once per call: its over-relaxed passes amplify rounding, so there the
+two layouts compute alike, bit for bit.
 """
 
 import math
@@ -85,6 +92,7 @@ import threading
 import numpy as np
 
 from .errors import InsufficientData, IterationLimit, NonFiniteInput, SingularGram, SolverStall
+from .model import fitted_values
 
 RIDGE_SCALE = 1e-10
 # EM hands IRLS nearly degenerate subproblems (responsibilities collapse to
@@ -93,6 +101,14 @@ RIDGE_SCALE = 1e-10
 # per-step decrease flattens below the tolerance.
 IRLS_MAX_ITERATIONS = 20000
 IRLS_TOLERANCE = 1e-10
+# irls over-relaxes its steps by eta, which grows by IRLS_RELAX_GROWTH per
+# kept step up to IRLS_RELAX_CAP. On the 320 d = 2 IRLS calls of EM fits at
+# N = 20000 (two seeds), cap 4 took 22 passes a call on average against 79
+# plain, 27 at cap 3 and 19 at cap 5; but cap 5 moved the fits' final
+# log-likelihoods up to 4.8e-6 from the plain loop's, against 6.6e-7 at
+# cap 4. Growth 1.25 and 2 took 23 and 21 passes at cap 4.
+IRLS_RELAX_GROWTH = 1.5
+IRLS_RELAX_CAP = 4.0
 # dual_lp's first working set: the ceil(WORKING_SET_SCALE * sqrt(N)) samples
 # nearest the least-squares fit. On the LPs of EM fits at d = 2, 4 cost less
 # per call than 1, 2 or 8 at N = 2000, and within 10 % of 8, the cheapest, at
@@ -222,25 +238,45 @@ def solve_1d(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
 
 
 def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
-    """Minimize sum_i w_i sqrt((y_i - <b, x_i>)^2 + delta^2) by IRLS.
+    """Minimize sum_i w_i sqrt((y_i - <b, x_i>)^2 + delta^2) by over-relaxed IRLS.
 
-    Starts from the weighted least-squares solution and stops once the
-    relative objective decrease falls below IRLS_TOLERANCE. Raises
-    SolverStall if IRLS_MAX_ITERATIONS passes run out while still making
-    larger steps, and NonFiniteInput, with no RuntimeWarning, if a
-    residual squares past the largest float or the objective overflows.
+    Starts from the weighted least-squares solution. Each pass makes one
+    plain IRLS step t = T(b), the minimizer of the quadratic bound that
+    touches the objective at b, so in exact arithmetic t cannot raise the
+    objective, and then tries b + eta (t - b) (Salakhutdinov & Roweis
+    2003, "Adaptive Overrelaxed Bound Optimization Methods"):
+
+    * eta = 1, as on the first pass, takes t itself.
+    * Above 1, the extrapolated point is kept if it lowers the objective
+      by at least eta * IRLS_TOLERANCE relative, and eta grows by
+      IRLS_RELAX_GROWTH up to IRLS_RELAX_CAP. Otherwise the pass falls
+      back to t, at the cost of one more objective pass and no solve, and
+      the next pass takes a plain step.
+
+    Only a plain step ends the loop, with the stop test of plain IRLS: it
+    returns t once t lowers the objective by less than IRLS_TOLERANCE
+    relative. Raises SolverStall if IRLS_MAX_ITERATIONS solves run out
+    while still making larger steps, and NonFiniteInput, with no
+    RuntimeWarning, if a residual squares past the largest float or the
+    objective overflows.
 
     Every pass, the first included, solves its weighted least-squares
     system through ``_solve_weighted``, the body of ``_weighted_lstsq``.
     The passes compute in a workspace allocated once per call: the
     smoothed residuals, a scratch vector (the reweighting w / s, then the
     objective's terms w s) and the 1 x d x N weighted covariates, so a
-    pass allocates only its d x d system. The weighting and the residuals
-    read x.T in place, a contiguous array for a ``model.Dataset``'s x.
+    pass allocates only its d x d system and d-vectors. The weighting and
+    the residuals read x.T in place, a contiguous array for a
+    ``model.Dataset``'s x; a row-major x is copied to that layout first,
+    once per call. An over-relaxed pass can amplify a rounding difference,
+    so a result that depended on the layout of x could differ in far
+    digits between layouts; on one layout the arithmetic is the same.
 
-    Returns (coefficients, iterations_used).
+    Returns (coefficients, solves_used).
     """
-    xt = x.T
+    # no copy for the column-major x of a Dataset
+    xt = np.ascontiguousarray(x.T)
+    x = xt.T
     s = np.empty(xt.shape[1])  # the smoothed residuals sqrt(r^2 + delta^2)
     scratch = np.empty_like(s)
 
@@ -259,13 +295,24 @@ def irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
             xw = weights[None, None, :] * xt
             beta = _solve_weighted(xw, x, y)[:, 0]
             prev = objective(beta)
+            eta = 1.0
             for iteration in range(1, IRLS_MAX_ITERATIONS + 1):
                 np.multiply(np.divide(weights, s, out=scratch), xt, out=xw[0])
-                beta = _solve_weighted(xw, x, y)[:, 0]
-                current = objective(beta)
-                if prev - current < IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
-                    return beta, iteration
-                prev = current
+                step = _solve_weighted(xw, x, y)[:, 0]
+                floor = IRLS_TOLERANCE * max(prev, np.finfo(float).tiny)
+                if eta > 1.0:
+                    trial = beta + eta * (step - beta)
+                    current = objective(trial)
+                    if prev - current >= eta * floor:
+                        beta, prev = trial, current
+                        eta = min(eta * IRLS_RELAX_GROWTH, IRLS_RELAX_CAP)
+                        continue
+                current = objective(step)
+                if prev - current < floor:
+                    return step, iteration
+                beta, prev = step, current
+                # a fallback resets eta to 1; a plain step starts it growing
+                eta = 1.0 if eta > 1.0 else IRLS_RELAX_GROWTH
     except FloatingPointError as exc:
         raise NonFiniteInput(f"IRLS pass overflowed: {exc}") from None
     raise SolverStall(
@@ -349,11 +396,15 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         raise InsufficientData("weighted LAD needs at least one sample")
     if d == 1:
         beta = np.array([solve_1d(x[:, 0], y, weights)])
-        return beta, float(np.sum(weights * np.abs(y - x @ beta)))
+        return beta, float(np.sum(weights * np.abs(y - fitted_values(beta[:, None], x.T)[0])))
     xt = x.T
     _lp_backend()  # bound for _working_set_lp's hand-offs
     y_scale, w_scale = _band_scale(np.abs(y).max()), _band_scale(weights.max())
-    y, weights = y * y_scale, weights * w_scale
+    # in the band the factor is 1, and the LPs take y and w as given
+    if y_scale != 1.0:
+        y = y * y_scale
+    if w_scale != 1.0:
+        weights = weights * w_scale
     size = min(math.ceil(WORKING_SET_SCALE * math.sqrt(n)), n)
     try:
         start = _weighted_lstsq(x, y, weights[None])[:, 0]
@@ -364,6 +415,7 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     fixed = np.where(r >= 0.0, weights, -weights)  # the dual value s_i of each sample outside S
     in_set = np.zeros(n, dtype=bool)  # the mask of S
     in_set[np.argpartition(distance, size - 1)[:size]] = True
+    order = None  # the samples by |r|, sorted at the first growth that needs them
     while True:
         inside, outside = np.flatnonzero(in_set), np.flatnonzero(~in_set)
         # np.take gathers several times faster than xt[:, index], same values
@@ -375,7 +427,8 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
                 raise SolverStall("HiGHS found no optimum of the LAD dual LP on all samples")
             # the fixed samples ask for more than S can balance, or HiGHS could
             # not tell whether they do: double S along |r|
-            order = np.argsort(distance, kind="stable")
+            if order is None:
+                order = np.argsort(distance, kind="stable")
             in_set[order[~in_set[order]][: inside.size]] = True
         else:
             residual = y - beta @ xt

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import noise
 from .errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
-from .model import Dataset, MlrParams, NoiseModel, validate_problem
+from .model import Dataset, MlrParams, NoiseModel, fitted_values, validate_problem
 
 
 def log_likelihood(
@@ -50,7 +50,7 @@ def log_likelihood(
     """
     if fits is None:
         validate_problem(params, data)
-        fits = params.beta.T @ data.x.T
+        fits = fitted_values(params.beta, data.x.T)
     else:
         rows = fits.shape[:1] if params is None else (params.k_components,)
         if fits.shape != (*rows, data.n_samples):

@@ -472,14 +472,13 @@ def cholesky_gated_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndar
     return beta
 
 
-def allocating_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
-    """``lad.irls`` with fresh arrays every pass, as a reference.
+def plain_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
+    """IRLS without over-relaxation, with fresh arrays every pass, as a reference.
 
-    Each pass solves through ``cholesky_gated_lstsq`` and recomputes the
-    smoothed residuals and the objective into new arrays; ``lad.irls``
-    computes the same operations in the same order in a per-call workspace,
-    so it must return the same coefficients, bit for bit, after as many
-    passes.
+    The loop ``lad.irls`` ran before it over-relaxed its steps: from the
+    weighted least-squares start every pass takes the plain step t = T(b),
+    and the loop returns t, with the number of passes, once t lowers the
+    smoothed objective by less than IRLS_TOLERANCE relative.
     """
 
     def smoothed_residuals(beta):
@@ -499,6 +498,51 @@ def allocating_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: fl
         if prev - current < lad.IRLS_TOLERANCE * max(prev, np.finfo(float).tiny):
             return beta, iteration
         prev = current
+    raise SolverStall(f"IRLS still decreasing after {lad.IRLS_MAX_ITERATIONS} iterations")
+
+
+def allocating_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):
+    """``lad.irls`` with fresh arrays every pass, as a reference.
+
+    The same over-relaxed schedule: each pass solves for the plain step t
+    through ``cholesky_gated_lstsq``, tries b + eta (t - b) while eta > 1,
+    keeps it if it lowers the objective by at least eta times the stop
+    test's allowance (eta then grows by IRLS_RELAX_GROWTH up to
+    IRLS_RELAX_CAP) and otherwise takes t, which alone may end the loop.
+    The smoothed residuals and the objective go into new arrays each time,
+    from a column-major copy of x as ``lad.irls`` takes; ``lad.irls``
+    computes the same operations in the same order in a per-call
+    workspace, so it must return the same coefficients, bit for bit,
+    after as many solves.
+    """
+    x = np.asfortranarray(x)
+
+    def objective(beta):
+        r = y - beta @ x.T
+        s = np.sqrt(r * r + delta * delta)
+        return float(np.sum(weights * s)), s
+
+    def reweighted_solve(q):
+        return cholesky_gated_lstsq(x, y, q[None])[:, 0]
+
+    beta = reweighted_solve(weights)
+    prev, s = objective(beta)
+    eta = 1.0
+    for iteration in range(1, lad.IRLS_MAX_ITERATIONS + 1):
+        step = reweighted_solve(weights / s)
+        floor = lad.IRLS_TOLERANCE * max(prev, np.finfo(float).tiny)
+        if eta > 1.0:
+            trial = beta + eta * (step - beta)
+            current, s = objective(trial)
+            if prev - current >= eta * floor:
+                beta, prev = trial, current
+                eta = min(eta * lad.IRLS_RELAX_GROWTH, lad.IRLS_RELAX_CAP)
+                continue
+        current, s = objective(step)
+        if prev - current < floor:
+            return step, iteration
+        beta, prev = step, current
+        eta = 1.0 if eta > 1.0 else lad.IRLS_RELAX_GROWTH
     raise SolverStall(f"IRLS still decreasing after {lad.IRLS_MAX_ITERATIONS} iterations")
 
 

@@ -100,7 +100,8 @@ class TestGenerate:
 
 SETTINGS = ("algo", "noise", "k", "d", "n", "sigma", "iterations", "seed", "rho",
             "lad_path", "stop_tol")
-IRLS_CONSTANTS = {"irls_delta", "irls_max_iterations", "irls_tolerance"}
+IRLS_CONSTANTS = {"irls_delta", "irls_max_iterations", "irls_tolerance", "irls_relax_growth",
+                  "irls_relax_cap"}
 
 
 def assert_same_settings(result, algo):

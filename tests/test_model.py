@@ -10,6 +10,7 @@ from mlrfit.model import (
     SolverConfig,
     check_int,
     check_seed,
+    fitted_values,
     initial_params,
     validate_problem,
 )
@@ -223,3 +224,16 @@ def test_initial_params_override():
     assert np.array_equal(initial_params(cfg, 2, 2).beta, override.beta)
     with pytest.raises(DimensionMismatch):
         initial_params(cfg, 3, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_fitted_values_are_the_matmul_bit_for_bit(k, d):
+    # at d = 1 the broadcast product forms each entry as the one product the
+    # matmul forms, so EM's and ADMM's trajectories do not move
+    rng = np.random.default_rng(10 * k + d)
+    beta = rng.standard_normal((d, k)) * 10.0 ** rng.integers(-8, 8, (d, k))
+    x = np.asfortranarray(rng.standard_normal((500, d)) * 10.0 ** rng.integers(-8, 8, (500, 1)))
+    fits = fitted_values(beta, x.T)
+    assert fits.shape == (k, 500) and fits.flags.c_contiguous
+    assert np.array_equal(fits, beta.T @ x.T)
