@@ -29,7 +29,8 @@ yields one ``fit.Iterate`` record of the plain d x K coefficients, their
 fitted values and the primal residual, and the loop checks and scores it
 and computes every membership: the start's through ``scoring.e_step``,
 EM's E-step, and each later one in the pass its likelihood makes over
-the same log-densities.
+the same log-kernels, exponentiated as they are except for the samples
+far from every component, which that pass redoes with a peak shift.
 """
 
 import math

@@ -14,9 +14,11 @@ solver, and builds the ``MlrParams`` of the result once, at the end.
 ``run`` hands the generator the start's fitted values (X b)^T and their
 memberships, ``scoring.e_step``, then sends it the memberships that
 ``scoring.log_likelihood`` produced while scoring the iterate it just
-yielded: the likelihood and the E-step share one log f(y - X b) pass.
-The final iterate, the last of the budget or the one that meets the
-early stop, is scored without them.
+yielded: the likelihood and the E-step share one pass, which
+exponentiates the log-kernels of y - X b, adds the density's constant
+once, and redoes with a peak shift only the samples far from every
+component. The final iterate, the last of the budget or the one that
+meets the early stop, is scored without them.
 """
 
 import math

@@ -1,4 +1,10 @@
-"""Log-densities and samplers for the two noise families."""
+"""Log-kernels, their constants and samplers for the two noise families.
+
+The log-density splits as log f(eps) = kernel(eps) + constant, where the
+kernel carries every dependence on eps and is never positive, so
+exp(kernel) lies in [0, 1] and cannot overflow. The scorer exponentiates
+kernels and adds the constant once per call, not once per entry.
+"""
 
 import math
 
@@ -9,30 +15,39 @@ from .model import NoiseKind, NoiseModel
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def log_density_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
-    """log f(eps) for a float array ``eps``, written over it.
+def log_kernel_in_place(nm: NoiseModel, eps: np.ndarray) -> np.ndarray:
+    """log f(eps) - ``log_constant(nm)`` for a float array ``eps``, written over it.
 
-    Gaussian: -eps^2 / (2 sigma^2) - log(2 pi sigma^2) / 2.
-    Laplacian: -|eps| / b - log(2 b) with b = sigma / sqrt(2).
+    Gaussian: -(eps / sigma)^2 / 2.
+    Laplacian: -|eps| / b with b = sigma / sqrt(2).
 
-    Each numpy operation writes into ``eps``, so the log-densities cost no
+    Each numpy operation writes into ``eps``, so the kernel costs no
     temporaries; the tests hold it bit for bit to the same operations, in
     the same order, on fresh arrays. The Laplacian's -|eps| / b is one
     division, |eps| / (-b): rounding to nearest is symmetric in sign, so
     every value, signed zeros and infinities included, is the same.
+    A residual past the largest float, or one that overflows when divided
+    or squared, gives -inf, the kernel's value to working precision.
     Returns ``eps``.
     """
     if nm.kind is NoiseKind.GAUSSIAN:
         np.divide(eps, nm.sigma, out=eps)
         np.square(eps, out=eps)  # what ** 2 runs on an array
         np.multiply(-0.5, eps, out=eps)
-        np.subtract(eps, 0.5 * _LOG_2PI, out=eps)
-        np.subtract(eps, math.log(nm.sigma), out=eps)
     else:
         np.abs(eps, out=eps)
         np.divide(eps, -nm.b, out=eps)  # IEEE division is sign-symmetric: -|e| / b
-        np.subtract(eps, math.log(2.0 * nm.b), out=eps)
     return eps
+
+
+def log_constant(nm: NoiseModel) -> float:
+    """log f(0), the part of the log-density that does not depend on eps.
+
+    Gaussian: -log(2 pi sigma^2) / 2. Laplacian: -log(2 b).
+    """
+    if nm.kind is NoiseKind.GAUSSIAN:
+        return -0.5 * _LOG_2PI - math.log(nm.sigma)
+    return -math.log(2.0 * nm.b)
 
 
 def sample(nm: NoiseModel, gen: np.random.Generator, size=None):

@@ -3,7 +3,11 @@
 Both solvers' posterior memberships come from here: from ``e_step`` at
 the start, and from the pass of ``log_likelihood`` that scores an iterate
 on the fitted values X b its solver formed, so no iteration forms X b
-twice. Both write the log-densities over the residuals they allocate.
+twice. Both work on the log-kernels ``noise.log_kernel_in_place`` writes
+over the residuals they allocate: a kernel is never positive, so its exp
+cannot overflow, and the density's constant is added once per call, not
+once per entry. Only a sample whose whole mass falls below ``MASS_FLOOR``
+is scored again with its largest kernel taken out first.
 ``recovery_error`` and ``paired_t_test`` import their scipy routines at
 their first call, not at import, so scoring a fit needs numpy alone.
 """
@@ -18,6 +22,14 @@ from . import noise
 from .errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from .model import Dataset, MlrParams, NoiseModel, fitted_values, validate_problem
 
+# The smallest per-sample mass sum_k exp(kernel_k) scored without a peak
+# shift: 2^-969, the smallest normal double over the unit roundoff 2^-53.
+# Above it every membership of at least 2^-53 is the quotient of a normal
+# exp, as accurate as numpy's exp, and a subnormal exp, off by at most
+# 2^-1075, moves its membership by at most 2^-106. Below it the sample is
+# scored again as in a log-sum-exp.
+MASS_FLOOR = np.finfo(float).tiny / np.finfo(float).epsneg
+
 
 def log_likelihood(
     params: MlrParams | None,
@@ -29,12 +41,16 @@ def log_likelihood(
 ) -> float:
     """Uniform-mixture log-likelihood sum_i log(sum_k f(y_i - <x_i, b_k>) / K).
 
-    Computed through log-sum-exp so far-off components cannot underflow
-    a sample's whole mixture: each sample's largest log-density is taken
-    out before exponentiating. The K x N log-densities make that a pass
-    over K contiguous rows, written over the residuals y - X b. As in
-    ``scipy.special.logsumexp``, a sample with no mass in any component
-    (every log-density -inf) scores -inf, without a warning.
+    With log f = kernel + c, the value is sum_i log(sum_k exp(kernel_ik))
+    plus N (c - log K), so the constant costs one product per call. Each
+    sample's kernels are exponentiated as they are, which cannot overflow;
+    a sample whose mass falls below ``MASS_FLOOR`` (every component far
+    off) is scored again with its largest kernel taken out first, as in a
+    log-sum-exp, so far-off components cannot underflow its mixture. The
+    K x N kernels make that a pass over K contiguous rows, written over
+    the residuals y - X b. As in ``scipy.special.logsumexp``, a sample
+    with no mass in any component (every kernel -inf) scores -inf,
+    without a warning.
 
     ``fits``, the K x N fitted values (X b)^T of ``params``, are read
     instead of formed again; the fit loop passes those its solver formed
@@ -44,8 +60,8 @@ def log_likelihood(
     ``memberships``, a K x N array, receives the posterior memberships at
     the fitted values from the same pass, bit for bit those ``e_step``
     returns for them; the returned value does not change. The residuals
-    and their log-densities are computed in it too, so the pass allocates
-    no K x N array of its own.
+    and their kernels are computed in it too, so the pass allocates no
+    K x N array of its own.
     With it a sample with no mass raises DegenerateRow, as in ``e_step``.
     """
     if fits is None:
@@ -57,58 +73,73 @@ def log_likelihood(
             raise DimensionMismatch(f"fits must be K x N, got {fits.shape}")
     if memberships is not None and memberships.shape != fits.shape:
         raise DimensionMismatch(f"memberships must be {fits.shape}, got {memberships.shape}")
-    # A residual past the largest float overflows to a log-density of -inf,
-    # the density's value to working precision; a total of 0 logs to -inf,
-    # and so does a sum of finite log-likelihoods past the largest float.
+    # A residual past the largest float overflows to a kernel of -inf, the
+    # kernel's value to working precision; a total of 0 logs to -inf, and
+    # so does a sum of finite log-likelihoods past the largest float.
     with np.errstate(over="ignore", divide="ignore"):
-        logd = noise.log_density_in_place(nm, np.subtract(data.y, fits, out=memberships))
-        peak, total = _softmax(logd, memberships)
-        ll = float((np.log(total) + peak).sum())
-    return ll + data.n_samples * math.log(1.0 / logd.shape[0])
+        kernel = noise.log_kernel_in_place(nm, np.subtract(data.y, fits, out=memberships))
+        total, low, peak = _softmax(kernel, fits, data.y, nm, memberships is not None)
+        logs = np.log(total, out=total)
+        if low is not None:
+            logs[low] += peak
+        ll = float(logs.sum())
+    return ll + data.n_samples * (noise.log_constant(nm) - math.log(kernel.shape[0]))
 
 
 def e_step(fits: np.ndarray, y: np.ndarray, nm: NoiseModel) -> np.ndarray:
     """Posterior membership of every sample, from the K x N fitted values.
 
-    Softmax of log f(y_i - fits[k, i]) over k, with each sample's maximum
-    subtracted first so one huge residual cannot underflow all of its
-    memberships. Returns K x N memberships; a sample with no mass in any
-    component, a residual that overflows in every one included, raises
-    DegenerateRow.
+    Softmax of the log-kernels of y_i - fits[k, i] over k, in which the
+    density's constant cancels; a sample whose mass falls below
+    ``MASS_FLOOR`` has its maximum subtracted first, so one huge residual
+    cannot underflow all of its memberships. Returns K x N memberships; a
+    sample with no mass in any component, a residual that overflows in
+    every one included, raises DegenerateRow.
     """
     with np.errstate(over="ignore"):  # as in log_likelihood: -inf past the largest float
-        logd = noise.log_density_in_place(nm, y - fits)
-    w = np.empty_like(logd)
-    _softmax(logd, w)
+        w = noise.log_kernel_in_place(nm, y - fits)
+        _softmax(w, fits, y, nm, True)
     return w
 
 
-def _softmax(logd: np.ndarray, out: np.ndarray | None):
-    """Column softmax of the K x N log-densities, computed in ``out`` if given.
+def _softmax(kernel: np.ndarray, fits: np.ndarray, y: np.ndarray, nm: NoiseModel,
+             normalize: bool):
+    """Column softmax of the K x N log-kernels, computed over them.
 
-    Each sample's largest log-density (its peak) is taken out before
-    exponentiating, so one huge residual cannot underflow all of its
-    mass. Returns the peaks and the per-sample totals of the shifted
-    mass, whose log plus the peak is log sum_k f_k. A sample with no mass
-    in any component has a non-finite peak: with ``out`` that raises
-    DegenerateRow naming the first such sample; without, its peak is
-    taken as 0 and its total stays 0, without a warning. The E-step and
+    Exponentiates the kernels, sums each sample's mass and, if
+    ``normalize``, divides by it. A sample whose total is below
+    ``MASS_FLOOR``, or NaN, is done again from its residuals y - fits with
+    its largest kernel (its peak) taken out before exponentiating, so far
+    from every component its mass does not underflow. Returns the
+    per-sample totals, whose log is log sum_k exp(kernel_k), except at the
+    indices ``low``, where the peaks ``peak`` must be added to it (both
+    None when no sample fell below the floor). A redone sample with no
+    mass in any component has a non-finite peak: with ``normalize`` that
+    raises DegenerateRow naming the first such sample; without, its peak
+    is taken as 0 and its total stays 0, without a warning. The E-step and
     the likelihood both go through here, so their memberships agree bit
     for bit.
     """
-    peak = logd.max(axis=0)
-    degenerate = ~np.isfinite(peak)
-    if degenerate.any():
-        if out is not None:
-            i = int(np.flatnonzero(degenerate)[0])
-            raise DegenerateRow(f"sample {i} has no probability mass in any component")
-        peak[degenerate] = 0.0
-    mass = np.subtract(logd, peak, out=out)
-    np.exp(mass, out=mass)
+    mass = np.exp(kernel, out=kernel)
     total = mass.sum(axis=0)
-    if out is not None:
+    low = peak = None
+    if not total.min() >= MASS_FLOOR:  # NaN compares false: redone too
+        low = np.flatnonzero(~(total >= MASS_FLOOR))
+        shifted = noise.log_kernel_in_place(nm, np.subtract(y[low], fits[:, low]))
+        peak = shifted.max(axis=0)
+        degenerate = ~np.isfinite(peak)
+        if degenerate.any():
+            if normalize:
+                i = int(low[np.flatnonzero(degenerate)[0]])
+                raise DegenerateRow(f"sample {i} has no probability mass in any component")
+            peak[degenerate] = 0.0
+        shifted -= peak
+        np.exp(shifted, out=shifted)
+        mass[:, low] = shifted
+        total[low] = shifted.sum(axis=0)
+    if normalize:
         mass /= total
-    return peak, total
+    return total, low, peak
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,28 @@ def run_fresh(code: str, *args: str, env=None) -> str:
     return done.stdout
 
 
+def log_kernel(nm, eps):
+    """The log-kernel log f(eps) - log f(0), evaluated directly, on fresh arrays.
+
+    Gaussian: -(eps / sigma)^2 / 2. Laplacian: -|eps| / b with
+    b = sigma / sqrt(2). The oracle of ``noise.log_kernel_in_place``.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if nm.kind is NoiseKind.GAUSSIAN:
+        out = -0.5 * (eps / nm.sigma) ** 2
+    else:
+        out = -np.abs(eps) / nm.b
+    return out if out.ndim else float(out)
+
+
 def log_density(nm, eps):
     """log f(eps), evaluated directly in log space, on fresh arrays.
 
     Gaussian: -eps^2 / (2 sigma^2) - log(2 pi sigma^2) / 2.
     Laplacian: -|eps| / b - log(2 b) with b = sigma / sqrt(2).
 
-    Accepts scalars or arrays and broadcasts elementwise: the oracle of
-    ``noise.log_density_in_place``, which the package computes with.
+    Accepts scalars or arrays and broadcasts elementwise. Each entry is
+    the log-kernel ``log_kernel`` less the constant's terms one at a time.
     """
     eps = np.asarray(eps, dtype=float)
     if nm.kind is NoiseKind.GAUSSIAN:
@@ -60,14 +74,48 @@ def density(nm, eps):
 def sample_major_e_step(fits, y, nm):
     """Posterior memberships in the sample-major (N x K) layout.
 
-    One softmax per row, with the row maximum subtracted first: the
-    computation ``em.e_step`` makes on K x N arrays, laid out the other
-    way, as a reference for it.
+    The computation ``em.e_step`` makes on K x N arrays, laid out the
+    other way, as a reference for it: each row's log-kernels are
+    exponentiated as they are and divided by their sum, and a row whose
+    sum falls below ``scoring.MASS_FLOOR`` (or is NaN) is done again
+    with its maximum subtracted first.
     """
-    logd = log_density(nm, y[:, None] - fits)
-    w = np.exp(logd - logd.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    kernel = log_kernel(nm, y[:, None] - fits)
+    w = np.exp(kernel)
+    total = w.sum(axis=1, keepdims=True)
+    low = ~(total[:, 0] >= scoring.MASS_FLOOR)
+    shifted = kernel[low] - kernel[low].max(axis=1, keepdims=True)
+    w[low] = np.exp(shifted)
+    total[low] = w[low].sum(axis=1, keepdims=True)
+    w /= total
     return w
+
+
+def peak_shifted_e_step(fits, y, nm, log=log_density):
+    """Component-major memberships with every sample's peak taken out first.
+
+    The softmax the package ran before it scored in the log-kernel: the
+    K x N log-densities (or any other ``log``, such as ``log_kernel``)
+    less each sample's largest, exponentiated and divided by their sum.
+    On ``log_kernel`` its columns are those the package recomputes for
+    the samples below ``scoring.MASS_FLOOR``, bit for bit.
+    """
+    logd = log(nm, y - fits)
+    w = np.exp(logd - logd.max(axis=0))
+    w /= w.sum(axis=0)
+    return w
+
+
+def within_membership_tolerance(w, shifted, peak):
+    """Whether K x N memberships lie within rounding of peak-shifted ones.
+
+    The package exponentiates log-kernels where the peak-shifted softmax
+    (``peak_shifted_e_step`` over ``log_density``) shifted log-densities
+    by each sample's largest one, ``peak``. The two round their arguments
+    apart by about |peak| units of 2^-53, so each membership may move by
+    2^-50 (1 + |peak|) of its sample, and no further.
+    """
+    return bool((np.abs(w - shifted) <= 2.0**-50 * (1.0 + np.abs(peak))).all())
 
 
 def logsumexp_log_likelihood(params, data, nm):
@@ -291,7 +339,11 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
     working-set LP of ``lad.dual_lp``, whose right-hand side it is. A
     tilted LP can be unbounded below, which raises Unbounded.
 
-    Returns (coefficients, objective) at an optimal vertex.
+    Returns (coefficients, objective) at an optimal vertex. The objective
+    is the one those coefficients attain, sum_i w_i |y_i - x_i.b| +
+    tilt.b, not the tableau's: its rows hold only to the pivoting
+    tolerance, so its h_i can fall short of the residuals when they are
+    small next to y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -365,7 +417,7 @@ def simplex(x: np.ndarray, y: np.ndarray, weights: np.ndarray, max_pivots: int =
     solution = np.zeros(n_var)
     solution[basis] = tableau[:, -1]
     beta = solution[:d] - solution[d : 2 * d]
-    objective = float(np.dot(weights, solution[h0 : h0 + n]) + tilt @ beta)
+    objective = float(np.dot(weights, np.abs(y - x @ beta)) + tilt @ beta)
     return beta, objective
 
 
@@ -375,7 +427,8 @@ def lad_lp_oracle(weights: np.ndarray, x: np.ndarray, y: np.ndarray):
     Test-scale reference only: refuses N > 200 or d > 5, where the dense
     tableau stops being sensible.
 
-    Returns (coefficients, objective) at an optimal vertex.
+    Returns (coefficients, objective) at an optimal vertex, the objective
+    being the one those coefficients attain (see ``simplex``).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

@@ -4,9 +4,12 @@ import pytest
 from helpers import (
     density,
     lad_lp_oracle,
+    log_density,
     min_pairwise_gap,
+    peak_shifted_e_step,
     sample_major_e_step,
     separated_seed,
+    within_membership_tolerance,
 )
 from mlrfit import admm, em, lad, scoring, synth
 from mlrfit.errors import CollapsedComponent, DegenerateRow, MlrError, NonFiniteInput, SingularGram
@@ -83,6 +86,24 @@ class TestEStep:
             w, reference = self.layouts(k, nm, seed)
             assert w.shape == (k, 500)
             assert np.array_equal(w, reference.T)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 14])
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE, NoiseModel(NoiseKind.GAUSSIAN, 1e-100)],
+                             ids=["gaussian", "laplacian", "gaussian-tiny-sigma"])
+    def test_memberships_stay_near_the_peak_shifted_softmax(self, k, nm):
+        """The peak-shifted softmax, each sample's largest log-density
+        taken out first, is the second oracle: within rounding, as stated in
+        ``helpers.within_membership_tolerance``. At sigma = 1e-100 the
+        log-densities are near 230, and their rounding moves it most."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((500, 3)) * rng.uniform(0.1, 30.0) * nm.sigma
+            y = rng.standard_normal(500) * 3.0 * nm.sigma
+            fits = np.ascontiguousarray((x @ rng.standard_normal((3, k))).T)
+            w = em.e_step(fits, y, nm)
+            shifted = peak_shifted_e_step(fits, y, nm)
+            peak = log_density(nm, y - fits).max(axis=0)
+            assert within_membership_tolerance(w, shifted, peak)
 
     @pytest.mark.parametrize("k", [8, 14])
     @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_assignment, density, log_density, logsumexp_log_likelihood
+from helpers import (
+    brute_force_assignment,
+    density,
+    log_density,
+    log_kernel,
+    logsumexp_log_likelihood,
+    peak_shifted_e_step,
+    within_membership_tolerance,
+)
 from mlrfit import em, scoring
 from mlrfit.errors import DegenerateRow, DimensionMismatch, InsufficientData, ZeroVariance
 from mlrfit.model import Dataset, MlrParams, NoiseKind, NoiseModel
@@ -198,6 +206,140 @@ def test_memberships_are_the_e_step_posterior(seed, nm, k, d, n, offsets, far_sa
         filled = scoring.log_likelihood(params, data, nm, memberships=out)
     assert filled == plain
     assert np.array_equal(out, posterior)
+
+
+# Samples of ``mixed_samples`` that fall back to the peak-shifted arithmetic:
+# every component 1e3 sigma off, where each exp of the kernel underflows to
+# 0 although the squared residual is finite, and a few about 37 sigma
+# (Gaussian) or 480 sigma (Laplacian) off, whose mass is a normal number
+# below MASS_FLOOR; DEAD's residual gives a kernel of -inf in every component.
+FAR, NEAR_FLOOR, DEAD = [3, 11, 29], [7, 20], 33
+# the mixture log-likelihood stays this close to logsumexp's, relative
+LL_TOLERANCE = 1e-14
+
+
+def mixed_samples(nm, seed=0, dead=True):
+    """A K = 3 problem whose one scorer call mixes three kinds of sample.
+
+    Returns (params, data): ordinary samples near the first component,
+    the FAR and NEAR_FLOOR samples above, and, with ``dead``, the sample
+    DEAD, whose residual is 1e160 sigma (its Gaussian square overflows)
+    or 1e309 sigma (its Laplacian quotient does), capped at 1e308. Every
+    length is in units of sigma, so any sigma gives the same kernels.
+    """
+    rng = np.random.default_rng(seed)
+    n = 40
+    x = rng.standard_normal((n, 2)) * nm.sigma
+    params = MlrParams(rng.standard_normal((2, 3)))
+    fits = params.beta.T @ x.T
+    y = fits[0] + rng.standard_normal(n) * nm.sigma
+    near = 37.0 if nm.kind is NoiseKind.GAUSSIAN else 480.0
+    y[FAR] = fits[:, FAR].max(axis=0) + 1e3 * nm.sigma
+    y[NEAR_FLOOR] = fits[:, NEAR_FLOOR].min(axis=0) - near * nm.sigma
+    if dead:
+        ratio = 1e160 if nm.kind is NoiseKind.GAUSSIAN else 1e309
+        y[DEAD] = min(ratio * nm.sigma, 1e308)
+    return params, Dataset(x=x, y=y)
+
+
+def peak_shifted(params, data, nm):
+    """Peak-shifted memberships over the log-densities, and the peaks."""
+    fits = params.beta.T @ data.x.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        logd = log_density(nm, data.y - fits)
+        return peak_shifted_e_step(fits, data.y, nm), logd.max(axis=0)
+
+
+def fallback_samples(params, data, nm):
+    """The samples whose mass sum_k exp(kernel_k) falls below MASS_FLOOR."""
+    with np.errstate(over="ignore"):
+        kernel = log_kernel(nm, data.y - params.beta.T @ data.x.T)
+    return np.flatnonzero(~(np.exp(kernel).sum(axis=0) >= scoring.MASS_FLOOR))
+
+
+def check_fallback(params, data, nm):
+    """The scorer and the E-step on ``mixed_samples``, with any RuntimeWarning an error.
+
+    A sample whose largest log-density is not finite raises
+    DegenerateRow naming the first such sample when memberships are
+    requested and scores -inf otherwise. Without one, the fallback
+    columns are the peak-shifted oracle's on the kernels bit for bit,
+    every column sums to 1, every membership lies within the tolerance
+    of the peak-shifted ones, and the value lies within LL_TOLERANCE of
+    logsumexp's.
+    """
+    fits = params.beta.T @ data.x.T
+    expected, peak = peak_shifted(params, data, nm)
+    k, n = fits.shape
+    w = np.full((k, n), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = scoring.log_likelihood(params, data, nm)
+        dead = np.flatnonzero(~np.isfinite(peak))
+        if dead.size:
+            assert value == -math.inf
+            for call in (lambda: scoring.e_step(fits, data.y, nm),
+                         lambda: scoring.log_likelihood(params, data, nm, memberships=w)):
+                with pytest.raises(DegenerateRow, match=f"^sample {dead[0]} has no"):
+                    call()
+            return dead
+        posterior = scoring.e_step(fits, data.y, nm)
+        assert scoring.log_likelihood(params, data, nm, memberships=w) == value
+    assert np.array_equal(w, posterior)
+    low = fallback_samples(params, data, nm)
+    with np.errstate(over="ignore"):
+        oracle = peak_shifted_e_step(fits, data.y, nm, log=log_kernel)
+    assert np.array_equal(w[:, low], oracle[:, low])
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 2.0**-52 * k
+    assert within_membership_tolerance(w, expected, peak)
+    with np.errstate(over="ignore"):
+        reference = logsumexp_log_likelihood(params, data, nm)
+    assert value == pytest.approx(reference, rel=LL_TOLERANCE)
+    return low
+
+
+class TestFallback:
+    @pytest.mark.parametrize("nm", [GAUSS, LAPLACE], ids=["gaussian", "laplacian"])
+    def test_fallback_columns_are_the_peak_shifted_softmax(self, nm):
+        params, data = mixed_samples(nm, dead=False)
+        low = check_fallback(params, data, nm)
+        assert low.tolist() == sorted(FAR + NEAR_FLOOR)
+        fits = params.beta.T @ data.x.T
+        w = scoring.e_step(fits, data.y, nm)
+        # 1e3 sigma off, each sample still goes to its nearest component
+        assert np.array_equal(w[:, FAR].argmax(axis=0), fits[:, FAR].argmax(axis=0))
+
+    @pytest.mark.parametrize(
+        "nm", [GAUSS, NoiseModel(NoiseKind.LAPLACIAN, 1e-300)], ids=["gaussian", "laplacian"]
+    )
+    def test_sample_without_mass_raises_or_scores_minus_infinity(self, nm):
+        params, data = mixed_samples(nm)
+        assert check_fallback(params, data, nm).tolist() == [DEAD]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(list(NoiseKind)),
+    log_sigma=st.floats(-150.0, 150.0),
+    dead=st.booleans(),
+)
+def test_fallback_holds_across_sigma(seed, kind, log_sigma, dead):
+    """The same checks with every length scaled by sigma from 1e-150 to 1e150.
+
+    The dead sample dies wherever its log-density is -inf: always
+    under Gaussian noise, and under Laplacian noise only below sigma of
+    about 0.79, where its residual over b passes the largest float; above
+    it the sample falls back like the FAR ones.
+    """
+    nm = NoiseModel(kind, 10.0**log_sigma)
+    params, data = mixed_samples(nm, seed, dead)
+    samples = check_fallback(params, data, nm)
+    gaussian_dead = dead and kind is NoiseKind.GAUSSIAN
+    if gaussian_dead:
+        assert samples.tolist() == [DEAD]
+    elif not dead:
+        assert samples.tolist() == sorted(FAR + NEAR_FLOOR)
 
 
 class TestRecoveryError:
