@@ -36,31 +36,17 @@ until the restricted KKT conditions certify the vertex. At N = 2000,
 d = 2 an LP averages 3.6 pivots, about 160 us against about 210 us for
 HiGHS's cold dual simplex, whose fixed cost (making the model, running,
 reading the solution) dominates at this size; at N = 20000, about 280 us
-against 1.9 ms. Where the descent cannot certify its answer (a
-degenerate vertex, an ill-conditioned basis, too few weighted samples,
-VERTEX_CAP vertices) the LP goes unchanged to the backend
-``_solve_dual``, HiGHS's dual simplex, so every coefficient vector
-returned is either KKT-certified or the backend's. HiGHS's tolerances
-are absolute, so a y or w whose largest entry is far from unit scale
-(beyond 2^+-LP_EXPONENT_BAND) is multiplied by a power of two before the
-LPs, and the coefficients and objective are divided back, exactly.
-
-The backend goes straight to scipy's bundled HiGHS bindings
-(``scipy.optimize._highspy._core``, scipy >= 1.15) instead of going
-through ``scipy.optimize.linprog``. The solver, its options and the LP
-are the same, and the results bit-identical; what goes is linprog's
-Python wrapper, which validated the options and built bound marginals in a
-loop over all columns on every call and cost about twice the solve
-itself. Each thread keeps one HiGHS instance, made with the options on
-its first LP and cleared of its model before every LP: each solve still
-starts cold, but the 0.1 to 0.2 ms that making an instance costs is
-paid once per thread instead of once per LP. The backend is picked once
-per process, at the first ``dual_lp`` call at d >= 2 and not at import,
-so importing this module loads numpy alone: ``_lp_backend`` imports
-scipy's LP solver and binds ``_solve_dual`` to ``_highs_dual``, or to
-``_linprog_dual`` on an older scipy, where that private module does not
-exist. ``em.fit_em`` calls it before its clock starts, so no fit's wall
-time pays for that import.
+against 1.9 ms. A tie rule, Charnes' (1952) perturbation of y, takes
+the descent through degenerate vertices, where more than d samples lie
+on the fit, as on data with repeated rows or rounded values. Where it
+still cannot certify its answer (an ill-conditioned or singular basis,
+too few weighted samples, VERTEX_CAP vertices) the LP goes unchanged to
+``_solve_dual``, one ``scipy.optimize.linprog(method="highs-ds")`` call,
+so every coefficient vector returned is either KKT-certified or HiGHS's.
+On scipy 1.17 that call took 2.2 to 2.8 ms on LPs of 60 to 180 samples,
+six times HiGHS's own solve, most of it linprog's wrapper. scipy's LP
+module loads at the first LP handed on, or before an ``lp`` fit's clock
+starts (``em.fit_em``), not at import.
 
 Every weighted least-squares system of EM goes through one kernel body,
 ``_solve_weighted``: ``_weighted_lstsq`` hands it freshly weighted
@@ -77,17 +63,15 @@ Every routine here reads X through ``x.T``, the d x N layout, which is
 contiguous for the column-major x that ``model.Dataset`` stores, and none
 copies a Dataset's X. Weighting the covariates is d passes over
 contiguous rows of length N per component instead of N short rows of
-length d, and
-``dual_lp`` gathers each working set's X_S^T, a C-contiguous d x |S|
-array, straight from ``x.T``; HiGHS takes it row by row, one row of the
-LP per covariate. A row-major x gives the same coefficients, only more
-slowly. ``irls`` alone copies a row-major x, to the column-major layout
+length d, and ``dual_lp`` gathers each working set's X_S^T, a
+C-contiguous d x |S| array, straight from ``x.T``, one row of the LP per
+covariate. A row-major x gives the same coefficients, only more slowly.
+``irls`` alone copies a row-major x, to the column-major layout
 once per call: its over-relaxed passes amplify rounding, so there the
 two layouts compute alike, bit for bit.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -120,18 +104,18 @@ WORKING_SET_SCALE = 4.0
 # 2000, d = 2; beyond them the optimum is missed by up to 7x or HiGHS fails.
 # Inside the band the factor is 1, so in-band calls solve the LPs as given.
 LP_EXPONENT_BAND = 8
-# dual_lp's vertex descent (_working_set_lp) hands a working-set LP to the
-# backend once it has visited VERTEX_CAP vertices without a certificate (the
-# LPs of EM-LP fits at d = 2 took 4.6 on average and at most 8 at N = 2000,
-# 5.2 and 13 at N = 20000), or at a basis whose 1-norm condition number may
-# exceed CONDITION_CAP.
+# dual_lp's vertex descent (_working_set_lp) hands a working-set LP to
+# _solve_dual once it has visited VERTEX_CAP vertices without a certificate
+# (the LPs of EM-LP fits at d = 2 took 4.6 on average and at most 8 at
+# N = 2000, 5.2 and 13 at N = 20000), or at a basis whose 1-norm condition
+# number may exceed CONDITION_CAP.
 VERTEX_CAP = 64
 CONDITION_CAP = 1e8
-# A non-basic residual within ZERO_RESIDUAL * (max|y_S| + |b|.max|x_S|) of 0
-# counts as zero: the vertex is degenerate, and the LP goes to the backend.
-# Duplicated rows, of integer or of continuous data, were caught at 2^-52
-# as at 2^-48, while 2^-48 took fits with residuals about 1e-11 of |y| for
-# degenerate and sent their LPs to HiGHS, which missed the optimum.
+# A residual within ZERO_RESIDUAL * (max|y| + |b|.max|x|) of 0 is on the fit:
+# the descent's tie rule decides its sign, and dual_lp's KKT check accepts
+# either. Duplicated rows, of integer or of continuous data, were caught at
+# 2^-52 as at 2^-48, while 2^-48 took fits with residuals about 1e-11 of |y|
+# for ties.
 ZERO_RESIDUAL = 2.0**-52
 
 
@@ -340,19 +324,19 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     3. The result b minimizes sum_S w_i |r_i| + sum_{not S} w_i sigma_i r_i,
        a lower bound of the full objective, so b is optimal for the full
        problem when every fixed sample of positive weight keeps its sign,
-       sigma_i r_i(b) >= 0: these are the full LP's KKT conditions.
-       Fixed samples that change sign join S and the LP is solved again;
-       if the LP on S is infeasible, S doubles along |r|. S only grows,
-       so the loop ends, at worst with the LP on all N samples.
+       sigma_i r_i(b) >= 0, or is on the fit, |r_i| <= ZERO_RESIDUAL *
+       (max|y| + |b|.max|x|), where any s_i in [-w_i, w_i] is valid: the
+       full LP's KKT conditions, to rounding. Other fixed samples join S
+       and the LP is solved again; if the LP on S is infeasible, S doubles
+       along |r|. S only grows, so the loop ends, at worst with the LP on
+       all N samples.
 
     The set-up is one pass: S starts as the min(ceil(WORKING_SET_SCALE *
     sqrt(N)), N) samples nearest the start, so at N <= 17 it holds every
     sample; when the start cannot be formed (``_weighted_lstsq`` raises),
     the start is b = 0 and S holds every sample, the LP on all N at once.
-    Nothing is kept between calls, so a call's result depends only on its
-    inputs. For d = 1 the one-row dual is a fractional knapsack whose
-    optimum is the weighted median of ``solve_1d``, which is returned
-    without an LP.
+    For d = 1 the one-row dual is a fractional knapsack whose optimum is
+    the weighted median of ``solve_1d``, which is returned without an LP.
 
     HiGHS's tolerances are absolute, so a y or w far from unit scale would
     miss the optimum or fail the solve. Where the binary exponent of max|y|
@@ -365,23 +349,12 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
 
     Each working-set LP goes to ``_working_set_lp``, which answers it by
     exact vertex pivots from the fit through the d samples of S nearest
-    the least-squares start, and hands it to the backend ``_solve_dual``
-    unchanged where they cannot certify an answer (see there). X_S^T is
+    the least-squares start, and hands it unchanged to ``_solve_dual``,
+    one ``linprog`` call of six times HiGHS's own solve time on scipy
+    1.17, where they cannot certify an answer (see there). X_S^T is
     gathered from ``x.T`` in place, which the start's residuals and the
-    KKT check read too, so no call copies x.
-
-    The backend hands each LP to the calling thread's HiGHS instance,
-    cleared of the previous LP's model, basis and solution first, so every
-    solve starts cold, with the options of
-    ``linprog(method="highs-ds", options={"presolve": False})``: presolve
-    off, dual simplex, no output. It is passed as plain arrays, which
-    HiGHS copies in bulk, with X_S^T row-wise, one row per covariate,
-    exact zeros included where linprog drops them; the route-parity tests
-    show the results are bit-identical either way. On scipy < 1.15 each
-    LP goes through ``linprog`` instead (``_solve_dual``, see the module
-    docstring). A working-set LP that the backend ends without a verdict
-    (HiGHS model status Unknown, ``linprog`` status 4) grows S as an
-    infeasible one does.
+    KKT check read too, so no call copies x. An LP that ``linprog`` ends
+    without a verdict (status 4) grows S as an infeasible one does.
 
     Returns (coefficients, objective over all N at those coefficients),
     an objective past the largest float being inf. Raises InsufficientData
@@ -398,7 +371,6 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         beta = np.array([solve_1d(x[:, 0], y, weights)])
         return beta, float(np.sum(weights * np.abs(y - fitted_values(beta[:, None], x.T)[0])))
     xt = x.T
-    _lp_backend()  # bound for _working_set_lp's hand-offs
     y_scale, w_scale = _band_scale(np.abs(y).max()), _band_scale(weights.max())
     # in the band the factor is 1, and the LPs take y and w as given
     if y_scale != 1.0:
@@ -433,6 +405,9 @@ def dual_lp(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
         else:
             residual = y - beta @ xt
             violated = outside[fixed_out * residual[outside] < 0.0]
+            if violated.size:  # those the wrong side by rounding only are on the fit
+                floor = ZERO_RESIDUAL * (np.abs(y).max() + np.abs(beta) @ np.abs(xt).max(axis=1))
+                violated = violated[np.abs(residual[violated]) > floor]
             if violated.size == 0:
                 objective = float(np.sum(weights * np.abs(residual)))
                 return beta / y_scale, objective / y_scale / w_scale
@@ -450,7 +425,8 @@ def _working_set_lp(
     solves that primal by exact vertex descent (Barrodale & Roberts 1973).
     A vertex is the fit b through d samples of positive weight, the basis
     B; the descent starts at the basis of the d positive-weight samples
-    with the smallest |y_i - x_i.start|.
+    nearest the fit through ``start``, or, if they are dependent (two
+    copies of one row, say), the d nearest independent ones.
 
     * Certificate: the basic dual values solve X_B^T s_B = rhs -
       sum_{i not in B} w_i sign(r_i) x_i, and |s_B| <= w_B is the LP's
@@ -461,9 +437,19 @@ def _working_set_lp(
       median: it stops at the first breakpoint r_i / (x_i.delta) > 0 where
       the running sum of w_i |x_i.delta| reaches (|s_j| - w_j) / 2, and
       that sample enters B.
+    * Ties: a non-basic residual within ZERO_RESIDUAL * (max|y| +
+      |b|.max|x|) of 0 is on the fit. It takes the sign it has in the LP
+      with y_i + eps * pi_i for an infinitesimal eps (Charnes 1952),
+      pi_i = frac((i + 1) * golden ratio) + 1/2: that of pi_i - c.x_i,
+      where c fits pi through B as b fits y. These samples are the line
+      search's first breakpoints, in the order of that residual over
+      x_i.delta, and a pivot onto one leaves b in place. The perturbed LP
+      has no degenerate vertex, so the descent cannot cycle, and its
+      certificate holds for the LP, where a residual on the fit admits
+      any dual value in [-w_i, w_i].
     * Unbounded: if no breakpoint reaches that sum, the objective falls
       without bound along the edge, so the LP is infeasible: None, which
-      ``dual_lp`` answers as it answers the backend's None. At rhs = 0,
+      ``dual_lp`` answers as it answers the fallback's None. At rhs = 0,
       as on the LP over all samples, no edge is unbounded: the sum over
       the breakpoints ahead exceeds (|s_j| - w_j) / 2 by half of
       sum_i w_i |x_i.delta|, a sum of at least w_j.
@@ -471,9 +457,7 @@ def _working_set_lp(
     The LP goes to ``_solve_dual`` unchanged where the descent cannot
     certify its answer: fewer than d + 1 samples of positive weight, a
     singular basis or one whose condition estimate exceeds CONDITION_CAP,
-    a degenerate vertex (more than d residuals zero to ZERO_RESIDUAL), or
-    VERTEX_CAP vertices. So the result is either certified or the
-    backend's.
+    or VERTEX_CAP vertices. So the result is certified or the fallback's.
     """
     d = xt.shape[0]
     positive = w > 0.0
@@ -486,20 +470,23 @@ def _working_set_lp(
         # for the condition estimate
         scaled = np.abs(xp)
         y_top, x_top, norms = np.abs(yp).max(), scaled.max(axis=1), scaled.sum(axis=0)
-        basis = np.argpartition(np.abs(yp - start @ xp), d - 1)[:d]
+        basis, inv = _first_basis(xp, np.abs(yp - start @ xp), norms)
+        pi = None  # the tie rule's perturbation, made at the LP's first tie
         for _ in range(VERTEX_CAP):
-            try:
-                inv = np.linalg.inv(xp[:, basis])  # X_B^-T
-            except np.linalg.LinAlgError:
-                break
-            # d times the inverse's largest entry bounds its 1-norm
-            if not d * np.abs(inv).max() * norms[basis].max() <= CONDITION_CAP:
+            if inv is None:
                 break
             b = yp[basis] @ inv
             r = yp - b @ xp
             r[basis] = 0.0
-            if np.count_nonzero(np.abs(r) <= ZERO_RESIDUAL * (y_top + np.abs(b) @ x_top)) > d:
-                break
+            tied = np.abs(r) <= ZERO_RESIDUAL * (y_top + np.abs(b) @ x_top)
+            if np.count_nonzero(tied) > d:  # a non-basic sample on the fit: the tie rule
+                if pi is None:  # frac((i + 1) * golden ratio) + 1/2
+                    pi = np.modf((np.arange(yp.size) + 1.0) * (0.5 + math.sqrt(1.25)))[0] + 0.5
+                tied[basis] = False
+                on_fit = np.flatnonzero(tied)
+                r[on_fit] = pi[on_fit] - (pi[basis] @ inv) @ xp[:, on_fit]
+            else:
+                tied = None
             signed = np.copysign(wp, r)
             signed[basis] = 0.0
             s = inv @ (rhs - xp @ signed)
@@ -510,13 +497,61 @@ def _working_set_lp(
             xd = (inv[j] if s[j] < 0.0 else -inv[j]) @ xp  # x_i.delta
             ahead = np.flatnonzero(r * xd > 0.0)
             xd = xd[ahead]
-            order = np.argsort(r[ahead] / xd)
+            ratio = r[ahead] / xd
+            if tied is not None:
+                # the samples on the fit cross it first: -1 / ratio < 0 keeps their order
+                first = tied[ahead]
+                ratio[first] = -1.0 / ratio[first]
+            order = np.argsort(ratio)
             reach = np.cumsum((wp[ahead] * np.abs(xd))[order])
             k = reach.searchsorted(0.5 * excess[j])
             if k == reach.size:
                 return None
             basis[j] = ahead[order[k]]
+            inv = _basis_inverse(xp[:, basis], norms[basis])
     return _solve_dual(xt, y, w, rhs)
+
+
+def _basis_inverse(xb: np.ndarray, norms: np.ndarray):
+    """X_B^-T for the d x d basis columns ``xb``: None if singular or past CONDITION_CAP.
+
+    ``norms`` holds the basic samples' |x_i|_1, for the condition estimate.
+    """
+    try:
+        inv = np.linalg.inv(xb)
+    except np.linalg.LinAlgError:
+        return None
+    # d times the inverse's largest entry bounds its 1-norm
+    if not xb.shape[0] * np.abs(inv).max() * norms.max() <= CONDITION_CAP:
+        return None
+    return inv
+
+
+def _first_basis(xp: np.ndarray, near: np.ndarray, norms: np.ndarray):
+    """The descent's first basis and its X_B^-T (``_basis_inverse``), or None for it.
+
+    The d samples with the smallest ``near``, unless their inverse is None;
+    then, taken in order of ``near``, each the nearest sample whose part
+    orthogonal to the rows taken before is longer than |x_i| / CONDITION_CAP,
+    at one projection pass per sample taken, not a rank test per candidate.
+    """
+    d = xp.shape[0]
+    basis = np.argpartition(near, d - 1)[:d]
+    inv = _basis_inverse(xp[:, basis], norms[basis])
+    if inv is not None:
+        return basis, inv
+    order = np.argsort(near)
+    rest = xp[:, order]  # the samples by distance, less their parts along the rows taken
+    floor = np.linalg.norm(rest, axis=0) / CONDITION_CAP
+    for m in range(d):
+        size = np.linalg.norm(rest, axis=0)
+        k = np.argmax(size > floor)
+        if not size[k] > floor[k]:
+            return basis, None
+        basis[m] = order[k]
+        unit = rest[:, k] / size[k]
+        rest -= np.outer(unit, unit @ rest)
+    return basis, _basis_inverse(xp[:, basis], norms[basis])
 
 
 def _band_scale(top: float) -> float:
@@ -532,116 +567,16 @@ def _band_scale(top: float) -> float:
     return 1.0 if abs(exponent) <= LP_EXPONENT_BAND else 2.0 ** -max(exponent, -1023)
 
 
-# The backend of dual_lp: _solve_dual(xt_s, y_s, w_s, rhs) takes X_S^T, the
-# d x |S| array, solves the bounded dual restricted to the samples S,
-# max y_S.s subject to X_S^T s = rhs and -w_S <= s <= w_S, and returns minus
-# its equality multipliers, or None if HiGHS finds that LP infeasible or ends
-# it without a verdict. _working_set_lp hands it the LPs its vertex descent
-# cannot certify. None until dual_lp's first call binds it (_lp_backend).
-_solve_dual = None
-_highs = None  # scipy.optimize._highspy._core, where _lp_backend found it
-_BACKEND_LOCK = threading.Lock()
-_THREAD_STATE = threading.local()  # .solver: the thread's _Highs, once made
-
-
-def _lp_backend():
-    """``_solve_dual``, bound first if this process has run no LP yet.
-
-    Binding imports scipy's LP solver, about a quarter of a second in a
-    fresh interpreter, so it waits until an LP is needed, and ``em.fit_em``
-    calls this before its clock starts. Under the lock, the first LPs of
-    several threads bind once: one thread imports and binds, the others
-    wait for it and get its backend. ``_highs`` is set before
-    ``_solve_dual``, so a thread that finds the backend bound finds the
-    module too.
-    """
-    global _solve_dual, _highs
-    if _solve_dual is None:
-        with _BACKEND_LOCK:
-            if _solve_dual is None:
-                try:
-                    from scipy.optimize._highspy import _core as highs
-                except ImportError:
-                    # scipy < 1.15 reaches HiGHS only through linprog, whose
-                    # module the failed import has loaded as its parent
-                    _solve_dual = _linprog_dual
-                else:
-                    _highs = highs
-                    _solve_dual = _highs_dual
-    return _solve_dual
-
-
-def _thread_solver():
-    """The calling thread's HiGHS instance, made with the options on its first LP.
-
-    A ``_Highs`` object is not safe to share between threads, and making a
-    fresh one per LP costs more than a small solve, so each thread keeps one.
-    """
-    try:
-        return _THREAD_STATE.solver
-    except AttributeError:
-        options = _highs.HighsOptions()
-        # Presolve costs ~10x the actual solve on this problem shape.
-        options.presolve = "off"
-        options.solver = "simplex"
-        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-        options.output_flag = False
-        options.log_to_console = False
-        solver = _highs._Highs()
-        if solver.passOptions(options) == _highs.HighsStatus.kError:
-            raise SolverStall("HiGHS rejected the LAD dual LP options") from None
-        _THREAD_STATE.solver = solver
-        return solver
-
-
-def _highs_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
-    """A working-set LP of ``dual_lp`` on this thread's HiGHS instance."""
-    d, n = x.shape
-    solver = _thread_solver()
-    # no model, basis or solution survives from the thread's previous LP
-    solver.clearModel()
-    if (
-        solver.passModel(
-            n,
-            d,
-            n * d,
-            _highs.MatrixFormat.kRowwise,
-            _highs.ObjSense.kMinimize,
-            0.0,
-            -y,
-            -weights,
-            weights,
-            rhs,
-            rhs,
-            # Row j of the LP is covariate j over S: n entries each, read from x.
-            np.arange(0, n * d, n, dtype=np.int32),
-            np.tile(np.arange(n, dtype=np.int32), d),
-            x.ravel(),
-            np.zeros(n, dtype=np.int32),  # every column continuous
-        )
-        == _highs.HighsStatus.kError
-    ):
-        raise SolverStall("HiGHS rejected the LAD dual LP")
-    solver.run()
-    status = solver.getModelStatus()
-    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kUnknown):
-        return None
-    if status == _highs.HighsModelStatus.kIterationLimit:
-        raise IterationLimit("LP iteration limit reached")
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise SolverStall(f"LP solve failed: {solver.modelStatusToString(status)}")
-    return -np.array(solver.getSolution().row_dual)
-
-
 def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
     """A working-set LP of ``dual_lp`` through ``scipy.optimize.linprog``.
 
-    The backend on scipy < 1.15. The LP and the options are those of
-    ``_highs_dual``; the tests use it as the reference that route must
-    match bit for bit.
+    Takes X_S^T, the d x |S| array, solves the bounded dual restricted to
+    the samples S, max y_S.s subject to X_S^T s = rhs and -w_S <= s <= w_S,
+    by HiGHS's dual simplex with presolve off, and returns minus its
+    equality multipliers, or None if the LP is infeasible or ends without
+    a verdict (status 4).
     """
-    from scipy.optimize import linprog  # loaded by _lp_backend, or at the first call
+    from scipy.optimize import linprog
 
     res = linprog(
         -y,
@@ -649,6 +584,7 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
         b_eq=rhs,
         bounds=np.column_stack([-weights, weights]),
         method="highs-ds",
+        # presolve costs about ten times the solve on this problem shape
         options={"presolve": False},
     )
     if res.status in (2, 4):  # infeasible, or ended without a verdict
@@ -658,3 +594,7 @@ def _linprog_dual(x: np.ndarray, y: np.ndarray, weights: np.ndarray, rhs: np.nda
     if res.status != 0:
         raise SolverStall(f"LP solve failed: {res.message}")
     return -np.asarray(res.eqlin.marginals, dtype=float)
+
+
+# _working_set_lp's fallback, a module attribute so tests can record or alter its LPs
+_solve_dual = _linprog_dual

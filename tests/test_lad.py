@@ -1,4 +1,3 @@
-import inspect
 import math
 import sys
 import warnings
@@ -6,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,29 +32,16 @@ from mlrfit.errors import (
 from mlrfit.model import Dataset, NoiseKind, NoiseModel, SolverConfig
 
 LAPLACE = NoiseModel(NoiseKind.LAPLACIAN, 1.0)
-# dual_lp as imported: some tests patch the module's name, and the reference
-# route must not call the patch back
-DUAL_LP = lad.dual_lp
 
 
-def backend_route(solve):
-    """``dual_lp`` with the vertex descent off: every working-set LP goes to ``solve``."""
-
-    def route(x, y, w):
-        backend, cap = lad._solve_dual, lad.VERTEX_CAP
-        lad._solve_dual, lad.VERTEX_CAP = solve, 0
-        try:
-            return DUAL_LP(x, y, w)
-        finally:
-            lad._solve_dual, lad.VERTEX_CAP = backend, cap
-
-    return route
-
-
-# the backend routes: every working-set LP through linprog, the reference,
-# or through the backend bound here, HiGHS's own bindings on scipy >= 1.15
-dual_lp_linprog = backend_route(lad._linprog_dual)
-dual_lp_backend = backend_route(lad._lp_backend())
+def dual_lp_backend(x, y, w):
+    """``dual_lp`` with the vertex descent off: every working-set LP goes to ``linprog``."""
+    cap = lad.VERTEX_CAP
+    lad.VERTEX_CAP = 0
+    try:
+        return lad.dual_lp(x, y, w)
+    finally:
+        lad.VERTEX_CAP = cap
 
 
 def random_instance(rng, n=None, d=None):
@@ -293,7 +280,6 @@ def test_working_set_on_edge_inputs(kind, lp_solves):
     for _ in range(4):
         x, y, w = edge_instance(kind, rng)
         assert_matches_simplex(x, y, w)
-        assert_routes_identical(x, y, w)
     assert lp_solves[0][0] < 200  # the working set was in use
 
 
@@ -346,64 +332,38 @@ def test_dual_lp_never_above_independent_optimum(seed, n, d, zero_share):
     assert objective <= optimum * (1.0 + 1e-9) + 1e-12 * (1.0 + float(np.sum(w * np.abs(y))))
 
 
-@settings(max_examples=20, deadline=None)
+def degenerate_instance(seed, n, d, decimals, repeated, zero_y):
+    """Data with ties: x and y rounded to ``decimals``, a third of the rows repeated if asked."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((n, d)) * 2.0, decimals)
+    y = np.round(x @ rng.standard_normal(d) + rng.laplace(size=n), decimals)
+    if repeated:
+        copies = n // 3
+        pick = rng.integers(0, n - copies, copies)
+        x[n - copies:], y[n - copies:] = x[pick], y[pick]
+    if zero_y:  # every residual of b = 0 is 0, and so is the tolerance that finds ties
+        y = np.zeros(n)
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < 0.2] = 0.0
+    return x, y, w
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(17, 3000),
+    n=st.integers(3, 1000),
     d=st.integers(2, 3),
-    zero_share=st.sampled_from([0.0, 0.2]),
+    decimals=st.sampled_from([0, 1]),
+    repeated=st.booleans(),
+    zero_y=st.sampled_from([False, False, False, True]),
 )
-def test_routes_identical_on_working_sets(seed, n, d, zero_share):
-    # N > 16: every call solves an LP on a working set with a non-zero right-hand side
-    assert_routes_identical(*drawn_instance(seed, n, d, zero_share))
-
-
-def assert_routes_identical(x, y, w):
-    # the pivots off, so both routes hand every LP to their backend
-    beta, objective = dual_lp_backend(x, y, w)
-    beta_ref, objective_ref = dual_lp_linprog(x, y, w)
-    assert np.array_equal(beta, beta_ref)
-    assert objective == objective_ref
-
-
-def test_dual_lp_matches_linprog_route_on_em_calls(monkeypatch):
-    # every LP one EM-LP fit hands to dual_lp: 20 iterations x 3 components
-    data = synth.generate(3, 2, 2000, LAPLACE, seed=21)
-    calls = []
-
-    def capture(x, y, w):
-        calls.append((x, y, w.copy()))
-        return dual_lp_linprog(x, y, w)
-
-    monkeypatch.setattr(lad, "dual_lp", capture)
-    em.fit_em(data, 3, LAPLACE, SolverConfig(n_iterations=20, seed=22), lad_path="lp")
-    monkeypatch.undo()
-    assert len(calls) == 60
-    for x, y, w in calls:
-        assert_routes_identical(x, y, w)
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_dual_lp_matches_linprog_route_on_edge_inputs(d):
-    rng = np.random.default_rng(6 + d)
-    for _ in range(10):
-        x, y, w = random_instance(rng, d=d)
-        assert_routes_identical(x, y, w)
-        x[rng.random(x.shape) < 0.3] = 0.0  # exact zeros leave the sparse matrix
-        assert_routes_identical(x, y, w)
-        w[rng.random(w.size) < 0.3] = 0.0
-        assert_routes_identical(x, y, w)
-
-
-def test_em_lp_trajectory_identical_through_linprog_route(monkeypatch):
-    data = synth.generate(3, 2, 1000, LAPLACE, seed=23)
-    cfg = SolverConfig(n_iterations=30, seed=24)
-    monkeypatch.setattr(lad, "VERTEX_CAP", 0)  # every LP to the backend
-    direct = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
-    monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
-    reference = em.fit_em(data, 3, LAPLACE, cfg, lad_path="lp")
-    assert np.array_equal(direct.params.beta, reference.params.beta)
-    assert np.array_equal(direct.log_liks, reference.log_liks)
+def test_dual_lp_never_above_independent_optimum_on_ties(seed, n, d, decimals, repeated, zero_y):
+    # integer or one-decimal data, rows in copies, zero weights: degenerate
+    # vertices everywhere, which the pivots pass by their tie rule
+    x, y, w = degenerate_instance(seed, n, d, decimals, repeated, zero_y)
+    _, objective = lad.dual_lp(x, y, w)
+    _, optimum = ipm_lad(x, y, w)
+    assert objective <= optimum * (1.0 + 1e-9) + 1e-12 * (1.0 + float(np.sum(w * np.abs(y))))
 
 
 def restricted_lp(seed, n, d, zero_share, tilt):
@@ -427,7 +387,7 @@ def restricted_lp(seed, n, d, zero_share, tilt):
 def vertex_or_backend(lp):
     """``_working_set_lp`` on ``lp``: its result, and (arguments, answer) of each hand-off."""
     handed = []
-    backend = lad._lp_backend()
+    backend = lad._solve_dual
 
     def spy(*args):
         handed.append((args, backend(*args)))
@@ -462,7 +422,7 @@ def test_vertex_descent_matches_the_oracle_and_the_backend_verdict(seed, n, d, z
     xt, y, w, rhs, _ = lp
     beta, handed = vertex_or_backend(lp)
     assert not handed or np.count_nonzero(w) <= d
-    assert (beta is None) == (lad._lp_backend()(xt, y, w, rhs) is None)
+    assert (beta is None) == (lad._solve_dual(xt, y, w, rhs) is None)
     try:
         _, optimum = simplex(xt.T, y, w, tilt=rhs)
     except Unbounded:
@@ -473,13 +433,14 @@ def test_vertex_descent_matches_the_oracle_and_the_backend_verdict(seed, n, d, z
         assert restricted_objective(lp, beta) == pytest.approx(optimum, rel=1e-9, abs=floor)
 
 
-def handoff_lp(kind):
-    """A working-set LP that the vertex descent cannot certify, for the reason ``kind``."""
+def hard_lp(kind):
+    """A working-set LP that is hard for the vertex descent, for the reason ``kind``."""
     rng = np.random.default_rng(len(kind))
     x, y, w = random_instance(rng, n=60, d=2)
     start = np.zeros(2)
     if kind == "duplicated integer rows":
-        # each basic sample's copies fit too: a singular or degenerate basis
+        # each basic sample's copies fit too: a singular first basis, and
+        # degenerate vertices
         x = np.repeat(np.round(x[:20] * 2.0), 3, axis=0)
         y = np.repeat(np.round(y[:20] * 2.0), 3)
     elif kind == "three samples on the start's fit":
@@ -497,16 +458,27 @@ def handoff_lp(kind):
     return np.ascontiguousarray(x.T), y, w, np.zeros(2), start
 
 
+@pytest.mark.parametrize("kind", ["duplicated integer rows", "three samples on the start's fit"])
+def test_vertex_descent_answers_degenerate_lps(kind):
+    # more than d samples on the fit: the tie rule orders them, and the
+    # pivots answer the LP at the dense simplex's optimum, with no fallback
+    lp = hard_lp(kind)
+    xt, y, w, _, _ = lp
+    beta, handed = vertex_or_backend(lp)
+    assert not handed
+    _, optimum = simplex(xt.T, y, w)
+    assert restricted_objective(lp, beta) == pytest.approx(optimum, rel=1e-9)
+
+
 @pytest.mark.parametrize("kind", [
-    "duplicated integer rows", "three samples on the start's fit", "zero covariate column",
-    "nearly parallel covariates", "d weighted samples", "vertex cap 0",
+    "zero covariate column", "nearly parallel covariates", "d weighted samples", "vertex cap 0",
 ])
 def test_vertex_descent_hands_what_it_cannot_certify_to_the_backend(kind, monkeypatch):
     if kind == "vertex cap 0":
         monkeypatch.setattr(lad, "VERTEX_CAP", 0)
         lp = restricted_lp(5, 60, 2, 0.0, 0.5)
     else:
-        lp = handoff_lp(kind)
+        lp = hard_lp(kind)
     beta, handed = vertex_or_backend(lp)
     # the LP as given, unchanged, and the backend's answer as the result
     assert len(handed) == 1
@@ -517,8 +489,8 @@ def test_vertex_descent_hands_what_it_cannot_certify_to_the_backend(kind, monkey
 
 def test_vertex_descent_answers_once_the_third_sample_leaves_the_fit():
     # the degenerate LP above with its third sample moved off the start's
-    # fit: the descent answers it, so the degeneracy was the trigger
-    xt, y, w, rhs, start = handoff_lp("three samples on the start's fit")
+    # fit, so that the descent meets no tie at its first vertex
+    xt, y, w, rhs, start = hard_lp("three samples on the start's fit")
     y = y.copy()
     y[2] += 0.25
     beta, handed = vertex_or_backend((xt, y, w, rhs, start))
@@ -531,19 +503,19 @@ def test_vertex_descent_answers_once_the_third_sample_leaves_the_fit():
 def handed(monkeypatch):
     """Every working-set LP handed to the backend, as its arguments."""
     lps = []
-    backend = lad._lp_backend()
+    backend = lad._solve_dual
     monkeypatch.setattr(lad, "_solve_dual", lambda *lp: lps.append(lp) or backend(*lp))
     return lps
 
 
-def test_duplicated_rows_reach_the_backend_whole(handed, lp_solves):
-    # every vertex of data whose rows come in copies is degenerate, so the
-    # backend solves each working-set LP and the result is the backend route's
+def test_duplicated_rows_are_answered_by_the_pivots(handed, lp_solves):
+    # every vertex of data whose rows come in copies is degenerate: the tie
+    # rule lets the pivots answer each working-set LP, at the optimum
     rng = np.random.default_rng(len("duplicated rows and ties"))
-    calls = [edge_instance("duplicated rows and ties", rng) for _ in range(4)]
-    results = [lad.dual_lp(*call) for call in calls]
-    assert len(handed) == len(lp_solves) >= len(calls)
-    assert_same_results(results, [dual_lp_backend(*call) for call in calls])
+    for _ in range(4):
+        assert_matches_simplex(*edge_instance("duplicated rows and ties", rng))
+    assert len(lp_solves) >= 4
+    assert handed == []
 
 
 @pytest.mark.parametrize("zero_share", [0.0, 0.4, 0.9])
@@ -579,30 +551,19 @@ def test_em_lp_fit_follows_the_backend_route(monkeypatch, handed):
     np.testing.assert_allclose(vertex.log_liks, reference.log_liks, rtol=1e-13, atol=0.0)
 
 
-def solver_reuse_calls():
-    """(x, y, w, WORKING_SET_SCALE) for a mixed sequence of dual_lp calls.
+def mixed_calls():
+    """(x, y, w) for a mixed sequence of dual_lp calls.
 
-    Random instances of every d and of N from 3 to 3000, an infeasible
-    first working set, a failed least-squares start and duplicated rows
-    with ties, in a seeded shuffled order.
+    Random instances of every d and of N from 3 to 3000, a failed
+    least-squares start and duplicated rows with ties, in a seeded
+    shuffled order.
     """
     rng = np.random.default_rng(31)
-    calls = [(*random_instance(rng, n=n, d=d), lad.WORKING_SET_SCALE)
-             for n in (3, 16, 40, 300, 3000) for d in (1, 2, 3)]
-    calls.append((*infeasible_first_set_instance(), 1.0))
-    calls.append((*no_start_instance(), lad.WORKING_SET_SCALE))
+    calls = [random_instance(rng, n=n, d=d) for n in (3, 16, 40, 300, 3000) for d in (1, 2, 3)]
+    calls.append(no_start_instance())
     ties = np.random.default_rng(len("duplicated rows and ties"))
-    calls += [(*edge_instance("duplicated rows and ties", ties), lad.WORKING_SET_SCALE)
-              for _ in range(4)]
+    calls += [edge_instance("duplicated rows and ties", ties) for _ in range(4)]
     return [calls[i] for i in rng.permutation(len(calls))]
-
-
-def solve_each(calls, monkeypatch, solve):
-    results = []
-    for x, y, w, scale in calls:
-        monkeypatch.setattr(lad, "WORKING_SET_SCALE", scale)
-        results.append(solve(x, y, w))
-    return results
 
 
 def assert_same_results(results, reference):
@@ -612,146 +573,46 @@ def assert_same_results(results, reference):
         assert objective == objective_ref
 
 
-def test_reused_solver_matches_stateless_route_on_mixed_calls(monkeypatch):
-    calls = solver_reuse_calls()
-    reference = solve_each(calls, monkeypatch, dual_lp_linprog)
-    assert_same_results(solve_each(calls, monkeypatch, dual_lp_backend), reference)
-    # again, on a solver that has already seen every one of them
-    assert_same_results(solve_each(calls, monkeypatch, dual_lp_backend), reference)
+def linprog_reporting(monkeypatch, status, on):
+    """Patch ``linprog`` to report ``status`` after the runs numbered in ``on``.
 
-
-# Runs mlrfit.lad as it runs on scipy < 1.15, where scipy.optimize has no
-# _highspy module: solves the calls saved in argv[1] with every LP handed to
-# the backend, the first call binding it, and saves the results to argv[2].
-# scipy.optimize is imported first: linprog itself runs on _highspy.
-WITHOUT_HIGHSPY = """
-import builtins, inspect, sys
-import numpy as np
-import scipy.optimize
-
-real_import = builtins.__import__
-
-def import_without_highspy(name, *args, **kwargs):
-    if name == "scipy.optimize._highspy":
-        raise ImportError("no scipy.optimize._highspy")
-    return real_import(name, *args, **kwargs)
-
-builtins.__import__ = import_without_highspy
-from mlrfit import lad
-
-assert lad._solve_dual is None, "the LP backend was bound at import"
-assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
-calls = np.load(sys.argv[1])
-lad.VERTEX_CAP = 0
-results = {}
-for i, scale in enumerate(calls["scales"]):
-    lad.WORKING_SET_SCALE = float(scale)
-    results[f"beta{i}"], results[f"objective{i}"] = lad.dual_lp(
-        calls[f"x{i}"], calls[f"y{i}"], calls[f"w{i}"])
-builtins.__import__ = real_import
-assert lad._highs is None
-assert lad._solve_dual is lad._linprog_dual
-np.savez(sys.argv[2], **results)
-"""
-
-
-def test_linprog_backend_bound_when_highspy_is_missing(tmp_path, monkeypatch):
-    # a patch or partial in place of the function would hide dual_lp from
-    # tracers that wrap the module's plain functions
-    assert inspect.isfunction(lad.dual_lp) and lad.dual_lp.__module__ == "mlrfit.lad"
-    calls = solver_reuse_calls()
-    assert {x.shape[1] for x, _, _, _ in calls} == {1, 2, 3}
-    arrays = {"scales": np.array([scale for _, _, _, scale in calls])}
-    for i, (x, y, w, _) in enumerate(calls):
-        arrays.update({f"x{i}": x, f"y{i}": y, f"w{i}": w})
-    np.savez(tmp_path / "calls.npz", **arrays)
-    run_fresh(WITHOUT_HIGHSPY, str(tmp_path / "calls.npz"), str(tmp_path / "results.npz"))
-    with np.load(tmp_path / "results.npz") as saved:
-        fallback = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
-                    for i in range(len(calls))]
-    assert_same_results(fallback, solve_each(calls, monkeypatch, dual_lp_backend))
-
-
-class StatusOnRuns:
-    """The thread's HiGHS instance, reporting ``status`` after the runs numbered in ``on``."""
-
-    def __init__(self, status, on):
-        self.solver, self.status, self.on, self.runs = lad._thread_solver(), status, on, 0
-
-    def __getattr__(self, name):
-        return getattr(self.solver, name)
-
-    def run(self):
-        self.runs += 1
-        return self.solver.run()
-
-    def getModelStatus(self):
-        return self.status if self.runs in self.on else self.solver.getModelStatus()
-
-
-def highs_reporting(monkeypatch, status, on):
-    """Patch ``dual_lp``'s HiGHS instance to report ``status`` after the LPs in ``on``.
-
-    ``on`` holds 1-based LP counts; the other LPs report their own status.
-    The vertex descent is off, so every working-set LP reaches HiGHS.
+    ``on`` holds 1-based run counts; the other runs report their own status.
+    The vertex descent is off, so every working-set LP reaches ``linprog``.
+    Returns the list of each run's own status, filled as the runs go.
     """
-    proxy = StatusOnRuns(getattr(lad._highs.HighsModelStatus, status), on)
-    monkeypatch.setattr(lad, "_thread_solver", lambda: proxy)
+    runs = []
+
+    def linprog(*args, real=scipy.optimize.linprog, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append(res.status)
+        if len(runs) in on:
+            res.status = status
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     monkeypatch.setattr(lad, "VERTEX_CAP", 0)
-    return proxy
+    return runs
 
 
-needs_highs = pytest.mark.skipif(
-    lad._lp_backend() is not lad._highs_dual, reason="no direct HiGHS route"
-)
-
-
-@needs_highs
-def test_solve_raising_midway_leaves_next_call_unaffected(monkeypatch):
-    # the infeasible first set: the second LP of the call reports the limit
-    # and leaves its model, basis and solution on the thread's solver
-    x, y, w = infeasible_first_set_instance()
-    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    with monkeypatch.context() as patch:
-        proxy = highs_reporting(patch, "kIterationLimit", on={2})
-        with pytest.raises(IterationLimit):
-            lad.dual_lp(x, y, w)
-    assert proxy.runs == 2
-    assert_same_results([dual_lp_backend(x, y, w)], [dual_lp_linprog(x, y, w)])
-    calls = solver_reuse_calls()
-    assert_same_results(
-        solve_each(calls, monkeypatch, dual_lp_backend),
-        solve_each(calls, monkeypatch, dual_lp_linprog),
-    )
+def test_lp_at_its_iteration_limit_raises(monkeypatch):
+    # linprog's status 1: HiGHS reached its iteration limit
+    linprog_reporting(monkeypatch, 1, on={1})
+    with pytest.raises(IterationLimit):
+        lad.dual_lp(*infeasible_first_set_instance())
 
 
 def assert_optimum_of(result, x, y, w):
     """``result`` is the optimum ``dual_lp`` finds on (x, y, w) unpatched."""
     beta, objective = result
-    beta_ref, objective_ref = DUAL_LP(x, y, w)
+    beta_ref, objective_ref = lad.dual_lp(x, y, w)
     np.testing.assert_allclose(beta, beta_ref, rtol=1e-9, atol=1e-12)
     assert objective == pytest.approx(objective_ref, rel=1e-12)
 
 
-@needs_highs
-def test_working_set_lp_without_a_verdict_grows_the_set(monkeypatch, lp_solves):
-    # HiGHS can end a working-set LP with model status Unknown: like an
-    # infeasible one, it doubles S, and the call goes on to the optimum
-    x, y, w = infeasible_first_set_instance()
-    monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    with monkeypatch.context() as patch:
-        highs_reporting(patch, "kUnknown", on={2})
-        result = lad.dual_lp(x, y, w)
-    assert [size for size, _, _ in lp_solves][:3] == [15, 30, 60]
-    assert [feasible for _, _, feasible in lp_solves][:3] == [False, False, True]
-    assert_optimum_of(result, x, y, w)
-
-
-@needs_highs
 def test_only_the_lp_on_all_samples_without_a_verdict_stalls(monkeypatch, lp_solves):
     x, y, w = infeasible_first_set_instance()
     monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    highs_reporting(monkeypatch, "kUnknown", on=range(1, 6))
+    linprog_reporting(monkeypatch, 4, on=range(1, 6))
     with pytest.raises(SolverStall, match="on all samples"):
         lad.dual_lp(x, y, w)
     assert [size for size, _, _ in lp_solves] == [15, 30, 60, 120, 200]
@@ -759,22 +620,9 @@ def test_only_the_lp_on_all_samples_without_a_verdict_stalls(monkeypatch, lp_sol
 
 def test_linprog_lp_without_a_verdict_grows_the_set(monkeypatch):
     # linprog's status 4: the LP ended on numerical difficulties
-    import scipy.optimize
-
     x, y, w = infeasible_first_set_instance()
     monkeypatch.setattr(lad, "WORKING_SET_SCALE", 1.0)
-    monkeypatch.setattr(lad, "_solve_dual", lad._linprog_dual)
-    monkeypatch.setattr(lad, "VERTEX_CAP", 0)  # every LP to linprog
-    runs = []
-
-    def linprog(*args, real=scipy.optimize.linprog, **kwargs):
-        res = real(*args, **kwargs)
-        runs.append(res.status)
-        if len(runs) == 2:
-            res.status = 4
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    runs = linprog_reporting(monkeypatch, 4, on={2})
     result = lad.dual_lp(x, y, w)
     assert runs[:2] == [2, 0] and len(runs) >= 3
     assert_optimum_of(result, x, y, w)
@@ -793,10 +641,9 @@ def test_em_lp_fit_goes_on_past_a_working_set_lp_without_a_verdict():
 
 
 def test_dual_lp_from_four_threads_equals_serial(monkeypatch):
-    # more threads than cores, switching often: a solver shared between
-    # threads would mix their LPs, so every LP goes to the backend
+    # more threads than cores, switching often, with every LP handed to linprog
     monkeypatch.setattr(lad, "VERTEX_CAP", 0)
-    calls = [call[:3] for call in solver_reuse_calls() if call[3] == lad.WORKING_SET_SCALE] * 3
+    calls = mixed_calls() * 3
     serial = [lad.dual_lp(*call) for call in calls]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -809,29 +656,28 @@ def test_dual_lp_from_four_threads_equals_serial(monkeypatch):
 
 
 # Solves the calls saved in argv[1] from four threads in a fresh interpreter,
-# whose first four calls, one per thread, bind the LP backend together, with
-# every LP handed to the backend, and saves the results to argv[2].
-THREADS_BIND = """
+# whose first four calls, one per thread, load scipy's LP module together,
+# with every LP handed to linprog, and saves the results to argv[2].
+FOUR_THREADS = """
 import sys, threading
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from mlrfit import lad
 
-assert lad._solve_dual is None, "the LP backend was bound at import"
+assert "scipy.optimize" not in sys.modules, "scipy's LP module was loaded at import"
 lad.VERTEX_CAP = 0
 calls = np.load(sys.argv[1])
 count = len(calls.files) // 3
 together = threading.Barrier(4)
 
 def solve(i):
-    if i < 4:  # every thread's first call, none of them with a backend yet
+    if i < 4:  # every thread's first call, none of them with linprog loaded yet
         together.wait(timeout=60)
     return lad.dual_lp(calls[f"x{i}"], calls[f"y{i}"], calls[f"w{i}"])
 
 sys.setswitchinterval(1e-5)
 with ThreadPoolExecutor(max_workers=4) as pool:
     solved = list(pool.map(solve, range(count), timeout=300))
-assert lad._solve_dual in (lad._highs_dual, lad._linprog_dual)
 results = {}
 for i, (beta, objective) in enumerate(solved):
     results[f"beta{i}"], results[f"objective{i}"] = beta, objective
@@ -841,14 +687,13 @@ np.savez(sys.argv[2], **results)
 
 def test_first_lps_of_a_process_from_four_threads_equal_serial(tmp_path):
     # d >= 2, so every call solves at least one LP
-    calls = [call[:3] for call in solver_reuse_calls()
-             if call[3] == lad.WORKING_SET_SCALE and call[0].shape[1] > 1]
+    calls = [call for call in mixed_calls() if call[0].shape[1] > 1]
     assert len(calls) > 4
     arrays = {}
     for i, (x, y, w) in enumerate(calls):
         arrays.update({f"x{i}": x, f"y{i}": y, f"w{i}": w})
     np.savez(tmp_path / "calls.npz", **arrays)
-    run_fresh(THREADS_BIND, str(tmp_path / "calls.npz"), str(tmp_path / "results.npz"))
+    run_fresh(FOUR_THREADS, str(tmp_path / "calls.npz"), str(tmp_path / "results.npz"))
     with np.load(tmp_path / "results.npz") as saved:
         threaded = [(saved[f"beta{i}"], float(saved[f"objective{i}"]))
                     for i in range(len(calls))]
