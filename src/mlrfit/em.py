@@ -14,6 +14,8 @@ one ``fit.Iterate``, and it computes every E-step through ``scoring``,
 whose ``e_step`` is bound here as EM's.
 """
 
+import time
+
 import numpy as np
 
 from . import fit, lad
@@ -31,9 +33,9 @@ IRLS_DELTA_SCALE = 1e-6
 
 
 def refit_components(
-    solve, w: np.ndarray, dim: int, previous: MlrParams | None
+    solve, k: int, dim: int, previous: MlrParams | None
 ) -> MlrParams:
-    """Column k is ``solve(w[k])``, unless component k has collapsed.
+    """Column j of the d x k result is ``solve(j)``, unless component j has collapsed.
 
     Collapse policy, shared by both M-steps: a component that ``solve``
     rejects for having no responsibility mass (CollapsedComponent) or
@@ -42,39 +44,80 @@ def refit_components(
     the expected complete-data log-likelihood, so keeping its coefficients
     preserves EM's ascent. Without ``previous`` the error propagates.
     """
-    beta = np.empty((dim, w.shape[0]))
-    for k in range(w.shape[0]):
+    beta = np.empty((dim, k))
+    for j in range(k):
         try:
-            beta[:, k] = solve(w[k])
+            beta[:, j] = solve(j)
         except (CollapsedComponent, SingularGram):
             if previous is None:
                 raise
-            beta[:, k] = previous.beta[:, k]
+            beta[:, j] = previous.beta[:, j]
     return MlrParams(beta)
 
 
+def gaussian_moments(data: Dataset) -> np.ndarray:
+    """The (d^2 + d) x N moments Q of the Gaussian M-step, formed once per fit.
+
+    Row a d + b holds x_ia x_ib and row d^2 + a holds y_i x_ia, so for K x N
+    weights w the product Q @ w.T holds every X^T W_k X, row-major in its
+    first d^2 rows, and every X^T W_k y in its last d. Q is formed under one
+    error state: a product past the largest float, or a row whose sum of
+    absolute values is, raises NonFiniteInput whatever the weights, with no
+    RuntimeWarning. That sum bounds Q @ w.T for weights in [0, 1].
+    """
+    xt = data.x.T
+    d, n = xt.shape
+    q = np.empty((d * d + d, n))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            np.multiply(xt[:, None, :], xt, out=q[: d * d].reshape(d, d, n))
+            np.multiply(data.y, xt, out=q[d * d :])
+            np.abs(q).sum(axis=1)  # raises if some row's sum overflows
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"Gaussian M-step moments overflowed: {exc}") from None
+    return q
+
+
+# The product of moments and weights runs under this error state, as the
+# kernel's does: weights above 1 can overflow it where Q is finite.
+@np.errstate(over="raise", invalid="raise")
 def m_step_gaussian(
-    w: np.ndarray, data: Dataset, previous: MlrParams | None = None
+    w: np.ndarray,
+    data: Dataset,
+    previous: MlrParams | None = None,
+    *,
+    moments: np.ndarray | None = None,
 ) -> MlrParams:
     """Per-component weighted least squares, solved in closed form.
 
     ``w`` holds K x N memberships. Column k solves
-    (sum_i w_ki x_i x_i^T) b = sum_i w_ki y_i x_i with the
-    standard ridge guard, all K systems in one ``lad._weighted_lstsq``
-    call. A component with no mass has a zero Gram matrix, whose ridge is
-    zero too, so it fails to factorize; only then are the components
-    solved one at a time, through ``refit_components``.
+    (sum_i w_ki x_i x_i^T) b = sum_i w_ki y_i x_i with the standard ridge
+    guard. Every Gram matrix and right-hand side comes from one matmul,
+    ``moments @ w.T``, with ``moments`` the fit's ``gaussian_moments(data)``,
+    which ``fit_em`` forms once per fit and which is formed here when not
+    given; an overflow in the product raises NonFiniteInput. One stacked
+    LU solve then gives all K columns. A component with no mass has a zero
+    Gram matrix, whose ridge is zero too, so it fails to factorize; only
+    then are the K systems of the same product solved one at a time,
+    through ``refit_components``.
     """
-    x, y = data.x, data.y
+    q = gaussian_moments(data) if moments is None else moments
+    d = data.dim
     try:
-        return MlrParams(lad._weighted_lstsq(x, y, w))
+        sums = q @ w.T
+        gram = lad._ridge_gram(sums[: d * d].T.reshape(-1, d, d))
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"weighted least-squares system overflowed: {exc}") from None
+    rhs = sums[d * d :].T
+    try:
+        return MlrParams(lad._solve_gram(gram, rhs))
     except SingularGram:
         pass
 
-    def solve(weights):
-        return lad._weighted_lstsq(x, y, weights[None])[:, 0]
+    def solve(j):
+        return lad._solve_gram(gram[j : j + 1], rhs[j : j + 1])[:, 0]
 
-    return refit_components(solve, w, data.dim, previous)
+    return refit_components(solve, w.shape[0], d, previous)
 
 
 def irls_delta(y: np.ndarray) -> float:
@@ -125,13 +168,13 @@ def m_step_laplacian(
     else:
         raise ValueError(f"m_step_laplacian runs route 'lp' or 'irls', got {path!r}")
 
-    def solve(weights):
+    def solve(j):
         # with no mass every LAD coefficient is optimal; none is a fit
-        if weights.sum() <= 0.0:
+        if w[j].sum() <= 0.0:
             raise CollapsedComponent("component has no responsibility mass")
-        return route(weights)
+        return route(w[j])
 
-    return refit_components(solve, w, data.dim, previous)
+    return refit_components(solve, w.shape[0], data.dim, previous)
 
 
 def resolve_lad_path(path: str, nm: NoiseModel, n_samples: int) -> str:
@@ -154,21 +197,27 @@ def fit_em(
     ADMM solver through the config) matters. Where the route is ``lp`` at
     d >= 2, scipy's LP module, ``lad.dual_lp``'s fallback, is loaded before
     the loop's clock starts, so the first such fit of a process does not
-    time scipy's import.
+    time scipy's import. Under Gaussian noise the fit forms the M-step's
+    moments Q (``gaussian_moments``) once, after the clock starts and
+    before the start E-step, so ``wall_seconds`` counts them and data whose
+    Q overflows ends the fit in NonFiniteInput before any iteration; each
+    M-step is then one matmul with Q and one stacked solve.
     """
     path = resolve_lad_path(lad_path, nm, data.n_samples)
     if path == LAD_PATH_LP and data.dim > 1:  # at d = 1 dual_lp solves no LP
         import scipy.optimize  # noqa: F401
+    started = time.perf_counter()  # the fit's wall time counts the moments
     xt = data.x.T
+    moments = gaussian_moments(data) if nm.kind is NoiseKind.GAUSSIAN else None
 
     def steps(params, fits, w):
         del fits  # EM needs only the memberships, so the start's K x N fits can go
         while True:
-            if nm.kind is NoiseKind.GAUSSIAN:
-                params = m_step_gaussian(w, data, previous=params)
+            if moments is not None:
+                params = m_step_gaussian(w, data, previous=params, moments=moments)
             else:
                 params = m_step_laplacian(w, data, path=path, previous=params)
             # the fitted values, for the fit loop's likelihood and E-step
             w = yield fit.Iterate(params.beta, fitted_values(params.beta, xt))
 
-    return fit.run(steps, data, k, nm, cfg, lad_path=path)
+    return fit.run(steps, data, k, nm, cfg, lad_path=path, started=started)

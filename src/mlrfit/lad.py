@@ -48,16 +48,20 @@ six times HiGHS's own solve, most of it linprog's wrapper. scipy's LP
 module loads at the first LP handed on, or before an ``lp`` fit's clock
 starts (``em.fit_em``), not at import.
 
-Every weighted least-squares system of EM goes through one kernel body,
+Every weighted least-squares system of EM ends in one stacked LU solve,
+``_solve_gram``, the only factorization of each Gram matrix, which
+returns the d x K coefficients or finds a singular matrix (SingularGram).
+The weighted least-squares solves here go through one kernel body,
 ``_solve_weighted``: ``_weighted_lstsq`` hands it freshly weighted
-covariates, the Gaussian M-step solving all K components in one call and
-``dual_lp`` taking its starting fit from it, while ``irls`` hands it the
-buffer of weighted covariates that its passes overwrite, one per call.
-The K Gram matrices and right-hand sides come from two stacked matmuls
-under one error state, which turns an overflow in either into
-NonFiniteInput, and one stacked LU solve, the only factorization of each
-Gram matrix, returns the d x K coefficients or finds a singular matrix
-(SingularGram).
+covariates, ``dual_lp`` taking its starting fit from it, while ``irls``
+hands it the buffer of weighted covariates that its passes overwrite, one
+per call. The K Gram matrices and right-hand sides come from two stacked
+matmuls under one error state, which turns an overflow in either into
+NonFiniteInput. The Gaussian M-step (``em.m_step_gaussian``) forms its K
+systems from moments instead: one matmul of the weights with the
+(d^2 + d) x N products x_ia x_ib and y_i x_ia, which ``em.fit_em`` forms
+once per fit under its own overflow gate, then ``ridge_gram`` and
+``_solve_gram``.
 
 Every routine here reads X through ``x.T``, the d x N layout, which is
 contiguous for the column-major x that ``model.Dataset`` stores, and none
@@ -125,7 +129,7 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     ``gram`` is one d x d matrix or a (..., d, d) stack; each matrix gets
     its own ridge. Whether a ridged Gram matrix is singular is left to the
     one LU factorization that follows, ``np.linalg.solve`` in
-    ``_solve_weighted`` and ``np.linalg.inv`` in ``admm.gram_projection``:
+    ``_solve_gram`` and ``np.linalg.inv`` in ``admm.gram_projection``:
     the ridge is far above the rounding of a finite positive semi-definite
     matrix, so the ridged matrix is numerically positive definite exactly
     when its trace is positive, and a zero trace means a zero matrix, which
@@ -136,8 +140,8 @@ def ridge_gram(gram: np.ndarray) -> np.ndarray:
     return gram + ridge[..., None, None] * np.eye(d)
 
 
-# ``ridge_gram`` under a private name for the kernels: like ``_solve_weighted``,
-# it then adds no tracer span to every IRLS pass.
+# ``ridge_gram`` under a private name for the kernels and the Gaussian M-step:
+# like ``_solve_weighted``, it then adds no tracer span to every IRLS pass.
 _ridge_gram = ridge_gram
 
 
@@ -151,10 +155,8 @@ def _solve_weighted(xw: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``xw`` is the K x d x N stack of weighted covariates, w_k * x.T. The
     body of both ``_weighted_lstsq`` and ``irls``: the K Gram matrices and
     right-hand sides are formed under one error state, so an overflow in
-    either raises NonFiniteInput without a RuntimeWarning, and one stacked
-    LU solve gives all K columns, raising SingularGram where a Gram matrix
-    is singular (see ``ridge_gram``). A solution that overflowed raises
-    NonFiniteInput rather than reach the caller.
+    either raises NonFiniteInput without a RuntimeWarning, and
+    ``_solve_gram`` gives all K columns (SingularGram, NonFiniteInput).
     """
     # Private, so perfbench's tracer adds no span to every IRLS pass.
     try:
@@ -162,6 +164,17 @@ def _solve_weighted(xw: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         rhs = xw @ y
     except FloatingPointError as exc:
         raise NonFiniteInput(f"weighted least-squares system overflowed: {exc}") from None
+    return _solve_gram(gram, rhs)
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The d x K solution of gram_k b = rhs_k for K ridged d x d systems.
+
+    One stacked LU solve, the only factorization of each Gram matrix,
+    raising SingularGram where one is singular (see ``ridge_gram``); a
+    solution that overflowed raises NonFiniteInput rather than reach the
+    caller. The tail of ``_solve_weighted`` and of the Gaussian M-step.
+    """
     try:
         beta = np.linalg.solve(gram, rhs[..., None])[..., 0].T
     except np.linalg.LinAlgError as exc:

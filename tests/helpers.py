@@ -118,10 +118,15 @@ def within_membership_tolerance(w, shifted, peak):
     return bool((np.abs(w - shifted) <= 2.0**-50 * (1.0 + np.abs(peak))).all())
 
 
-def logsumexp_log_likelihood(params, data, nm):
-    """Mixture log-likelihood through ``scipy.special.logsumexp`` over N x K."""
+def logsumexp_terms(params, data, nm):
+    """Each sample's mixture log-likelihood, ``scipy.special.logsumexp`` over N x K."""
     logf = log_density(nm, data.y[:, None] - data.x @ params.beta)
-    return float(logsumexp(math.log(1.0 / params.k_components) + logf, axis=1).sum())
+    return logsumexp(math.log(1.0 / params.k_components) + logf, axis=1)
+
+
+def logsumexp_log_likelihood(params, data, nm):
+    """Mixture log-likelihood: the ``logsumexp_terms``, summed exactly (``math.fsum``)."""
+    return math.fsum(logsumexp_terms(params, data, nm))
 
 
 def lhat_terms(w, lam, rho, fit, y, nm):
@@ -523,6 +528,25 @@ def cholesky_gated_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndar
     if not np.isfinite(beta).all():
         raise NonFiniteInput("weighted least-squares solution overflowed")
     return beta
+
+
+def within_lstsq_rounding(beta, reference, x, y, weights, tolerance):
+    """Whether a weighted least-squares ``beta`` lies within rounding of ``reference``.
+
+    Two solvers that sum each entry of ridge_gram(X^T W X) and X^T W y in
+    different orders each move it by up to about N eps of the sum of its
+    terms' magnitudes, A = ridge_gram(X^T |W| |X|) and c = |X|^T |W| |y|
+    entry by entry. To first order their solutions then differ, component
+    by component, by at most ``tolerance`` |G^-1| (A |b| + c), G the ridged
+    Gram matrix (Skeel's bound), with ``tolerance`` the relative rounding
+    allowed on every entry.
+    """
+    xt = x.T
+    gram = lad.ridge_gram((weights * xt) @ x)
+    magnitudes = lad.ridge_gram((weights * np.abs(xt)) @ np.abs(x))
+    rhs = (weights * np.abs(xt)) @ np.abs(y)
+    bound = tolerance * np.abs(np.linalg.inv(gram)) @ (magnitudes @ np.abs(reference) + rhs)
+    return bool((np.abs(beta - reference) <= bound).all())
 
 
 def plain_irls(x: np.ndarray, y: np.ndarray, weights: np.ndarray, delta: float):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    cholesky_gated_lstsq,
     density,
     lad_lp_oracle,
     log_density,
@@ -9,6 +12,7 @@ from helpers import (
     peak_shifted_e_step,
     sample_major_e_step,
     separated_seed,
+    within_lstsq_rounding,
     within_membership_tolerance,
 )
 from mlrfit import admm, em, lad, scoring, synth
@@ -157,6 +161,61 @@ class TestMStepGaussian:
             assert np.linalg.norm(grad) <= scale
 
 
+# The moment M-step and the kernel sum each Gram entry and right-hand side
+# in different orders, each within N eps = 4.4e-14 (N <= 200) of the sum of
+# its terms' magnitudes; 2^-40 = 9.1e-13 leaves room for the LU solves.
+MOMENT_TOLERANCE = 2.0**-40
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    d=st.integers(1, 4),
+    n=st.integers(5, 200),
+    scale=st.sampled_from([1.0, 7.5, 1e6]),
+    zero_share=st.sampled_from([0.0, 0.5, 0.97]),
+    zero_rows=st.integers(0, 2),
+)
+def test_moment_m_step_matches_the_gated_kernel_per_row(
+    seed, k, d, n, scale, zero_share, zero_rows
+):
+    """Every column is the Cholesky-gated kernel's solve of its own row.
+
+    Memberships in [0, 1] (scale 1) or weights above 1, a share of them
+    exactly 0, and whole rows of 0. A row the reference rejects
+    (SingularGram) makes the stack raise SingularGram without ``previous``
+    and keeps its ``previous`` column with it; every other column lies
+    within rounding of the reference. The fit's moments, handed in, give
+    the same bits as moments formed in the call.
+    """
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.standard_normal((n, d)), y=rng.standard_normal(n))
+    w = scale * rng.uniform(size=(k, n))
+    w[rng.uniform(size=(k, n)) < zero_share] = 0.0
+    w[rng.permutation(k)[:zero_rows]] = 0.0
+    previous = MlrParams(rng.standard_normal((d, k)))
+    references = []
+    for row in w:
+        try:
+            references.append(cholesky_gated_lstsq(data.x, data.y, row[None])[:, 0])
+        except SingularGram:
+            references.append(None)
+    if any(ref is None for ref in references):
+        with pytest.raises(SingularGram):
+            em.m_step_gaussian(w, data)
+    beta = em.m_step_gaussian(w, data, previous=previous).beta
+    given_moments = em.m_step_gaussian(
+        w, data, previous=previous, moments=em.gaussian_moments(data)
+    )
+    assert np.array_equal(given_moments.beta, beta)
+    for j, ref in enumerate(references):
+        if ref is None:
+            assert np.array_equal(beta[:, j], previous.beta[:, j])
+        else:
+            assert within_lstsq_rounding(beta[:, j], ref, data.x, data.y, w[j], MOMENT_TOLERANCE)
+
+
 class TestMStepLaplacian:
     def test_constant_covariate_equals_weighted_median(self):
         rng = np.random.default_rng(7)
@@ -239,7 +298,8 @@ class TestCollapsedComponent:
             em.m_step_gaussian(w, data)
         kept = em.m_step_gaussian(w, data, previous=previous).beta
         assert kept[0, 1] == 7.0
-        # the rows that factorize get the kernel's own per-row solve
+        # the rows that factorize are solved from the same moments, within
+        # rounding of the kernel's own per-row solve
         for row in (0, 2):
             alone = lad._weighted_lstsq(data.x, data.y, w[row][None])[:, 0]
             assert np.abs(kept[:, row] - alone).max() <= 1e-13 * np.abs(alone).max()
@@ -273,8 +333,8 @@ class TestFitEm:
         cfg = SolverConfig(n_iterations=1, seed=12)
         trace = em.fit_em(data, 1, GAUSS, cfg)
         x = data.x
-        # one component: unit memberships, so the M-step is the kernel on unit weights
-        expected = lad._weighted_lstsq(x, data.y, np.ones((1, 100)))
+        # one component: unit memberships, so the iterate is the M-step on unit weights
+        expected = em.m_step_gaussian(np.ones((1, 100)), data).beta
         assert np.array_equal(trace.params.beta[:, 0], expected[:, 0])
         # least squares on X stacked over sqrt(ridge) * I: the same ridge, no normal equations
         ridge = lad.RIDGE_SCALE * np.sum(x * x) / 2
@@ -403,18 +463,35 @@ def test_laplacian_residual_past_the_largest_float_ends_in_degenerate_row(fit, r
 
 
 @pytest.mark.parametrize(
-    "path, error", [("irls", NonFiniteInput), ("lp", MlrError)], ids=["irls", "lp"]
+    "nm, path, x0, y0, error",
+    [
+        (LAPLACE, "irls", 1e160, None, NonFiniteInput),
+        (LAPLACE, "lp", 1e160, None, MlrError),
+        (GAUSS, "auto", 1e160, None, NonFiniteInput),
+        (GAUSS, "auto", 1e10, 1e300, NonFiniteInput),
+    ],
+    ids=["irls", "lp", "gaussian-xx", "gaussian-yx"],
 )
-def test_overflowing_weighted_gram_ends_in_a_typed_error(path, error):
-    # every weighted X^T W X overflows, and the tests' warning gate
-    # (pyproject.toml) fails on a RuntimeWarning. The lp route meets the
+def test_overflowing_weighted_gram_ends_in_a_typed_error(nm, path, x0, y0, error):
+    # every weighted X^T W X overflows (x0 = 1e160), or X^T W y does while
+    # X^T W X stays finite (x0 = 1e10, y0 = 1e300), and the tests' warning
+    # gate (pyproject.toml) fails on a RuntimeWarning. The lp route meets the
     # overflow in dual_lp's least-squares start and falls back to the LP on
-    # all samples, which the LP solver then refuses.
+    # all samples, which the LP solver then refuses. The Gaussian fit meets
+    # it in the moments it forms before its start, whatever the weights.
     x = np.random.default_rng(9).standard_normal((20, 2))
-    x[0, 0] = 1e160
-    data = Dataset(x=x, y=np.random.default_rng(9).standard_normal(20))
+    y = np.random.default_rng(9).standard_normal(20)
+    x[0, 0] = x0
+    if y0 is not None:
+        y[0] = y0
+    data = Dataset(x=x, y=y)
     with pytest.raises(error):
-        em.fit_em(data, 2, LAPLACE, SolverConfig(n_iterations=3, seed=1), lad_path=path)
+        em.fit_em(data, 2, nm, SolverConfig(n_iterations=3, seed=1), lad_path=path)
+    if nm is GAUSS:
+        # the M-step on its own, on memberships or on weights above 1
+        for w in (np.full((2, 20), 0.5), np.full((2, 20), 3.0)):
+            with pytest.raises(NonFiniteInput):
+                em.m_step_gaussian(w, data)
 
 
 def test_irls_on_a_y_whose_spread_overflows_raises_non_finite_input():
